@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -41,6 +42,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _classification_payload(cls) -> dict:
+    return {
+        "verdict": cls.verdict,
+        "criteria": sorted(cls.criteria_fired),
+        "ppt_min_eigenvalue": cls.ppt_min_eigenvalue,
+        "i4_zero_fallback_used": cls.i4_zero_fallback_used,
+    }
+
+
 def _invariants_payload(rho: np.ndarray, tol: float) -> dict:
     form = bloch_decompose(rho)
     inv = makhlin_all(form)
@@ -53,18 +63,8 @@ def _invariants_payload(rho: np.ndarray, tol: float) -> dict:
         "classification": None,
     }
     if payload["symmetric"]:
-        six = symmetric_six(form)
-        payload["symmetric_six"] = {
-            "i1": six.i1, "i2": six.i2, "i4": six.i4,
-            "i10": six.i10, "i12": six.i12, "i14": six.i14,
-        }
-        cls = classify(rho, tol)
-        payload["classification"] = {
-            "verdict": cls.verdict,
-            "criteria": sorted(cls.criteria_fired),
-            "ppt_min_eigenvalue": cls.ppt_min_eigenvalue,
-            "i4_zero_fallback_used": cls.i4_zero_fallback_used,
-        }
+        payload["symmetric_six"] = asdict(symmetric_six(form))
+        payload["classification"] = _classification_payload(classify(rho, tol))
     try:
         x = xform_extract(rho)
     except NotXForm:
@@ -73,11 +73,7 @@ def _invariants_payload(rho: np.ndarray, tol: float) -> dict:
         payload["xform"] = {
             "a": x.a, "b_re": x.b.real, "b_im": x.b.imag, "c": x.c, "d": x.d,
         }
-        xsix = xform_invariants(x)
-        payload["xform_six"] = {
-            "i1": xsix.i1, "i2": xsix.i2, "i4": xsix.i4,
-            "i10": xsix.i10, "i12": xsix.i12, "i14": xsix.i14,
-        }
+        payload["xform_six"] = asdict(xform_invariants(x))
     return payload
 
 
@@ -116,12 +112,7 @@ def cmd_classify(args) -> int:
     rho = read_state_file(args.state)
     cls = classify(rho, args.tol)
     if args.json:
-        print(json.dumps({
-            "verdict": cls.verdict,
-            "criteria": sorted(cls.criteria_fired),
-            "ppt_min_eigenvalue": cls.ppt_min_eigenvalue,
-            "i4_zero_fallback_used": cls.i4_zero_fallback_used,
-        }, indent=2))
+        print(json.dumps(_classification_payload(cls), indent=2))
         return 0
     crit = ",".join(sorted(cls.criteria_fired)) or "-"
     print(f"verdict: {cls.verdict}")

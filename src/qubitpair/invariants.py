@@ -5,9 +5,9 @@ independent single-qubit rotations.  Exchange-symmetric states need only
 the subset (I1, I2, I4, I10, I12, I14); states with the special
 four-parameter pattern admit closed forms for that subset.
 
-Epsilon-tensor contractions are expanded as explicit loops over the six
-non-zero permutations (not cross-product shortcuts) so each expression
-can be audited term by term.
+Epsilon-tensor contractions are single ``einsum`` calls against the
+(3, 3, 3) Levi-Civita tensor; the tests check each of them against an
+explicit loop over an independently built epsilon.
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ from .errors import I4Zero, NoRealSpectrum, NotSymmetricState
 from .states import BlochForm, XForm
 from .tolerances import SIGN_ZERO_BAND, SYMMETRIC_CONSTRAINTS, matches
 
-#: (i, j, k, sign) for every non-zero entry of the Levi-Civita symbol.
-LEVI_CIVITA = (
-    (0, 1, 2, 1.0),
-    (1, 2, 0, 1.0),
-    (2, 0, 1, 1.0),
-    (0, 2, 1, -1.0),
-    (2, 1, 0, -1.0),
-    (1, 0, 2, -1.0),
-)
+# Levi-Civita tensor eps[i, j, k].
+_EPS = np.zeros((3, 3, 3))
+_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
+_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
+_EPS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -84,11 +80,8 @@ class SymmetricSix:
 
 
 def _eps_triple(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-    """eps_ijk u_i v_j w_k over the six non-zero permutations."""
-    total = 0.0
-    for i, j, k, sign in LEVI_CIVITA:
-        total += sign * u[i] * v[j] * w[k]
-    return total
+    """eps_ijk u_i v_j w_k."""
+    return float(np.einsum("ijk,i,j,k->", _EPS, u, v, w))
 
 
 def _det3(t: np.ndarray) -> float:
@@ -117,11 +110,6 @@ def makhlin_all(form: BlochForm) -> InvariantSet:
     t_r = t @ r
     tT_s = t.T @ s
 
-    i14 = 0.0
-    for i, j, k, sign1 in LEVI_CIVITA:
-        for l, m, n, sign2 in LEVI_CIVITA:
-            i14 += sign1 * sign2 * s[i] * r[l] * t[j, m] * t[k, n]
-
     return InvariantSet(
         i1=_det3(t),
         i2=float(np.sum(t * t)),
@@ -136,7 +124,7 @@ def makhlin_all(form: BlochForm) -> InvariantSet:
         i11=_eps_triple(r, ttr_r, ttr2_r),
         i12=float(s @ t_r),
         i13=float(s @ (tt @ t_r)),
-        i14=i14,
+        i14=float(np.einsum("ijk,lmn,i,l,jm,kn->", _EPS, _EPS, s, r, t, t)),
         i15=_eps_triple(s, tt_s, t_r),
         i16=_eps_triple(tT_s, r, ttr_r),
         i17=_eps_triple(tT_s, ttr @ tT_s, r),

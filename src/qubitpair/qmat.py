@@ -1,10 +1,10 @@
 """Minimal dense complex linear algebra for two-qubit state analysis.
 
 Everything here is sized for 2x2 .. 4x4 matrices: Pauli basis, Kronecker
-products, Hermitian eigenvalues (closed form for real symmetric 3x3,
-cyclic Jacobi otherwise), Haar-random SU(2) and the SU(2) -> SO(3)
-covering map.  All functions are pure; random sampling takes a
-caller-owned ``numpy.random.Generator``.
+products, Hermitian eigenvalues (numpy's LAPACK ``eigvalsh`` behind a
+Hermiticity gate), Haar-random SU(2) and the SU(2) -> SO(3) covering
+map.  All functions are pure; random sampling takes a caller-owned
+``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 IDENTITY_2 = np.eye(2, dtype=complex)
+# The Paulis stacked as one (3, 2, 2) array, for einsum contractions.
+_PAULI_STACK = np.array(PAULIS)
 
-for _m in PAULIS + (IDENTITY_2,):
+for _m in PAULIS + (IDENTITY_2, _PAULI_STACK):
     _m.setflags(write=False)
-
-_MAX_JACOBI_SWEEPS = 60
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -50,9 +50,8 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY) -> np.ndarray
     Parameters
     ----------
     m : array_like
-        Square Hermitian matrix of size at most 4x4.  Real symmetric 3x3
-        input is solved in closed form (trigonometric Cardano); every
-        other size goes through a cyclic complex Jacobi iteration.
+        Square Hermitian matrix of size at most 4x4.  After the gate the
+        Hermitian part is handed to numpy's LAPACK ``eigvalsh``.
     tol : float
         Allowed Hermiticity defect.
 
@@ -70,77 +69,12 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY) -> np.ndarray
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n > 4:
+    if m.shape[0] > 4:
         raise ValueError("only sizes up to 4x4 are supported")
     defect = hermiticity_defect(m)
     if defect > tol:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {tol:.1e}")
-    if n == 1:
-        return np.array([float(np.real(m[0, 0]))])
-    if n == 3 and float(np.max(np.abs(np.imag(m)))) <= tol:
-        return _eigvals_sym3(np.real(m).astype(float))
-    return _eigvals_jacobi(m.astype(complex))
-
-
-def _eigvals_sym3(a: np.ndarray) -> np.ndarray:
-    """Closed-form eigenvalues of a real symmetric 3x3 matrix."""
-    a = 0.5 * (a + a.T)
-    p1 = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-    if p1 == 0.0:
-        return np.sort(np.diag(a).copy())
-    q = np.trace(a) / 3.0
-    p2 = (a[0, 0] - q) ** 2 + (a[1, 1] - q) ** 2 + (a[2, 2] - q) ** 2 + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-    b = (a - q * np.eye(3)) / p
-    r = _det3(b) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = np.arccos(r) / 3.0
-    e1 = q + 2.0 * p * np.cos(phi)
-    e3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    e2 = 3.0 * q - e1 - e3
-    return np.sort(np.array([e1, e2, e3]))
-
-
-def _det3(a: np.ndarray) -> float:
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
-
-
-def _eigvals_jacobi(a: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi iteration for Hermitian matrices up to 4x4."""
-    a = 0.5 * (a + a.conj().T)
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    stop = 1e-14 * scale
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= stop / (4 * n):
-                    continue
-                # Unitary 2x2 rotation annihilating a[p, q]; |theta| <= pi/4.
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + np.sqrt(tau * tau + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                phase = apq / abs(apq)
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s * phase
-                rot[q, p] = -s * np.conj(phase)
-                a = rot.conj().T @ a @ rot
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-    return np.sort(np.real(np.diag(a)))
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
 
 
 def su2_to_so3(u: np.ndarray, tol: float = UNITARITY) -> np.ndarray:
@@ -163,12 +97,9 @@ def su2_to_so3(u: np.ndarray, tol: float = UNITARITY) -> np.ndarray:
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     if abs(det - 1.0) > tol:
         raise NotSpecialUnitary(f"determinant {det:.12g} != 1")
-    udag = u.conj().T
-    o = np.empty((3, 3), dtype=float)
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            o[i, j] = 0.5 * np.real(np.trace(si @ u @ sj @ udag))
-    return o
+    return 0.5 * np.real(
+        np.einsum("iab,bc,jcd,da->ij", _PAULI_STACK, u, _PAULI_STACK, u.conj().T)
+    )
 
 
 def haar_su2(rng: np.random.Generator) -> np.ndarray:

@@ -24,13 +24,10 @@ from . import qmat
 from .errors import InvalidDensityMatrix, NotPositive, NotXForm
 from .tolerances import HERMITICITY, PSD_FLOOR, SYMMETRY, TRACE, UNITARITY, XFORM_PATTERN
 
-# Pauli tensor basis, built once.
-_KRON_S_I = tuple(qmat.kron(p, qmat.IDENTITY_2) for p in qmat.PAULIS)
-_KRON_I_S = tuple(qmat.kron(qmat.IDENTITY_2, p) for p in qmat.PAULIS)
-_KRON_S_S = tuple(
-    tuple(qmat.kron(pi, pj) for pj in qmat.PAULIS) for pi in qmat.PAULIS
-)
-_IDENTITY_4 = np.eye(4, dtype=complex)
+# Pauli tensor basis B[m, n] = sigma_m (x) sigma_n with sigma_0 = I, built once.
+_SIGMA_0123 = np.array((qmat.IDENTITY_2,) + qmat.PAULIS)
+_BASIS = np.einsum("mab,ncd->mnacbd", _SIGMA_0123, _SIGMA_0123).reshape(4, 4, 4, 4)
+_BASIS.setflags(write=False)
 
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
 SWAP.setflags(write=False)
@@ -178,18 +175,12 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
     if abs(complex(np.trace(rho)) - 1.0) > TRACE:
         raise InvalidDensityMatrix("trace invariant violated")
 
-    def real_trace(op: np.ndarray) -> float:
-        val = complex(np.einsum("ij,ji->", rho, op))
-        if abs(val.imag) > 1e-12:
-            raise InvalidDensityMatrix(
-                f"Pauli trace has imaginary residue {val.imag:.3e}"
-            )
-        return val.real
-
-    s = np.array([real_trace(op) for op in _KRON_S_I])
-    r = np.array([real_trace(op) for op in _KRON_I_S])
-    t = np.array([[real_trace(_KRON_S_S[i][j]) for j in range(3)] for i in range(3)])
-    return BlochForm(s=s, r=r, t=t)
+    c = np.einsum("ij,mnji->mn", rho, _BASIS)
+    residue = float(np.max(np.abs(c.imag.flat[1:])))  # c[0, 0] is the trace
+    if residue > 1e-12:
+        raise InvalidDensityMatrix(f"Pauli trace has imaginary residue {residue:.3e}")
+    c = c.real
+    return BlochForm(s=c[1:, 0], r=c[0, 1:], t=c[1:, 1:])
 
 
 def bloch_compose(form: BlochForm) -> np.ndarray:
@@ -199,13 +190,8 @@ def bloch_compose(form: BlochForm) -> np.ndarray:
     parameters do not describe a physical state (min eigenvalue below the
     PSD floor).
     """
-    rho = _IDENTITY_4.copy()
-    for i in range(3):
-        rho += form.s[i] * _KRON_S_I[i]
-        rho += form.r[i] * _KRON_I_S[i]
-        for j in range(3):
-            rho += form.t[i, j] * _KRON_S_S[i][j]
-    rho *= 0.25
+    c = np.block([[np.ones((1, 1)), form.r[None, :]], [form.s[:, None], form.t]])
+    rho = 0.25 * np.einsum("mn,mnij->ij", c, _BASIS)
     min_eig = float(qmat.hermitian_eigenvalues(rho)[0])
     if min_eig < PSD_FLOOR:
         raise NotPositive(

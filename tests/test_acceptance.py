@@ -8,6 +8,7 @@ TestIsingOracleDiagnostics in test_models.py); it is asserted as stated
 and fails honestly.
 """
 
+import os
 import subprocess
 import sys
 
@@ -333,8 +334,11 @@ def test_criterion_09_soundness_sweep():
 
 def test_criterion_10_selftest_determinism(tmp_path):
     cmd = [sys.executable, "-m", "qubitpair.cli", "selftest", "--seed", "42"]
-    first = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path)
-    second = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path)
+    # The subprocess runs in tmp_path, so a relative import path would not
+    # resolve; hand it this interpreter's absolute one.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    first = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path, env=env)
     assert first.returncode == 0, first.stdout + first.stderr
     assert first.stdout == second.stdout
     assert "result: PASS" in first.stdout

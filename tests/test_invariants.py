@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -74,6 +76,73 @@ class TestMakhlinAll:
             assert abs(inv.i10 - inv.i11) < 1e-10
             assert abs(inv.i15 - inv.i16) < 1e-10
             assert abs(inv.i17 - inv.i18) < 1e-10
+
+
+def levi_civita():
+    """Epsilon built from permutation parity, independent of the library."""
+    eps = np.zeros((3, 3, 3))
+    for perm in itertools.permutations(range(3)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(3), 2))
+        eps[perm] = (-1.0) ** inversions
+    return eps
+
+
+EPS = levi_civita()
+INDICES = list(itertools.product(range(3), repeat=3))
+
+
+def eps_triple_loop(u, v, w):
+    return sum(EPS[i, j, k] * u[i] * v[j] * w[k] for i, j, k in INDICES)
+
+
+def i14_loop(s, r, t):
+    return sum(
+        EPS[i, j, k] * EPS[l, m, n] * s[i] * r[l] * t[j, m] * t[k, n]
+        for i, j, k in INDICES
+        for l, m, n in INDICES
+    )
+
+
+def cofactor(t):
+    cof = np.empty((3, 3))
+    for i, j in itertools.product(range(3), repeat=2):
+        minor = np.delete(np.delete(t, i, axis=0), j, axis=1)
+        cof[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
+    return cof
+
+
+class TestEpsilonContractions:
+    # Entries are at most 1 in magnitude and each loop sums at most 36
+    # non-zero float64 products, so reordering the sum moves it by < 1e-13.
+    ATOL = 1e-13
+
+    def test_epsilon_parity(self):
+        assert EPS[0, 1, 2] == 1.0 and EPS[0, 2, 1] == -1.0
+        assert np.count_nonzero(EPS) == 6
+
+    def test_against_explicit_loops(self, rng):
+        for _ in range(40):
+            form = bloch_decompose(random_density_matrix(rng))
+            s, r, t = form.s, form.r, form.t
+            tt, ttr = t @ t.T, t.T @ t
+            inv = makhlin_all(form)
+            expected = {
+                "i10": eps_triple_loop(s, tt @ s, tt @ tt @ s),
+                "i11": eps_triple_loop(r, ttr @ r, ttr @ ttr @ r),
+                "i14": i14_loop(s, r, t),
+                "i15": eps_triple_loop(s, tt @ s, t @ r),
+                "i16": eps_triple_loop(t.T @ s, r, ttr @ r),
+                "i17": eps_triple_loop(t.T @ s, ttr @ t.T @ s, r),
+                "i18": eps_triple_loop(s, t @ r, tt @ t @ r),
+            }
+            for name, value in expected.items():
+                assert abs(getattr(inv, name) - value) < self.ATOL, name
+
+    def test_i14_is_twice_cofactor_form(self, rng):
+        for _ in range(100):
+            form = bloch_decompose(random_density_matrix(rng))
+            expected = 2.0 * form.s @ cofactor(form.t) @ form.r
+            assert abs(makhlin_all(form).i14 - expected) < self.ATOL
 
 
 class TestSymmetricSix:

@@ -73,7 +73,6 @@ class TestHermitianEigenvalues:
             )
 
     def test_matches_numpy_real_symmetric_3x3(self, rng):
-        # Exercises the closed-form path.
         for _ in range(200):
             m = rng.normal(size=(3, 3))
             m = 0.5 * (m + m.T)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -128,6 +129,13 @@ class TestCliClassify:
         payload = json.loads(out)
         assert payload["verdict"] == "Separable"
         assert payload["criteria"] == []
+
+    def test_json_equals_invariants_classification_block(self, rng, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        write_state_file(path, xform=random_xform(rng))
+        _, cls_out, _ = run_cli(["classify", str(path), "--json"], capsys)
+        _, inv_out, _ = run_cli(["invariants", str(path), "--json"], capsys)
+        assert json.loads(cls_out) == json.loads(inv_out)["classification"]
 
     def test_non_symmetric_exit_3(self, singlet_state, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -278,8 +286,9 @@ class TestCliSelftest:
     def test_deterministic_summaries(self, tmp_path):
         cmd = [sys.executable, "-m", "qubitpair.cli", "selftest", "--seed", "42",
                "--count", "60", "--out", str(tmp_path)]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert first.returncode == 0
         assert first.stdout == second.stdout
 
