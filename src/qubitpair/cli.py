@@ -16,7 +16,6 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import (
-    I4Zero,
     InvalidDensityMatrix,
     InvalidDicke,
     NotSymmetricState,
@@ -24,17 +23,18 @@ from .errors import (
     QubitPairError,
     StateFileError,
 )
-from .invariants import makhlin_all, symmetric_six, xform_invariants
+from .invariants import makhlin_all, xform_invariants
 from .models import dicke_pair, ising_pair, oat_pair
 from .selftest import format_report, run_selftest
-from .separability import classify, invariant_criteria, ppt_check
+from .separability import classify, evidence
 from .states import bloch_decompose, is_symmetric, xform_extract
 from .stateio import read_state_file, state_payload, write_state_file
-from .tolerances import SIGN_ZERO_BAND
 
-CSV_HEADER = (
-    "family,N,M,chi_t,i1,i2,i4,i10,i12,i14,i12_minus_i4sq,"
-    "ppt_min_eig,verdict,criteria"
+#: Sweep columns: the CSV header, the order of each CSV line and of each JSON
+#: row's keys.  Columns 4..11 are the floats printed with ``_fmt``.
+SWEEP_COLUMNS = (
+    "family", "N", "M", "chi_t", "i1", "i2", "i4", "i10", "i12", "i14",
+    "i12_minus_i4sq", "ppt_min_eig", "verdict", "criteria",
 )
 
 
@@ -51,7 +51,7 @@ def _classification_payload(cls) -> dict:
     }
 
 
-def _invariants_payload(rho: np.ndarray, tol: float) -> dict:
+def _invariants_payload(rho: np.ndarray) -> dict:
     form = bloch_decompose(rho)
     inv = makhlin_all(form)
     payload: dict = {
@@ -63,8 +63,9 @@ def _invariants_payload(rho: np.ndarray, tol: float) -> dict:
         "classification": None,
     }
     if payload["symmetric"]:
-        payload["symmetric_six"] = asdict(symmetric_six(form))
-        payload["classification"] = _classification_payload(classify(rho, tol))
+        cls = classify(rho)
+        payload["symmetric_six"] = asdict(cls.six)
+        payload["classification"] = _classification_payload(cls)
     try:
         x = xform_extract(rho)
     except NotXForm:
@@ -84,7 +85,7 @@ def _print_six(label: str, six: dict) -> None:
 
 def cmd_invariants(args) -> int:
     rho = read_state_file(args.state)
-    payload = _invariants_payload(rho, args.tol)
+    payload = _invariants_payload(rho)
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
@@ -110,7 +111,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_classify(args) -> int:
     rho = read_state_file(args.state)
-    cls = classify(rho, args.tol)
+    cls = classify(rho)
     if args.json:
         print(json.dumps(_classification_payload(cls), indent=2))
         return 0
@@ -122,16 +123,16 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _generate_xform(args):
-    if args.family == "dicke":
-        return dicke_pair(args.n, args.m)
-    if args.family == "oat":
-        return oat_pair(args.n, args.chit, paper_literal=args.paper_literal)
-    return ising_pair(args.n, args.chit)
+def _family_pair(family: str, n: int, m, chi_t, paper_literal: bool):
+    if family == "dicke":
+        return dicke_pair(n, m)
+    if family == "oat":
+        return oat_pair(n, chi_t, paper_literal=paper_literal)
+    return ising_pair(n, chi_t)
 
 
 def cmd_generate(args) -> int:
-    x = _generate_xform(args)
+    x = _family_pair(args.family, args.n, args.m, args.chit, args.paper_literal)
     if args.out:
         write_state_file(args.out, xform=x)
         print(f"wrote {args.out}: a={_fmt(x.a)} b_re={_fmt(x.b.real)} "
@@ -186,45 +187,37 @@ def _sweep_grid(args) -> list:
 
 
 def _sweep_row(family: str, n: int, m, chi_t, paper_literal: bool) -> dict:
-    if family == "dicke":
-        x = dicke_pair(n, m)
-    elif family == "oat":
-        x = oat_pair(n, chi_t, paper_literal=paper_literal)
-    else:
-        x = ising_pair(n, chi_t)
-    rho = x.to_matrix()
-    six = symmetric_six(bloch_decompose(rho))
-    ppt = ppt_check(rho)
-    try:
-        criteria = sorted(invariant_criteria(six))
-    except I4Zero:
-        criteria = []
-    return {
-        "family": family,
-        "N": n,
-        "M": m,
-        "chi_t": chi_t,
-        "i1": six.i1,
-        "i2": six.i2,
-        "i4": six.i4,
-        "i10": six.i10,
-        "i12": six.i12,
-        "i14": six.i14,
-        "i12_minus_i4sq": six.i12 - six.i4 ** 2,
-        "ppt_min_eig": ppt.min_eig,
-        "verdict": "Separable" if ppt.separable else "Entangled",
-        "criteria": criteria,
-    }
+    """One grid point, keyed by SWEEP_COLUMNS.
+
+    The model pairs are valid X-pattern states by construction, so the
+    row takes ``evidence`` without ``classify``'s gates, and a criterion
+    that fires inside the PT band is written out instead of raised.
+    """
+    ev = evidence(_family_pair(family, n, m, chi_t, paper_literal).to_matrix())
+    six = ev.six
+    return dict(zip(SWEEP_COLUMNS, (
+        family, n, m, chi_t, six.i1, six.i2, six.i4, six.i10, six.i12, six.i14,
+        six.i12 - six.i4 ** 2, ev.ppt_min_eigenvalue, ev.verdict, sorted(ev.criteria_fired),
+    )))
+
+
+def _csv_line(r: dict) -> str:
+    return ",".join([
+        r["family"],
+        str(r["N"]),
+        _fmt(r["M"]) if r["M"] is not None else "",
+        _fmt(r["chi_t"]) if r["chi_t"] is not None else "",
+        *map(_fmt, [r[k] for k in SWEEP_COLUMNS[4:12]]),
+        r["verdict"],
+        ";".join(r["criteria"]),
+    ])
 
 
 def cmd_sweep(args) -> int:
     points = _sweep_grid(args)
     if not points:
         raise ValueError("empty sweep grid")
-    rows = [
-        _sweep_row(args.family, n, m, chit, getattr(args, "paper_literal", False))
-        for n, m, chit in points
-    ]
+    rows = [_sweep_row(args.family, n, m, chit, args.paper_literal) for n, m, chit in points]
     as_json = args.format == "json" or (
         args.format == "auto" and args.out.endswith(".json")
     )
@@ -233,19 +226,7 @@ def cmd_sweep(args) -> int:
             json.dump(rows, fh, indent=2)
             fh.write("\n")
     else:
-        lines = [CSV_HEADER]
-        for r in rows:
-            lines.append(",".join([
-                r["family"],
-                str(r["N"]),
-                _fmt(r["M"]) if r["M"] is not None else "",
-                _fmt(r["chi_t"]) if r["chi_t"] is not None else "",
-                _fmt(r["i1"]), _fmt(r["i2"]), _fmt(r["i4"]), _fmt(r["i10"]),
-                _fmt(r["i12"]), _fmt(r["i14"]), _fmt(r["i12_minus_i4sq"]),
-                _fmt(r["ppt_min_eig"]),
-                r["verdict"],
-                ";".join(r["criteria"]),
-            ]))
+        lines = [",".join(SWEEP_COLUMNS)] + [_csv_line(r) for r in rows]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -269,13 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="print all 18 invariants of a state file")
     p_inv.add_argument("state", help="path to a state JSON file")
     p_inv.add_argument("--json", action="store_true", help="machine-readable output")
-    p_inv.add_argument("--tol", type=float, default=SIGN_ZERO_BAND)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_cls = sub.add_parser("classify", help="separability verdict for a symmetric state")
     p_cls.add_argument("state")
     p_cls.add_argument("--json", action="store_true")
-    p_cls.add_argument("--tol", type=float, default=SIGN_ZERO_BAND)
     p_cls.set_defaults(func=cmd_classify)
 
     p_gen = sub.add_parser("generate", help="write a model state file")
@@ -295,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_ising.add_argument("--chit", type=float, required=True)
     for g in (g_dicke, g_oat, g_ising):
         g.add_argument("--out", help="output path (stdout if omitted)")
-        g.set_defaults(func=cmd_generate)
+        g.set_defaults(func=cmd_generate, m=None, chit=None, paper_literal=False)
 
     p_sweep = sub.add_parser("sweep", help="tabulate invariants over a parameter grid")
     p_sweep.add_argument("family", choices=("dicke", "oat", "ising"))

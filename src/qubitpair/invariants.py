@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import I4Zero, NoRealSpectrum, NotSymmetricState
 from .states import BlochForm, XForm
-from .tolerances import SIGN_ZERO_BAND, SYMMETRIC_CONSTRAINTS, matches
+from .tolerances import SIGN_ZERO_BAND, matches
 
 # Levi-Civita tensor eps[i, j, k].
 _EPS = np.zeros((3, 3, 3))
@@ -132,13 +132,14 @@ def makhlin_all(form: BlochForm) -> InvariantSet:
     )
 
 
-def symmetric_six(form: BlochForm, tol: float = SYMMETRIC_CONSTRAINTS) -> SymmetricSix:
+def symmetric_six(form: BlochForm) -> SymmetricSix:
     """Project the full set onto (I1, I2, I4, I10, I12, I14).
 
     Requires the exchange constraints (r = s, T = T^T, tr T = 1) within
-    ``tol``; the returned entries agree with :func:`makhlin_all` exactly.
+    SYMMETRIC_CONSTRAINTS; the returned entries agree with
+    :func:`makhlin_all` exactly.
     """
-    if not form.is_symmetric_form(tol):
+    if not form.is_symmetric_form():
         raise NotSymmetricState(
             "Bloch form violates the exchange constraints (r = s, T = T^T, tr T = 1)"
         )
@@ -190,19 +191,21 @@ def xform_invariants(x: XForm) -> SymmetricSix:
     )
 
 
-def xform_relation_check(six: SymmetricSix, tol: float = SIGN_ZERO_BAND) -> bool:
+def xform_relation_check(six: SymmetricSix) -> bool:
     """Verify I1 = I14 I12 / (2 I4^2) and I2 = ((I4-I12)^2 - I4 I14 + I12^2) / I4^2.
 
     These hold identically on special-pattern states with non-vanishing
-    I4.  Raises I4Zero when |I4| <= tol; callers then fall back to the
-    (I1, I2) pair.
+    I4, to SIGN_ZERO_BAND under ``tolerances.matches``.  Raises I4Zero
+    when |I4| is inside that band; callers then fall back to the (I1, I2)
+    pair.
     """
-    if abs(six.i4) <= tol:
-        raise I4Zero(f"I4 = {six.i4:.3e} is inside the zero band {tol:.1e}")
+    if abs(six.i4) <= SIGN_ZERO_BAND:
+        raise I4Zero(f"I4 = {six.i4:.3e} is inside the zero band {SIGN_ZERO_BAND:.1e}")
     i4sq = six.i4 * six.i4
     i1_pred = six.i14 * six.i12 / (2.0 * i4sq)
     i2_pred = ((six.i4 - six.i12) ** 2 - six.i4 * six.i14 + six.i12 ** 2) / i4sq
-    return matches(six.i1, i1_pred, tol) and matches(six.i2, i2_pred, tol)
+    return (matches(six.i1, i1_pred, SIGN_ZERO_BAND)
+            and matches(six.i2, i2_pred, SIGN_ZERO_BAND))
 
 
 def t_eigenvalues_from_invariants(i1: float, i2: float) -> np.ndarray:

@@ -182,7 +182,10 @@ def ising_pair(n: int, chi_t: float) -> XForm:
     sites, which they are not on a three-site ring.
 
     N = 2 is accepted but flagged: the pair is then the whole chain and
-    the (N-1) normalization is outside its derivation regime.
+    the (N-1) normalization is outside its derivation regime.  N = 3 is
+    accepted without a warning: unlike N = 2 its parameters are a valid
+    state for every chi t, and its gap to the exact ring is pinned by
+    criterion 8c and ``TestIsingOracleDiagnostics``.
     """
     if n < 2:
         raise ValueError("need at least two qubits")

@@ -37,14 +37,14 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARITY) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u))))) <= tol
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u))))) <= UNITARITY
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a small Hermitian matrix, sorted ascending.
 
     Parameters
@@ -52,8 +52,6 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY) -> np.ndarray
     m : array_like
         Square Hermitian matrix of size at most 4x4.  After the gate the
         Hermitian part is handed to numpy's LAPACK ``eigvalsh``.
-    tol : float
-        Allowed Hermiticity defect.
 
     Returns
     -------
@@ -64,7 +62,7 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY) -> np.ndarray
     Raises
     ------
     NotHermitian
-        If ``max |m - m^dag|`` exceeds ``tol``.
+        If ``max |m - m^dag|`` exceeds ``tolerances.HERMITICITY``.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -72,12 +70,12 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY) -> np.ndarray
     if m.shape[0] > 4:
         raise ValueError("only sizes up to 4x4 are supported")
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {tol:.1e}")
+    if defect > HERMITICITY:
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {HERMITICITY:.1e}")
     return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
 
 
-def su2_to_so3(u: np.ndarray, tol: float = UNITARITY) -> np.ndarray:
+def su2_to_so3(u: np.ndarray) -> np.ndarray:
     """Rotation matrix covering a special unitary: O_ij = Tr(sigma_i U sigma_j U^dag) / 2.
 
     The returned ``O`` is orthogonal with det +1 and satisfies
@@ -87,15 +85,16 @@ def su2_to_so3(u: np.ndarray, tol: float = UNITARITY) -> np.ndarray:
     Raises
     ------
     NotSpecialUnitary
-        If ``u`` is not unitary with unit determinant within ``tol``.
+        If ``u`` is not unitary with unit determinant within
+        ``tolerances.UNITARITY``.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise NotSpecialUnitary("matrix is not unitary")
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > UNITARITY:
         raise NotSpecialUnitary(f"determinant {det:.12g} != 1")
     return 0.5 * np.real(
         np.einsum("iab,bc,jcd,da->ij", _PAULI_STACK, u, _PAULI_STACK, u.conj().T)
@@ -118,9 +117,9 @@ def haar_su2(rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def require_unitary(u: np.ndarray, tol: float = UNITARITY, name: str = "matrix") -> np.ndarray:
+def require_unitary(u: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``u`` as a complex array, raising NotUnitary on gate failure."""
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol):
-        raise NotUnitary(f"{name} is not unitary within tol {tol:.1e}")
+    if not is_unitary(u):
+        raise NotUnitary(f"{name} is not unitary within tol {UNITARITY:.1e}")
     return u

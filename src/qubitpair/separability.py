@@ -46,12 +46,14 @@ class PptResult:
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict with the invariant criteria that fired and the PT evidence."""
+    """Verdict with the invariant criteria that fired, the PT evidence and the
+    symmetric six the criteria were read from."""
 
     verdict: str
     criteria_fired: frozenset
     ppt_min_eigenvalue: float
     i4_zero_fallback_used: bool
+    six: SymmetricSix
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,13 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def ppt_check(rho: np.ndarray, tol: float = SIGN_ZERO_BAND) -> PptResult:
-    """Positivity of the partial transpose; exact separability test for two qubits."""
+def ppt_check(rho: np.ndarray) -> PptResult:
+    """Positivity of the partial transpose; exact separability test for two qubits.
+
+    The PT counts as positive when its min eigenvalue is >= -SIGN_ZERO_BAND.
+    """
     min_eig = float(qmat.hermitian_eigenvalues(partial_transpose(rho))[0])
-    return PptResult(min_eig=min_eig, separable=min_eig >= -tol)
+    return PptResult(min_eig=min_eig, separable=min_eig >= -SIGN_ZERO_BAND)
 
 
 def xform_pt_eigenvalues(x: XForm) -> np.ndarray:
@@ -122,29 +127,54 @@ def xform_pt_eigenvalues(x: XForm) -> np.ndarray:
     )
 
 
-def invariant_criteria(six: SymmetricSix, tol: float = SIGN_ZERO_BAND) -> frozenset:
+def invariant_criteria(six: SymmetricSix) -> frozenset:
     """Entanglement witnesses from invariant signs.
 
     Separable symmetric states with I4 > 0 have I12 >= 0, I14 >= 0 and
-    I12 - I4^2 >= 0, so each strict negativity (below the zero band) is a
-    sufficient witness of entanglement.  An empty set makes no claim.
+    I12 - I4^2 >= 0, so each strict negativity (below -SIGN_ZERO_BAND) is
+    a sufficient witness of entanglement.  An empty set makes no claim.
 
-    Raises I4Zero when |I4| <= tol; the criteria are then uninformative
-    and the caller must rely on the PT spectrum.
+    Raises I4Zero when |I4| <= SIGN_ZERO_BAND; the criteria are then
+    uninformative and the caller must rely on the PT spectrum.
     """
-    if abs(six.i4) <= tol:
-        raise I4Zero(f"I4 = {six.i4:.3e} is inside the zero band {tol:.1e}")
+    if abs(six.i4) <= SIGN_ZERO_BAND:
+        raise I4Zero(f"I4 = {six.i4:.3e} is inside the zero band {SIGN_ZERO_BAND:.1e}")
     fired = set()
-    if six.i12 < -tol:
+    if six.i12 < -SIGN_ZERO_BAND:
         fired.add(CRITERION_I12)
-    if six.i14 < -tol:
+    if six.i14 < -SIGN_ZERO_BAND:
         fired.add(CRITERION_I14)
-    if six.i12 - six.i4 ** 2 < -tol:
+    if six.i12 - six.i4 ** 2 < -SIGN_ZERO_BAND:
         fired.add(CRITERION_I12_MINUS_I4SQ)
     return frozenset(fired)
 
 
-def classify(rho: np.ndarray, tol: float = SIGN_ZERO_BAND) -> Classification:
+def evidence(rho: np.ndarray) -> Classification:
+    """PT verdict, fired criteria and symmetric six of a valid symmetric state.
+
+    The verdict is the PT ground truth.  When I4 is inside the zero band
+    no criterion is read and ``i4_zero_fallback_used`` is set.  Nothing is
+    validated and a criterion that fires on a PT-positive state is
+    returned as is; :func:`classify` adds the gates and that check.
+    """
+    ppt = ppt_check(rho)
+    six = symmetric_six(bloch_decompose(rho))
+    fallback = False
+    try:
+        fired = invariant_criteria(six)
+    except I4Zero:
+        fired = frozenset()
+        fallback = True
+    return Classification(
+        verdict=VERDICT_SEPARABLE if ppt.separable else VERDICT_ENTANGLED,
+        criteria_fired=fired,
+        ppt_min_eigenvalue=ppt.min_eig,
+        i4_zero_fallback_used=fallback,
+        six=six,
+    )
+
+
+def classify(rho: np.ndarray) -> Classification:
     """Full verdict for a symmetric state: PT ground truth plus fired criteria.
 
     Refuses non-symmetric inputs (the invariant criteria are defined only
@@ -155,26 +185,13 @@ def classify(rho: np.ndarray, tol: float = SIGN_ZERO_BAND) -> Classification:
     rho = assert_density_matrix(rho)
     if not is_symmetric(rho):
         raise NotSymmetricState("state has singlet support; classify requires triplet support")
-    ppt = ppt_check(rho, tol)
-    six = symmetric_six(bloch_decompose(rho))
-    fallback = False
-    try:
-        fired = invariant_criteria(six, tol)
-    except I4Zero:
-        fired = frozenset()
-        fallback = True
-    verdict = VERDICT_SEPARABLE if ppt.separable else VERDICT_ENTANGLED
-    if fired and ppt.separable:
+    result = evidence(rho)
+    if result.criteria_fired and result.verdict == VERDICT_SEPARABLE:
         raise InconsistentClassification(
-            f"criteria {sorted(fired)} fired but PT min eigenvalue is "
-            f"{ppt.min_eig:.3e}; state sits inside the tolerance band"
+            f"criteria {sorted(result.criteria_fired)} fired but PT min eigenvalue is "
+            f"{result.ppt_min_eigenvalue:.3e}; state sits inside the tolerance band"
         )
-    return Classification(
-        verdict=verdict,
-        criteria_fired=fired,
-        ppt_min_eigenvalue=ppt.min_eig,
-        i4_zero_fallback_used=fallback,
-    )
+    return result
 
 
 def sample_separable_symmetric(
@@ -198,28 +215,29 @@ def sample_separable_symmetric(
     return ensemble.to_state(), ensemble
 
 
-def xform_equivalence_check(x: XForm, tol: float = SIGN_ZERO_BAND) -> bool:
+def xform_equivalence_check(x: XForm) -> bool:
     """Sign equivalence between the PT spectrum and the invariant criteria.
 
     For the special pattern, I12 - I4^2 = (a-d)^2 ((1-4c) - (a-d)^2) and
     I14 = 8 (a-d)^2 (c+|b|) lambda_3, so each criterion sign must agree
     with the matching eigenvalue sign.  The strictly positive prefactors
     are divided out before the zero-band comparison so both sides are
-    compared on the same scale.
+    compared on the same scale, against SIGN_ZERO_BAND.
 
-    Raises DegenerateHypothesis when (a-d)^2 <= tol: both invariants then
-    vanish identically and the comparison carries no information.  A
-    vanishing c + |b| is harmless (lambda_3 is inside the band too).
+    Raises DegenerateHypothesis when (a-d)^2 is inside that band: both
+    invariants then vanish identically and the comparison carries no
+    information.  A vanishing c + |b| is harmless (lambda_3 is inside the
+    band too).
     """
     ad_sq = (x.a - x.d) ** 2
-    if ad_sq <= tol:
+    if ad_sq <= SIGN_ZERO_BAND:
         raise DegenerateHypothesis(f"(a - d)^2 = {ad_sq:.3e} is inside the zero band")
     six = xform_invariants(x)
 
     def band_sign(v: float) -> int:
-        if v > tol:
+        if v > SIGN_ZERO_BAND:
             return 1
-        if v < -tol:
+        if v < -SIGN_ZERO_BAND:
             return -1
         return 0
 
@@ -228,7 +246,7 @@ def xform_equivalence_check(x: XForm, tol: float = SIGN_ZERO_BAND) -> bool:
     ok12 = band_sign(lhs12) == band_sign(rhs12)
 
     c_plus_b = x.c + abs(x.b)
-    if c_plus_b <= tol:
+    if c_plus_b <= SIGN_ZERO_BAND:
         # Both I14 and lambda_3 are confined to the zero band.
         ok14 = True
     else:

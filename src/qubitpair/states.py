@@ -22,7 +22,9 @@ import numpy as np
 
 from . import qmat
 from .errors import InvalidDensityMatrix, NotPositive, NotXForm
-from .tolerances import HERMITICITY, PSD_FLOOR, SYMMETRY, TRACE, UNITARITY, XFORM_PATTERN
+from .tolerances import (
+    HERMITICITY, PSD_FLOOR, SYMMETRIC_CONSTRAINTS, SYMMETRY, TRACE, XFORM_PATTERN,
+)
 
 # Pauli tensor basis B[m, n] = sigma_m (x) sigma_n with sigma_0 = I, built once.
 _SIGMA_0123 = np.array((qmat.IDENTITY_2,) + qmat.PAULIS)
@@ -78,12 +80,12 @@ class BlochForm:
                 or np.max(np.abs(self.t)) > bound):
             raise ValueError("BlochForm components must lie in [-1, 1]")
 
-    def is_symmetric_form(self, tol: float = 1e-8) -> bool:
-        """Exchange constraints: r = s, T = T^T, tr T = 1."""
+    def is_symmetric_form(self) -> bool:
+        """Exchange constraints r = s, T = T^T, tr T = 1, within SYMMETRIC_CONSTRAINTS."""
         return (
-            float(np.max(np.abs(self.r - self.s))) <= tol
-            and float(np.max(np.abs(self.t - self.t.T))) <= tol
-            and abs(float(np.trace(self.t)) - 1.0) <= tol
+            float(np.max(np.abs(self.r - self.s))) <= SYMMETRIC_CONSTRAINTS
+            and float(np.max(np.abs(self.t - self.t.T))) <= SYMMETRIC_CONSTRAINTS
+            and abs(float(np.trace(self.t)) - 1.0) <= SYMMETRIC_CONSTRAINTS
         )
 
 
@@ -131,13 +133,10 @@ class XForm:
         return rho
 
 
-def assert_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = HERMITICITY,
-    trace_tol: float = TRACE,
-    psd_floor: float = PSD_FLOOR,
-) -> np.ndarray:
+def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; return as complex array.
+
+    The bands are HERMITICITY, TRACE and PSD_FLOOR from ``tolerances``.
 
     Raises InvalidDensityMatrix (or NotPositive) with the violated
     invariant named in the message.
@@ -148,13 +147,13 @@ def assert_density_matrix(
     if not np.all(np.isfinite(rho)):
         raise InvalidDensityMatrix("matrix contains non-finite entries")
     defect = qmat.hermiticity_defect(rho)
-    if defect > herm_tol:
+    if defect > HERMITICITY:
         raise InvalidDensityMatrix(f"not Hermitian: defect {defect:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE:
         raise InvalidDensityMatrix(f"trace invariant violated: trace = {tr.real:.12g}")
-    min_eig = float(qmat.hermitian_eigenvalues(rho, herm_tol)[0])
-    if min_eig < psd_floor:
+    min_eig = float(qmat.hermitian_eigenvalues(rho)[0])
+    if min_eig < PSD_FLOOR:
         raise NotPositive(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
     return rho
 
@@ -200,26 +199,26 @@ def bloch_compose(form: BlochForm) -> np.ndarray:
     return rho
 
 
-def is_symmetric(rho: np.ndarray, tol: float = SYMMETRY) -> bool:
+def is_symmetric(rho: np.ndarray) -> bool:
     """True iff the state is supported on the triplet subspace.
 
     Checks the singlet population and every singlet-triplet coherence
-    against ``tol``; equivalent to SWAP-invariance plus vanishing singlet
+    against SYMMETRY; equivalent to SWAP-invariance plus vanishing singlet
     weight.
     """
     rho = np.asarray(rho, dtype=complex)
     leak = rho @ SINGLET
     population = float(np.real(np.vdot(SINGLET, leak)))
     coherence = float(np.max(np.abs(TRIPLET_BASIS.conj().T @ leak)))
-    return population <= tol and coherence <= tol
+    return population <= SYMMETRY and coherence <= SYMMETRY
 
 
-def xform_extract(rho: np.ndarray, tol: float = XFORM_PATTERN) -> XForm:
+def xform_extract(rho: np.ndarray) -> XForm:
     """Read off the special-pattern parameters (a, b, c, d).
 
     Raises NotXForm with the largest off-pattern magnitude when any entry
     outside the pattern, or the spread within the middle block, exceeds
-    ``tol``.
+    XFORM_PATTERN.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -230,8 +229,8 @@ def xform_extract(rho: np.ndarray, tol: float = XFORM_PATTERN) -> XForm:
         rho[1, 1] - rho[1, 2], rho[1, 1] - rho[2, 2], rho[1, 1] - rho[2, 1],
     ]
     worst = float(np.max(np.abs(off)))
-    if worst > tol:
-        raise NotXForm(f"largest off-pattern magnitude {worst:.3e} exceeds tol {tol:.1e}")
+    if worst > XFORM_PATTERN:
+        raise NotXForm(f"largest off-pattern magnitude {worst:.3e} exceeds tol {XFORM_PATTERN:.1e}")
     return XForm(
         a=float(np.real(rho[0, 0])),
         b=complex(rho[0, 3]),
@@ -240,15 +239,13 @@ def xform_extract(rho: np.ndarray, tol: float = XFORM_PATTERN) -> XForm:
     )
 
 
-def apply_local_unitary(
-    rho: np.ndarray, u1: np.ndarray, u2: np.ndarray, tol: float = UNITARITY
-) -> np.ndarray:
+def apply_local_unitary(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Conjugate by U1 (x) U2.
 
     Trace-preserving; the Bloch parameters transform as s' = O(U1) s,
     r' = O(U2) r and T' = O(U1) T O(U2)^T for special-unitary factors.
     """
-    u1 = qmat.require_unitary(u1, tol, name="u1")
-    u2 = qmat.require_unitary(u2, tol, name="u2")
+    u1 = qmat.require_unitary(u1, name="u1")
+    u2 = qmat.require_unitary(u2, name="u2")
     u = qmat.kron(u1, u2)
     return u @ np.asarray(rho, dtype=complex) @ u.conj().T

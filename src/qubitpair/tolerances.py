@@ -1,13 +1,21 @@
 """Central tolerance table.
 
-Every numerical gate in the library reads from here so that the
-tolerance policy can be audited (and tightened) in one place.
+The matrix, symmetry, pattern and sign gates read their bands from here,
+and none of them takes a per-call override, so the tolerance policy can
+be audited (and tightened) in one place.
+
+A few literals stay local to the code they bound: in ``states``, the
+1e-12 imaginary residue of the Pauli traces, ``XForm``'s -1e-12 diagonal
+floor and 1e-10 corner-block slack, and ``BlochForm``'s 1e-9 bound on the
+Pauli expectations; ``SeparableEnsemble``'s 1e-12 on the weights and
+Bloch-vector norms; ``dicke_pair``'s 1e-12 test that 2M is an integer;
+the -1e-10 discriminant floor of ``t_eigenvalues_from_invariants``; and
+the self-test's ``_I4_FLOOR``.
 """
 
 # Matrix-level gates
 HERMITICITY = 1e-10
 UNITARITY = 1e-10
-EIG_RESIDUAL = 1e-10
 TRACE = 1e-10
 
 # Density matrices may sit exactly on the PSD boundary (rank-deficient

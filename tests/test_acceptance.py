@@ -107,7 +107,7 @@ def test_criterion_03_xform_closed_forms():
         worst = max(worst, float(np.max(np.abs(closed.as_array() - pipeline.as_array()))))
         if closed.i4 > 1e-8:
             relations_checked += 1
-            assert xform_relation_check(closed, tol=1e-10)
+            assert xform_relation_check(closed)
     report(
         f"3 closed forms vs pipeline: PASS (max gap {worst:.3e}, "
         f"relations held on {relations_checked} states)"
@@ -147,7 +147,7 @@ def test_criterion_05_ppt_invariant_equivalence():
         if (x.a - x.d) ** 2 <= 1e-8 or x.c + abs(x.b) <= 1e-8:
             continue
         checked += 1
-        assert xform_equivalence_check(x, tol=1e-10), (
+        assert xform_equivalence_check(x), (
             f"sign equivalence failed for {x}"
         )
         closed = np.sort(xform_pt_eigenvalues(x))
@@ -224,7 +224,7 @@ def test_criterion_07_oat_reproduction():
                 abs(rho[0, 3].real - x.b.real),
                 abs(abs(rho[0, 3].imag) - abs(x.b.imag)),
                 float(np.max(np.abs(
-                    xform_invariants(xform_extract(rho, tol=1e-10)).as_array()
+                    xform_invariants(xform_extract(rho)).as_array()
                     - xform_invariants(x).as_array()
                 ))),
             )
@@ -349,9 +349,9 @@ def test_criterion_09_soundness_sweep():
             x = random_xform(rng)
             rho = x.to_matrix()
             six = xform_invariants(x)
-        ppt = ppt_check(rho, tol=1e-10)
+        ppt = ppt_check(rho)
         try:
-            fired = invariant_criteria(six, tol=1e-10)
+            fired = invariant_criteria(six)
         except I4Zero:
             fired = frozenset()
         if fired:

@@ -237,7 +237,7 @@ class TestXFormRelationCheck:
             if abs(six.i4) <= 1e-8:
                 continue
             checked += 1
-            assert xform_relation_check(six, tol=1e-10)
+            assert xform_relation_check(six)
         assert checked > 400
 
     def test_dicke_4_1(self):

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubitpair import qmat
-from qubitpair.errors import DegenerateHypothesis, I4Zero, NotSymmetricState
-from qubitpair.invariants import xform_invariants
+from qubitpair import cli, qmat
+from qubitpair.errors import (
+    DegenerateHypothesis,
+    I4Zero,
+    InconsistentClassification,
+    NotSymmetricState,
+)
+from qubitpair.invariants import symmetric_six, xform_invariants
 from qubitpair.models import dicke_pair, ising_pair
 from qubitpair.sampling import random_density_matrix, random_xform
 from qubitpair.separability import (
@@ -12,6 +17,7 @@ from qubitpair.separability import (
     CRITERION_I14,
     SeparableEnsemble,
     classify,
+    evidence,
     invariant_criteria,
     partial_transpose,
     ppt_check,
@@ -20,6 +26,7 @@ from qubitpair.separability import (
     xform_pt_eigenvalues,
 )
 from qubitpair.states import XForm, bloch_decompose, xform_extract
+from qubitpair.stateio import write_state_file
 
 # Frozen closed-form values: lambda_1 = ((a+d) - sqrt((a-d)^2 + 4c^2)) / 2.
 DICKE41_PT_MIN = (0.5 - np.sqrt(0.5)) / 2.0          # -0.10355339059327379
@@ -162,6 +169,44 @@ class TestClassify:
         with pytest.raises(NotSymmetricState):
             classify(singlet_state)
 
+    def test_carries_the_six_it_was_read_from(self, rng):
+        for _ in range(20):
+            rho = random_xform(rng).to_matrix()
+            assert classify(rho).six == symmetric_six(bloch_decompose(rho))
+
+
+# X states with b = 0 next to a d = c^2, where the criterion band and the PT
+# band disagree: I12 - I4^2 = 4 (a-d)^2 (ad - c^2) but lambda_1 is about
+# (ad - c^2) / (a + d).  These pin the present contract; a band-consistent
+# verdict will change it on purpose.
+BAND_REFUSED = XForm.from_abc(a=0.8, b=0j, c=0.09442719102786667)
+BAND_ENTANGLED = XForm.from_abc(a=0.8, b=0j, c=0.09442719105581754)
+
+
+class TestCriterionBandVersusPtBand:
+    def test_refused_state_sits_between_the_bands(self):
+        ev = evidence(BAND_REFUSED.to_matrix())
+        assert ev.six.i12 - ev.six.i4 ** 2 == pytest.approx(-1.24e-10, rel=0.01)
+        assert ev.ppt_min_eigenvalue == pytest.approx(-6.2e-11, rel=0.01)
+        assert ev.verdict == "Separable"
+        assert ev.criteria_fired == frozenset({CRITERION_I12_MINUS_I4SQ})
+
+    def test_classify_raises_inconsistent(self):
+        with pytest.raises(InconsistentClassification):
+            classify(BAND_REFUSED.to_matrix())
+
+    def test_cli_classify_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "band.json"
+        write_state_file(path, xform=BAND_REFUSED)
+        assert cli.main(["classify", str(path)]) == 2
+        assert "tolerance band" in capsys.readouterr().err
+
+    def test_neighbour_outside_pt_band_is_entangled(self):
+        cls = classify(BAND_ENTANGLED.to_matrix())
+        assert cls.ppt_min_eigenvalue == pytest.approx(-1.23e-10, rel=0.01)
+        assert cls.verdict == "Entangled"
+        assert cls.criteria_fired == frozenset({CRITERION_I12_MINUS_I4SQ})
+
 
 class TestSeparableEnsemble:
     def test_single_term_pure_product(self):
@@ -296,7 +341,7 @@ class TestSoundness:
             if (x.a - x.d) ** 2 <= 1e-8 or x.c + abs(x.b) <= 1e-8:
                 continue
             checked += 1
-            fired = invariant_criteria(xform_invariants(x), tol=1e-10)
+            fired = invariant_criteria(xform_invariants(x))
             min_eig = ppt_check(x.to_matrix()).min_eig
             if min_eig < -1e-8:
                 assert fired, f"PT-entangled state fired nothing: {x}"

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qubitpair
 from qubitpair import cli
 from qubitpair.errors import StateFileError
-from qubitpair.models import dicke_pair
+from qubitpair.models import dicke_pair, ising_pair, oat_pair
+from qubitpair.separability import classify
 from qubitpair.sampling import random_density_matrix, random_xform
 from qubitpair.states import bloch_decompose
 from qubitpair.stateio import read_state_file, state_payload, write_state_file
@@ -271,6 +274,88 @@ class TestCliSweep:
         row = out_path.read_text().strip().split("\n")[1].split(",")
         # min PT eigenvalue is lambda_3 = c - |b| = 0.0625 - sqrt(17)/16
         assert float(row[11]) == pytest.approx(0.0625 - np.sqrt(0.0625 ** 2 + 0.25 ** 2))
+
+
+class TestSweepAgreesWithClassify:
+    """Every sweep row carries exactly what ``classify`` says of its pair."""
+
+    # family: (grid arguments, pair of a grid point, number of rows)
+    GRIDS = {
+        "oat": (["--n", "2,5,10", "--chit", "0:3:7"], lambda n, m, t: oat_pair(n, t), 21),
+        "ising": (["--n", "3,4,7", "--chit", "0:6:7"], lambda n, m, t: ising_pair(n, t), 21),
+        "dicke": (["--n", "4,6,8", "--m", "0,1,2"], lambda n, m, t: dicke_pair(n, m), 9),
+    }
+    SIX = ("i1", "i2", "i4", "i10", "i12", "i14")
+
+    @staticmethod
+    def _rows(path, fmt):
+        text = path.read_text()
+        if fmt == "json":
+            return json.loads(text)
+        header, *lines = text.strip().split("\n")
+        rows = []
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            row["N"] = int(row["N"])
+            for key in ("M", "chi_t"):
+                row[key] = float(row[key]) if row[key] else None
+            for key in TestSweepAgreesWithClassify.SIX + ("i12_minus_i4sq", "ppt_min_eig"):
+                row[key] = float(row[key])
+            row["criteria"] = [c for c in row["criteria"].split(";") if c]
+            rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("family", ["oat", "ising", "dicke"])
+    def test_rows_equal_classify(self, family, fmt, tmp_path, capsys):
+        grid, pair, count = self.GRIDS[family]
+        out_path = tmp_path / f"rows.{fmt}"
+        code, _, _ = run_cli(["sweep", family, *grid, "--out", str(out_path)], capsys)
+        assert code == 0
+        rows = self._rows(out_path, fmt)
+        assert len(rows) == count
+        for row in rows:
+            cls = classify(pair(row["N"], row["M"], row["chi_t"]).to_matrix())
+            assert row["verdict"] == cls.verdict, row
+            assert row["criteria"] == sorted(cls.criteria_fired), row
+            assert row["ppt_min_eig"] == cls.ppt_min_eigenvalue, row
+            assert [row[k] for k in self.SIX] == [getattr(cls.six, k) for k in self.SIX], row
+            assert row["i12_minus_i4sq"] == cls.six.i12 - cls.six.i4 ** 2, row
+
+
+class TestToleranceKnobsGone:
+    """Every gate reads its band from ``qubitpair.tolerances``; none takes an override."""
+
+    KNOBS = {"tol", "herm_tol", "trace_tol", "psd_floor"}
+
+    @staticmethod
+    def _public_callables():
+        for name in qubitpair.__all__:
+            obj = getattr(qubitpair, name)
+            if isinstance(obj, type):
+                for attr, member in inspect.getmembers(
+                    obj, lambda m: inspect.isfunction(m) or inspect.ismethod(m)
+                ):
+                    yield f"{name}.{attr}", member
+            elif callable(obj):
+                yield name, obj
+
+    def test_no_public_callable_takes_a_tolerance(self):
+        checked = 0
+        for name, fn in self._public_callables():
+            params = set(inspect.signature(fn).parameters)
+            assert not params & self.KNOBS, f"{name} takes {sorted(params & self.KNOBS)}"
+            checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("command", ["classify", "invariants"])
+    def test_cli_rejects_tol(self, command, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        write_state_file(path, xform=dicke_pair(4, 1))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(path), "--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 class TestCliSelftest:
