@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: ``invariants``, ``classify``, ``generate {dicke|oat|ising}``,
-``sweep`` and ``selftest``.  Exit codes: 0 ok, 1 self-test/property
-failure, 2 input validation, 3 domain precondition (e.g. non-symmetric
-input to classify).
+Subcommands: ``invariants``, ``classify``, ``generate``, ``sweep`` and
+``selftest``.  ``generate`` is the one-point case of ``sweep``: both take a
+model family and the same family flags.  Exit codes: 0 ok, 1
+self-test/property failure, 2 input validation, 3 domain precondition
+(e.g. non-symmetric input to classify).
 """
 
 from __future__ import annotations
@@ -15,16 +16,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import (
-    InvalidDensityMatrix,
-    InvalidDicke,
-    NotSymmetricState,
-    NotXForm,
-    QubitPairError,
-    StateFileError,
-)
+from .errors import NotSymmetricState, NotXForm, QubitPairError
 from .invariants import makhlin_all, xform_invariants
-from .models import dicke_pair, ising_pair, oat_pair
+from .models import FAMILIES, dicke_pair, ising_pair, oat_pair
 from .selftest import format_report, run_selftest
 from .separability import classify, evidence
 from .states import bloch_decompose, is_symmetric, xform_extract
@@ -52,20 +46,21 @@ def _classification_payload(cls) -> dict:
 
 
 def _invariants_payload(rho: np.ndarray) -> dict:
-    form = bloch_decompose(rho)
-    inv = makhlin_all(form)
+    """The ``invariants`` report of a valid state.
+
+    A symmetric state's 18 invariants are the ones ``classify`` read its
+    verdict from, so the state is decomposed once.
+    """
+    cls = classify(rho) if is_symmetric(rho) else None
+    inv = cls.invariants if cls else makhlin_all(bloch_decompose(rho))
     payload: dict = {
         "invariants": {f"i{k}": getattr(inv, f"i{k}") for k in range(1, 19)},
-        "symmetric": bool(is_symmetric(rho)),
-        "symmetric_six": None,
+        "symmetric": cls is not None,
+        "symmetric_six": asdict(cls.six) if cls else None,
         "xform": None,
         "xform_six": None,
-        "classification": None,
+        "classification": _classification_payload(cls) if cls else None,
     }
-    if payload["symmetric"]:
-        cls = classify(rho)
-        payload["symmetric_six"] = asdict(cls.six)
-        payload["classification"] = _classification_payload(cls)
     try:
         x = xform_extract(rho)
     except NotXForm:
@@ -124,6 +119,11 @@ def cmd_classify(args) -> int:
 
 
 def _family_pair(family: str, n: int, m, chi_t, paper_literal: bool):
+    """X-pattern pair of one grid point of ``family``.
+
+    ``m`` is read by dicke only, ``chi_t`` by oat and ising, and
+    ``paper_literal`` by oat only; ``_sweep_grid`` rejects the rest.
+    """
     if family == "dicke":
         return dicke_pair(n, m)
     if family == "oat":
@@ -132,7 +132,10 @@ def _family_pair(family: str, n: int, m, chi_t, paper_literal: bool):
 
 
 def cmd_generate(args) -> int:
-    x = _family_pair(args.family, args.n, args.m, args.chit, args.paper_literal)
+    points = _sweep_grid(args)
+    if len(points) != 1:
+        raise ValueError(f"generate takes one grid point, got {len(points)}")
+    x = _family_pair(args.family, *points[0], args.paper_literal)
     if args.out:
         write_state_file(args.out, xform=x)
         print(f"wrote {args.out}: a={_fmt(x.a)} b_re={_fmt(x.b.real)} "
@@ -169,21 +172,31 @@ def _parse_float_list(text: str) -> list:
 
 
 def _sweep_grid(args) -> list:
+    """Grid points (N, M, chi_t) of ``generate`` or ``sweep``.
+
+    The one family check: a flag the family does not take, or a missing
+    family parameter, is an input error.
+    """
+    family, m_ratio = args.family, vars(args).get("m_ratio")
+    foreign = [flag for flag, value, families in (
+        ("--m", args.m, ("dicke",)),
+        ("--m-ratio", m_ratio, ("dicke",)),
+        ("--chit", args.chit, ("oat", "ising")),
+        ("--paper-literal", args.paper_literal or None, ("oat",)),
+    ) if value is not None and family not in families]
+    if foreign:
+        raise ValueError(f"{family} does not take {', '.join(foreign)}")
     ns = _parse_int_list(args.n)
-    if args.family == "dicke":
-        if (args.m is None) == (args.m_ratio is None):
-            raise ValueError("dicke sweep needs exactly one of --m / --m-ratio")
-        if args.m_ratio is not None:
-            points = [(n, args.m_ratio * n, None) for n in ns]
-        else:
-            ms = _parse_float_list(args.m)
-            points = [(n, m, None) for n in ns for m in ms]
-    else:
-        if args.chit is None:
-            raise ValueError(f"{args.family} sweep needs --chit")
-        chits = _parse_float_list(args.chit)
-        points = [(n, None, chit) for n in ns for chit in chits]
-    return points
+    if family == "dicke":
+        if (args.m is None) == (m_ratio is None):
+            raise ValueError(f"dicke {args.command} needs " + (
+                "exactly one of --m / --m-ratio" if args.command == "sweep" else "--m"))
+        if m_ratio is not None:
+            return [(n, m_ratio * n, None) for n in ns]
+        return [(n, m, None) for n in ns for m in _parse_float_list(args.m)]
+    if args.chit is None:
+        raise ValueError(f"{family} {args.command} needs --chit")
+    return [(n, None, chit) for n in ns for chit in _parse_float_list(args.chit)]
 
 
 def _sweep_row(family: str, n: int, m, chi_t, paper_literal: bool) -> dict:
@@ -239,6 +252,22 @@ def cmd_selftest(args) -> int:
     return 1 if report.failures else 0
 
 
+def _add_family_command(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
+    """A subcommand taking a model family and its grid flags, read by ``_sweep_grid``."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("--n", required=True,
+                   help="comma list '4,8' or inclusive range 'start:stop:step'")
+    p.add_argument("--m", help="dicke: comma list of M values")
+    p.add_argument("--chit", help="oat/ising: accumulated phase chi*t in radians, "
+                                  "comma list or linspace 'lo:hi:count'")
+    p.add_argument("--paper-literal", action="store_true",
+                   help="oat: use the originally printed Im(b) exponent "
+                        "instead of the self-consistent one")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qubitpair",
@@ -257,38 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--json", action="store_true")
     p_cls.set_defaults(func=cmd_classify)
 
-    p_gen = sub.add_parser("generate", help="write a model state file")
-    gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    g_dicke = gen_sub.add_parser("dicke")
-    g_dicke.add_argument("--n", type=int, required=True)
-    g_dicke.add_argument("--m", type=float, required=True)
-    g_oat = gen_sub.add_parser("oat")
-    g_oat.add_argument("--n", type=int, required=True)
-    g_oat.add_argument("--chit", type=float, required=True,
-                       help="accumulated phase chi*t in radians")
-    g_oat.add_argument("--paper-literal", action="store_true",
-                       help="use the originally printed Im(b) exponent "
-                            "instead of the self-consistent one")
-    g_ising = gen_sub.add_parser("ising")
-    g_ising.add_argument("--n", type=int, required=True)
-    g_ising.add_argument("--chit", type=float, required=True)
-    for g in (g_dicke, g_oat, g_ising):
-        g.add_argument("--out", help="output path (stdout if omitted)")
-        g.set_defaults(func=cmd_generate, m=None, chit=None, paper_literal=False)
-
-    p_sweep = sub.add_parser("sweep", help="tabulate invariants over a parameter grid")
-    p_sweep.add_argument("family", choices=("dicke", "oat", "ising"))
-    p_sweep.add_argument("--n", required=True,
-                         help="comma list '4,8' or inclusive range 'start:stop:step'")
-    p_sweep.add_argument("--m", help="dicke: comma list of M values")
+    p_gen = _add_family_command(
+        sub, "generate", "write the model state file of one grid point", cmd_generate)
+    p_sweep = _add_family_command(
+        sub, "sweep", "tabulate invariants over a parameter grid", cmd_sweep)
+    p_gen.add_argument("--out", help="output path (stdout if omitted)")
     p_sweep.add_argument("--m-ratio", type=float,
                          help="dicke: set M = ratio * N per grid point")
-    p_sweep.add_argument("--chit",
-                         help="oat/ising: comma list or linspace 'lo:hi:count'")
-    p_sweep.add_argument("--paper-literal", action="store_true")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=("auto", "csv", "json"), default="auto")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_self = sub.add_parser("selftest", help="run the seeded property suites")
     p_self.add_argument("--seed", type=int, default=42)
@@ -307,11 +313,7 @@ def main(argv=None) -> int:
     except NotSymmetricState as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (StateFileError, InvalidDensityMatrix, NotXForm, InvalidDicke,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QubitPairError as exc:
+    except (QubitPairError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

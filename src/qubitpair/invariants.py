@@ -132,18 +132,26 @@ def makhlin_all(form: BlochForm) -> InvariantSet:
     )
 
 
-def symmetric_six(form: BlochForm) -> SymmetricSix:
-    """Project the full set onto (I1, I2, I4, I10, I12, I14).
+def symmetric_invariants(form: BlochForm) -> InvariantSet:
+    """All 18 invariants of a form that meets the exchange constraints.
 
-    Requires the exchange constraints (r = s, T = T^T, tr T = 1) within
-    SYMMETRIC_CONSTRAINTS; the returned entries agree with
-    :func:`makhlin_all` exactly.
+    Raises NotSymmetricState unless r = s, T = T^T and tr T = 1 hold
+    within SYMMETRIC_CONSTRAINTS.
     """
     if not form.is_symmetric_form():
         raise NotSymmetricState(
             "Bloch form violates the exchange constraints (r = s, T = T^T, tr T = 1)"
         )
-    return SymmetricSix.from_full(makhlin_all(form))
+    return makhlin_all(form)
+
+
+def symmetric_six(form: BlochForm) -> SymmetricSix:
+    """Project the full set onto (I1, I2, I4, I10, I12, I14).
+
+    Gated as :func:`symmetric_invariants`; the returned entries agree with
+    :func:`makhlin_all` exactly.
+    """
+    return SymmetricSix.from_full(symmetric_invariants(form))
 
 
 def i10_diagonal_frame(t_eigs, s_diag) -> float:

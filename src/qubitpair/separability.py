@@ -21,7 +21,7 @@ from .errors import (
     InconsistentClassification,
     NotSymmetricState,
 )
-from .invariants import SymmetricSix, symmetric_six, xform_invariants
+from .invariants import InvariantSet, SymmetricSix, symmetric_invariants, xform_invariants
 from .states import (
     XForm,
     assert_density_matrix,
@@ -47,13 +47,18 @@ class PptResult:
 @dataclass(frozen=True)
 class Classification:
     """Verdict with the invariant criteria that fired, the PT evidence and the
-    symmetric six the criteria were read from."""
+    18 invariants the criteria were read from."""
 
     verdict: str
     criteria_fired: frozenset
     ppt_min_eigenvalue: float
     i4_zero_fallback_used: bool
-    six: SymmetricSix
+    invariants: InvariantSet
+
+    @property
+    def six(self) -> SymmetricSix:
+        """The symmetric six the criteria were read from."""
+        return SymmetricSix.from_full(self.invariants)
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ def invariant_criteria(six: SymmetricSix) -> frozenset:
 
 
 def evidence(rho: np.ndarray) -> Classification:
-    """PT verdict, fired criteria and symmetric six of a valid symmetric state.
+    """PT verdict, fired criteria and invariants of a valid symmetric state.
 
     The verdict is the PT ground truth.  When I4 is inside the zero band
     no criterion is read and ``i4_zero_fallback_used`` is set.  Nothing is
@@ -158,10 +163,10 @@ def evidence(rho: np.ndarray) -> Classification:
     returned as is; :func:`classify` adds the gates and that check.
     """
     ppt = ppt_check(rho)
-    six = symmetric_six(bloch_decompose(rho))
+    inv = symmetric_invariants(bloch_decompose(rho))
     fallback = False
     try:
-        fired = invariant_criteria(six)
+        fired = invariant_criteria(SymmetricSix.from_full(inv))
     except I4Zero:
         fired = frozenset()
         fallback = True
@@ -170,7 +175,7 @@ def evidence(rho: np.ndarray) -> Classification:
         criteria_fired=fired,
         ppt_min_eigenvalue=ppt.min_eig,
         i4_zero_fallback_used=fallback,
-        six=six,
+        invariants=inv,
     )
 
 

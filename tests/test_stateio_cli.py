@@ -323,6 +323,119 @@ class TestSweepAgreesWithClassify:
             assert row["i12_minus_i4sq"] == cls.six.i12 - cls.six.i4 ** 2, row
 
 
+class TestGenerateIsOneSweepPoint:
+    """``generate`` and ``sweep`` share one family grammar and one family check."""
+
+    POINTS = {
+        "dicke": ["--n", "6", "--m", "2"],
+        "oat": ["--n", "5", "--chit", "0.7", "--paper-literal"],
+        "ising": ["--n", "4", "--chit", "1.1"],
+    }
+    FOREIGN = [
+        ("oat", ["--chit", "1", "--m", "1"]),
+        ("ising", ["--chit", "1", "--m", "1"]),
+        ("ising", ["--chit", "1", "--paper-literal"]),
+        ("dicke", ["--m", "1", "--chit", "9"]),
+        ("dicke", ["--m", "1", "--paper-literal"]),
+    ]
+
+    @staticmethod
+    def _out(command, tmp_path):
+        return ["--out", str(tmp_path / ("state.json" if command == "generate" else "rows.csv"))]
+
+    @pytest.mark.parametrize("family", ["dicke", "oat", "ising"])
+    def test_state_file_is_the_sweep_row_pair(self, family, tmp_path, capsys):
+        flags = self.POINTS[family]
+        state, rows = tmp_path / "state.json", tmp_path / "rows.json"
+        assert run_cli(["generate", family, *flags, "--out", str(state)], capsys)[0] == 0
+        assert run_cli(["sweep", family, *flags, "--out", str(rows), "--format", "json"],
+                       capsys)[0] == 0
+        (row,) = json.loads(rows.read_text())
+        x = cli._family_pair(family, row["N"], row["M"], row["chi_t"], "--paper-literal" in flags)
+        assert json.loads(state.read_text()) == state_payload(xform=x)
+        code, out, _ = run_cli(["classify", str(state), "--json"], capsys)
+        assert code == 0
+        verdict = json.loads(out)
+        assert verdict["verdict"] == row["verdict"]
+        assert verdict["criteria"] == row["criteria"]
+        assert verdict["ppt_min_eigenvalue"] == row["ppt_min_eig"]
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    @pytest.mark.parametrize("family, flags", FOREIGN)
+    def test_foreign_flag_exit_2(self, command, family, flags, tmp_path, capsys):
+        out = self._out(command, tmp_path)
+        code, _, err = run_cli([command, family, "--n", "4", *flags, *out], capsys)
+        assert code == 2
+        assert f"{family} does not take" in err
+        assert not os.path.exists(out[1])
+
+    def test_sweep_m_ratio_is_dicke_only(self, tmp_path, capsys):
+        code, _, err = run_cli(["sweep", "oat", "--n", "4", "--chit", "1", "--m-ratio", "0.25",
+                                *self._out("sweep", tmp_path)], capsys)
+        assert code == 2
+        assert "--m-ratio" in err
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    @pytest.mark.parametrize("family", ["dicke", "oat", "ising"])
+    def test_missing_family_parameter_exit_2(self, command, family, tmp_path, capsys):
+        code, _, err = run_cli([command, family, "--n", "4", *self._out(command, tmp_path)], capsys)
+        assert code == 2
+        assert f"{family} {command} needs" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["dicke", "--n", "4,6", "--m", "1"],
+        ["oat", "--n", "4", "--chit", "0:1:3"],
+    ])
+    def test_multi_point_generate_exit_2(self, argv, tmp_path, capsys):
+        out = self._out("generate", tmp_path)
+        code, _, err = run_cli(["generate", *argv, *out], capsys)
+        assert code == 2
+        assert "one grid point" in err
+        assert not os.path.exists(out[1])
+
+    def test_generate_rejects_m_ratio(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "dicke", "--n", "4", "--m-ratio", "0.25"])
+        assert exc.value.code == 2
+        assert "--m-ratio" in capsys.readouterr().err
+
+
+class TestInvariantsDecomposesOnce:
+    """``invariants`` reads a symmetric state's 18 invariants off ``classify``'s result."""
+
+    @staticmethod
+    def _calls(argv, capsys):
+        from qubitpair import invariants, states
+
+        names = {states.bloch_decompose.__code__: "bloch_decompose",
+                 invariants.makhlin_all.__code__: "makhlin_all"}
+        counts = dict.fromkeys(names.values(), 0)
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                counts[names[frame.f_code]] += 1
+
+        sys.setprofile(hook)
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert code == 0
+        return counts
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "dense"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_one_decomposition(self, symmetric, as_json, rng, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        if symmetric:
+            write_state_file(path, xform=oat_pair(6, 0.7))
+        else:
+            write_state_file(path, matrix=random_density_matrix(rng))
+        argv = ["invariants", str(path)] + (["--json"] if as_json else [])
+        assert self._calls(argv, capsys) == {"bloch_decompose": 1, "makhlin_all": 1}
+
+
 class TestToleranceKnobsGone:
     """Every gate reads its band from ``qubitpair.tolerances``; none takes an override."""
 
