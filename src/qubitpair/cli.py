@@ -20,7 +20,7 @@ from .errors import NotSymmetricState, NotXForm, QubitPairError
 from .invariants import makhlin_all, xform_invariants
 from .models import FAMILIES, dicke_pair, ising_pair, oat_pair
 from .selftest import format_report, run_selftest
-from .separability import classify, evidence
+from .separability import CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, classify, evidence_stack
 from .states import bloch_decompose, is_symmetric, xform_extract
 from .stateio import read_state_file, state_payload, write_state_file
 
@@ -199,19 +199,32 @@ def _sweep_grid(args) -> list:
     return [(n, None, chit) for n in ns for chit in _parse_float_list(args.chit)]
 
 
-def _sweep_row(family: str, n: int, m, chi_t, paper_literal: bool) -> dict:
-    """One grid point, keyed by SWEEP_COLUMNS.
+def _sweep_rows(family: str, points: list, paper_literal: bool) -> list:
+    """The grid's rows, each keyed by SWEEP_COLUMNS.
 
-    The model pairs are valid X-pattern states by construction, so the
-    row takes ``evidence`` without ``classify``'s gates, and a criterion
-    that fires inside the PT band is written out instead of raised.
+    Each point's pair is built as ``generate`` builds it; the pairs are
+    then evaluated as one stack.  The model pairs are valid X-pattern
+    states by construction, so the rows take ``evidence_stack`` without
+    ``classify``'s gates, and a criterion that fires inside the PT band is
+    written out instead of raised.  Cells are Python ints, floats and
+    strings, which ``json`` writes.
     """
-    ev = evidence(_family_pair(family, n, m, chi_t, paper_literal).to_matrix())
-    six = ev.six
-    return dict(zip(SWEEP_COLUMNS, (
-        family, n, m, chi_t, six.i1, six.i2, six.i4, six.i10, six.i12, six.i14,
-        six.i12 - six.i4 ** 2, ev.ppt_min_eigenvalue, ev.verdict, sorted(ev.criteria_fired),
-    )))
+    ev = evidence_stack(np.array([
+        _family_pair(family, n, m, chi_t, paper_literal).to_matrix() for n, m, chi_t in points
+    ]))
+    per_point = zip(
+        points,
+        ev.invariants[:, [0, 1, 3, 9, 11, 13]].tolist(),  # I1, I2, I4, I10, I12, I14
+        ev.i12_minus_i4sq.tolist(),
+        ev.ppt_min_eigenvalue.tolist(),
+        ev.separable.tolist(),
+        ev.criteria.tolist(),
+    )
+    return [dict(zip(SWEEP_COLUMNS, (
+        family, n, m, chi_t, *six, gap, pt,
+        VERDICT_SEPARABLE if separable else VERDICT_ENTANGLED,
+        sorted(name for name, hit in zip(CRITERIA, fired) if hit),
+    ))) for (n, m, chi_t), six, gap, pt, separable, fired in per_point]
 
 
 def _csv_line(r: dict) -> str:
@@ -230,7 +243,7 @@ def cmd_sweep(args) -> int:
     points = _sweep_grid(args)
     if not points:
         raise ValueError("empty sweep grid")
-    rows = [_sweep_row(args.family, n, m, chit, args.paper_literal) for n, m, chit in points]
+    rows = _sweep_rows(args.family, points, args.paper_literal)
     as_json = args.format == "json" or (
         args.format == "auto" and args.out.endswith(".json")
     )

@@ -8,6 +8,10 @@ four-parameter pattern admit closed forms for that subset.
 Epsilon-tensor contractions are single ``einsum`` calls against the
 (3, 3, 3) Levi-Civita tensor; the tests check each of them against an
 explicit loop over an independently built epsilon.
+
+``makhlin_all`` evaluates one ``BlochForm``; ``makhlin_stack`` evaluates
+``k`` of them at once, from ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)``
+to a ``(k, 18)`` array, bit for bit equal to ``makhlin_all`` row by row.
 """
 
 from __future__ import annotations
@@ -84,8 +88,9 @@ def _eps_triple(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     return float(np.einsum("ijk,i,j,k->", _EPS, u, v, w))
 
 
-def _det3(t: np.ndarray) -> float:
-    return float(
+def _det3(t):
+    """Cofactor expansion along the first row; ``t[i, j]`` may be a stack of entries."""
+    return (
         t[0, 0] * (t[1, 1] * t[2, 2] - t[1, 2] * t[2, 1])
         - t[0, 1] * (t[1, 0] * t[2, 2] - t[1, 2] * t[2, 0])
         + t[0, 2] * (t[1, 0] * t[2, 1] - t[1, 1] * t[2, 0])
@@ -111,7 +116,7 @@ def makhlin_all(form: BlochForm) -> InvariantSet:
     tT_s = t.T @ s
 
     return InvariantSet(
-        i1=_det3(t),
+        i1=float(_det3(t)),
         i2=float(np.sum(t * t)),
         i3=float(np.sum(ttr * ttr)),
         i4=float(s @ s),
@@ -130,6 +135,77 @@ def makhlin_all(form: BlochForm) -> InvariantSet:
         i17=_eps_triple(tT_s, ttr @ tT_s, r),
         i18=_eps_triple(s, t_r, tt @ t_r),
     )
+
+
+# The 36 nonzero terms of eps_ijk eps_lmn: their signs and the index arrays
+# i, j, k, l, m, n, in the (i, j, k, l, m, n) order in which makhlin_all's
+# einsum sums I14.
+_EPS_EPS = np.multiply.outer(_EPS, _EPS)
+_I14_INDEX = np.nonzero(_EPS_EPS)
+_I14_SIGN = _EPS_EPS[_I14_INDEX]
+
+
+def _eps_triple_stack(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """eps_ijk u_i v_j w_k for each row of (k, 3) stacks."""
+    return np.einsum("ijk,...i,...j,...k->...", _EPS, u, v, w)
+
+
+def makhlin_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The 18 invariants of k Bloch forms as a ``(k, 18)`` array.
+
+    ``s`` and ``r`` have shape ``(k, 3)``, ``t`` has shape ``(k, 3, 3)``.
+
+    Row j equals ``makhlin_all(BlochForm(s[j], r[j], t[j])).as_array()``
+    bit for bit, including the sign of zero: every product keeps
+    ``makhlin_all``'s operands, association and memory layout, so numpy
+    sends each matrix of the stack to the kernel the 2-D call uses, and
+    I14 adds its 36 terms in that einsum's order.  A contraction
+    reassociated to save work (``I14 = 2 s^T cof(T) r``, say) changes
+    the last bit on a large share of the model-family states.
+    """
+    s, r, t = (np.ascontiguousarray(a, dtype=float) for a in (s, r, t))
+    t_t = t.swapaxes(1, 2)
+
+    def mv(m, v):
+        return (m @ v[:, :, None])[:, :, 0]
+
+    def dot(u, v):
+        return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+    tt = t @ t_t
+    ttr = t_t @ t
+    tt_s = mv(tt, s)
+    tt2_s = mv(tt, tt_s)
+    ttr_r = mv(ttr, r)
+    ttr2_r = mv(ttr, ttr_r)
+    t_r = mv(t, r)
+    tT_s = mv(t_t, s)
+    tt_t_r = mv(tt, t_r)
+    i, j, k, l, m, n = _I14_INDEX
+    terms = _I14_SIGN * s[:, i] * r[:, l] * t[:, j, m] * t[:, k, n]
+    # A running sum from 0.0, term by term, as einsum adds them; a pairwise
+    # sum (np.sum) would round differently.
+    i14 = np.add.accumulate(np.hstack([np.zeros((len(s), 1)), terms]), axis=1)[:, -1]
+    return np.stack([
+        _det3(np.moveaxis(t, 0, -1)),
+        (t * t).reshape(-1, 9).sum(axis=1),
+        (ttr * ttr).reshape(-1, 9).sum(axis=1),
+        dot(s, s),
+        dot(s, tt_s),
+        dot(s, tt2_s),
+        dot(r, r),
+        dot(r, ttr_r),
+        dot(r, ttr2_r),
+        _eps_triple_stack(s, tt_s, tt2_s),
+        _eps_triple_stack(r, ttr_r, ttr2_r),
+        dot(s, t_r),
+        dot(s, tt_t_r),
+        i14,
+        _eps_triple_stack(s, tt_s, t_r),
+        _eps_triple_stack(tT_s, r, ttr_r),
+        _eps_triple_stack(tT_s, mv(ttr, tT_s), r),
+        _eps_triple_stack(s, t_r, tt_t_r),
+    ], axis=1)
 
 
 def symmetric_invariants(form: BlochForm) -> InvariantSet:

@@ -2,9 +2,9 @@
 
 Everything here is sized for 2x2 .. 4x4 matrices: Pauli basis, Kronecker
 products, Hermitian eigenvalues (numpy's LAPACK ``eigvalsh`` behind a
-Hermiticity gate), Haar-random SU(2) and the SU(2) -> SO(3) covering
-map.  All functions are pure; random sampling takes a caller-owned
-``numpy.random.Generator``.
+Hermiticity gate, on one ``(n, n)`` matrix or a ``(..., n, n)`` stack),
+Haar-random SU(2) and the SU(2) -> SO(3) covering map.  All functions are
+pure; random sampling takes a caller-owned ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -45,34 +45,42 @@ def is_unitary(u: np.ndarray) -> bool:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a small Hermitian matrix, sorted ascending.
+    """Eigenvalues of small Hermitian matrices, sorted ascending.
 
     Parameters
     ----------
-    m : array_like
-        Square Hermitian matrix of size at most 4x4.  After the gate the
-        Hermitian part is handed to numpy's LAPACK ``eigvalsh``.
+    m : array_like, shape (..., n, n)
+        One square Hermitian matrix of size at most 4x4, or a stack of
+        them.  After the gate the Hermitian part is handed to numpy's
+        LAPACK ``eigvalsh``, which solves a stack one matrix at a time, so
+        each matrix gets the values the 2-D call gives it.
 
     Returns
     -------
-    numpy.ndarray
-        Real eigenvalues in ascending order; their sum reproduces the
-        trace to well below the advertised 1e-10.
+    numpy.ndarray, shape (..., n)
+        Real eigenvalues of each matrix in ascending order; their sum
+        reproduces the trace to well below the advertised 1e-10.
 
     Raises
     ------
     NotHermitian
-        If ``max |m - m^dag|`` exceeds ``tolerances.HERMITICITY``.
+        If ``max |m - m^dag|`` exceeds ``tolerances.HERMITICITY`` for any
+        matrix of the stack; the message names the first such matrix.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > 4:
+    if m.shape[-1] > 4:
         raise ValueError("only sizes up to 4x4 are supported")
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {HERMITICITY:.1e}")
-    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    m_dag = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - m_dag).max(axis=(-2, -1))
+    bad = defect > HERMITICITY
+    if bad.any():
+        first = np.unravel_index(bad.argmax(), bad.shape)
+        where = f" in matrix {', '.join(str(int(i)) for i in first)}" if m.ndim > 2 else ""
+        raise NotHermitian(
+            f"Hermiticity defect {defect[first]:.3e} exceeds tol {HERMITICITY:.1e}{where}")
+    return np.linalg.eigvalsh(0.5 * (m + m_dag))
 
 
 def su2_to_so3(u: np.ndarray) -> np.ndarray:

@@ -12,6 +12,12 @@ Bloch decomposition
 (exchange-symmetric) subspace; a SWAP-commuting state with singlet
 population is reported non-symmetric, because the unit-trace constraint
 on T holds only for triplet support.
+
+Single states go through ``bloch_decompose`` (one ``(4, 4)`` matrix to a
+``BlochForm``).  Grids go through ``bloch_decompose_stack``, which takes a
+``(k, 4, 4)`` stack and returns ``s``, ``r`` ``(k, 3)``, ``t`` ``(k, 3, 3)``
+and a ``(k,)`` mask of the rows the scalar gates accept; the two agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ from .tolerances import (
 _SIGMA_0123 = np.array((qmat.IDENTITY_2,) + qmat.PAULIS)
 _BASIS = np.einsum("mab,ncd->mnacbd", _SIGMA_0123, _SIGMA_0123).reshape(4, 4, 4, 4)
 _BASIS.setflags(write=False)
+
+# Bands local to the Pauli traces: the imaginary residue a trace may carry,
+# and the bound on Pauli expectations (necessary, not sufficient, for a state).
+_IMAG_RESIDUE = 1e-12
+_PAULI_BOUND = 1.0 + 1e-9
 
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
 SWAP.setflags(write=False)
@@ -73,11 +84,9 @@ class BlochForm:
         if not (np.all(np.isfinite(self.s)) and np.all(np.isfinite(self.r))
                 and np.all(np.isfinite(self.t))):
             raise ValueError("BlochForm entries must be finite")
-        # Pauli expectations of any state are bounded by 1 (necessary, not
-        # sufficient, for physicality; compose() checks the rest).
-        bound = 1.0 + 1e-9
-        if (np.max(np.abs(self.s)) > bound or np.max(np.abs(self.r)) > bound
-                or np.max(np.abs(self.t)) > bound):
+        # compose() checks the rest of physicality.
+        if (np.max(np.abs(self.s)) > _PAULI_BOUND or np.max(np.abs(self.r)) > _PAULI_BOUND
+                or np.max(np.abs(self.t)) > _PAULI_BOUND):
             raise ValueError("BlochForm components must lie in [-1, 1]")
 
     def is_symmetric_form(self) -> bool:
@@ -176,10 +185,45 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
 
     c = np.einsum("ij,mnji->mn", rho, _BASIS)
     residue = float(np.max(np.abs(c.imag.flat[1:])))  # c[0, 0] is the trace
-    if residue > 1e-12:
+    if residue > _IMAG_RESIDUE:
         raise InvalidDensityMatrix(f"Pauli trace has imaginary residue {residue:.3e}")
     c = c.real
     return BlochForm(s=c[1:, 0], r=c[0, 1:], t=c[1:, 1:])
+
+
+def bloch_decompose_stack(rhos: np.ndarray):
+    """:func:`bloch_decompose` of a ``(k, 4, 4)`` stack, as arrays.
+
+    Returns ``(s, r, t, valid)`` with ``s`` and ``r`` of shape ``(k, 3)``,
+    ``t`` of shape ``(k, 3, 3)`` and ``valid`` of shape ``(k,)``.  Nothing
+    is raised for a row: ``valid[j]`` is False exactly where
+    ``bloch_decompose(rhos[j])`` raises, from its own gates (Hermiticity,
+    trace, imaginary residue) or from ``BlochForm``'s (finite entries
+    bounded by 1), and wherever it is True, row j holds that form's
+    arrays bit for bit.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        raise InvalidDensityMatrix(f"expected shape (k, 4, 4), got {rhos.shape}")
+    defect = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2))
+    trace = np.trace(rhos, axis1=1, axis2=2)
+    c = np.einsum("...ij,mnji->...mn", rhos, _BASIS).reshape(-1, 16)
+    residue = np.max(np.abs(c.imag[:, 1:]), axis=1)  # c[:, 0] is the trace
+    c = c.real
+    entries = c[:, 1:]
+    refused = ((defect > HERMITICITY) | (np.abs(trace - 1.0) > TRACE)
+               | (residue > _IMAG_RESIDUE) | ~np.all(np.isfinite(entries), axis=1)
+               | (np.max(np.abs(entries), axis=1) > _PAULI_BOUND))
+    c = c.reshape(-1, 4, 4)
+    s, r, t = (np.ascontiguousarray(a) for a in (c[:, 1:, 0], c[:, 0, 1:], c[:, 1:, 1:]))
+    return s, r, t, ~refused
+
+
+def symmetric_form_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``BlochForm.is_symmetric_form`` of each row of a stack, as a ``(k,)`` mask."""
+    return ((np.max(np.abs(r - s), axis=1) <= SYMMETRIC_CONSTRAINTS)
+            & (np.max(np.abs(t - t.swapaxes(1, 2)), axis=(1, 2)) <= SYMMETRIC_CONSTRAINTS)
+            & (np.abs(np.trace(t, axis1=1, axis2=2) - 1.0) <= SYMMETRIC_CONSTRAINTS))
 
 
 def bloch_compose(form: BlochForm) -> np.ndarray:

@@ -104,6 +104,33 @@ class TestHermitianEigenvalues:
             qmat.hermitian_eigenvalues(np.eye(5))
 
 
+class TestHermitianEigenvaluesStack:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_matrix_gets_the_2d_values(self, rng, n):
+        stack = np.array([random_hermitian(rng, n) for _ in range(60)]).reshape(3, 20, n, n)
+        got = qmat.hermitian_eigenvalues(stack)
+        assert got.shape == (3, 20, n)
+        for idx in np.ndindex(3, 20):
+            assert np.array_equal(got[idx], qmat.hermitian_eigenvalues(stack[idx]))
+
+    def test_one_matrix_outside_the_band_raises(self, rng):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        stack[3, 0, 1] += 1e-8
+        stack[4, 2, 1] += 1e-6
+        with pytest.raises(NotHermitian, match=r"defect 1\.000e-08 exceeds tol .* in matrix 3$"):
+            qmat.hermitian_eigenvalues(stack)
+
+    def test_defect_inside_the_band_is_accepted(self, rng):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        stack[1, 0, 1] += 5e-11
+        assert qmat.hermitian_eigenvalues(stack).shape == (3, 4)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 5), (3, 4, 3), (4,), ()])
+    def test_shapes_rejected(self, shape):
+        with pytest.raises(ValueError):
+            qmat.hermitian_eigenvalues(np.zeros(shape))
+
+
 def bloch_vector(rho):
     return np.array([np.real(np.trace(rho @ s)) for s in qmat.PAULIS])
 

@@ -1,0 +1,47 @@
+"""Sweep output pinned byte for byte.
+
+The files in ``data/sweep_golden`` were written by ``sweep`` before grids
+were evaluated as one stack.  Regenerating them must give the same bytes:
+the 17-digit floats, the sign of zero (``-0`` in CSV, ``-0.0`` in JSON),
+the I4-zero fallback rows and the criteria cells.  This pins the output on
+its own; a cross-check against ``classify`` would move along with any
+kernel the two share.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qubitpair import cli
+
+GOLDEN = Path(__file__).parent / "data" / "sweep_golden"
+
+GRIDS = {
+    "dicke": ["dicke", "--n", "4,6,8", "--m=-2,-1,0,1,2"],
+    "oat": ["oat", "--n", "2:10:2", "--chit", "0:3.141592653589793:9"],
+    "ising": ["ising", "--n", "3:12:3", "--chit", "0:6.283185307179586:9"],
+}
+FILES = {
+    **{f"{family}.{ext}": argv for family, argv in GRIDS.items() for ext in ("csv", "json")},
+    "oat-paper-literal.csv": ["oat", "--n", "2:10:2", "--chit", "0:3:7", "--paper-literal"],
+}
+
+
+def test_every_golden_file_is_regenerated():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(FILES)
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_sweep_bytes_match(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert cli.main(["sweep", *FILES[name], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_files_carry_signed_zeros_and_the_fallback():
+    dicke = (GOLDEN / "dicke.csv").read_text().splitlines()
+    # ppt_min_eig is -0 at (N, M) = (4, -2) and I4 is 3e-33 at M = 0 (no criterion read).
+    assert dicke[1].split(",")[11] == "-0"
+    assert any(line.split(",")[2] == "0" and line.endswith("Entangled,") for line in dicke[1:])
+    assert '"ppt_min_eig": -0.0,' in (GOLDEN / "dicke.json").read_text()
