@@ -20,8 +20,10 @@ from .errors import NotSymmetricState, NotXForm, QubitPairError
 from .invariants import makhlin_all, xform_invariants
 from .models import FAMILIES, dicke_pair, ising_pair, oat_pair
 from .selftest import format_report, run_selftest
-from .separability import CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, classify, evidence_stack
-from .states import bloch_decompose, is_symmetric, xform_extract
+from .separability import (
+    CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classify_valid, classify, evidence_stack,
+)
+from .states import bloch_decompose, xform_extract
 from .stateio import read_state_file, state_payload, write_state_file
 
 #: Sweep columns: the CSV header, the order of each CSV line and of each JSON
@@ -46,12 +48,15 @@ def _classification_payload(cls) -> dict:
 
 
 def _invariants_payload(rho: np.ndarray) -> dict:
-    """The ``invariants`` report of a valid state.
+    """The ``invariants`` report of a state that ``read_state_file`` validated.
 
     A symmetric state's 18 invariants are the ones ``classify`` read its
     verdict from, so the state is decomposed once.
     """
-    cls = classify(rho) if is_symmetric(rho) else None
+    try:
+        cls = _classify_valid(rho)
+    except NotSymmetricState:  # the triplet test: the exchange-constraint band is 100x wider
+        cls = None
     inv = cls.invariants if cls else makhlin_all(bloch_decompose(rho))
     payload: dict = {
         "invariants": {f"i{k}": getattr(inv, f"i{k}") for k in range(1, 19)},

@@ -226,7 +226,7 @@ def ising_invariants(n: int, chi_t: float) -> FamilyInvariants:
 def _op_on(n: int, site: int, op: np.ndarray) -> np.ndarray:
     mats = [qmat.IDENTITY_2] * n
     mats[site] = op
-    return reduce(np.kron, mats)
+    return reduce(qmat.kron, mats)
 
 
 def _evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:

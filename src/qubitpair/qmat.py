@@ -27,8 +27,22 @@ for _m in PAULIS + (IDENTITY_2, _PAULI_STACK):
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result equals a[i, j] * b."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two 2-D operands; block (i, j) of the result equals a[i, j] * b.
+
+    One broadcast product over the axes ``np.kron`` pairs up, so the result
+    equals ``np.kron(a, b)`` bit for bit without its general-rank set-up.
+
+    Raises
+    ------
+    ValueError
+        If either operand is not 2-D.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron takes 2-D operands, got shapes {a.shape} and {b.shape}")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -10,6 +10,15 @@ Three suites mirror the library's central guarantees:
   criteria signs agree with the partial-transpose signs and the
   closed-form PT spectrum matches the numeric one.
 
+The invariance suite draws its states one by one and then evaluates all
+of them, references and rotations, as one ``(2 count, 4, 4)`` stack
+through ``states.bloch_decompose_stack`` and ``invariants.makhlin_stack``,
+the path ``sweep`` takes, which equals the scalar path bit for bit.  The
+positivity and X-form suites stay on the scalar path on purpose:
+``bloch_decompose``, ``makhlin_all``, ``ppt_check`` and
+``xform_equivalence_check`` one state at a time, as ``classify`` and
+``invariants`` run them, so the self-test covers both implementations.
+
 Deterministic for a fixed seed.  On the first violation the offending
 state is serialized for reproduction.
 """
@@ -22,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariants as invariants_mod
-from .errors import DegenerateHypothesis
 from .qmat import haar_su2
 from .sampling import random_density_matrix, random_xform
 from .separability import ppt_check, sample_separable_symmetric, xform_equivalence_check, xform_pt_eigenvalues
-from .states import apply_local_unitary, bloch_decompose
+from .states import apply_local_unitary, bloch_decompose, bloch_decompose_stack
 from .stateio import write_state_file
 from .tolerances import INVARIANCE_ABS, INVARIANCE_REL, SIGN_ZERO_BAND
 
@@ -69,24 +77,29 @@ class _CounterexampleWriter:
 
 
 def _suite_invariance(count, rng, writer) -> SuiteResult:
-    failures = 0
-    max_dev = 0.0
-    # Normalizing by max(|I|, ABS/REL) folds the absolute floor into one
-    # relative-style deviation with threshold INVARIANCE_REL.
-    floor = INVARIANCE_ABS / INVARIANCE_REL
+    # Each draw's reference and rotated state sit side by side in one
+    # (2 count, 4, 4) stack, so a refusal replays in the order the draws
+    # were made and raises the scalar path's error for the first one.
+    states = []
     for _ in range(count):
         rho = random_density_matrix(rng)
         u1, u2 = haar_su2(rng), haar_su2(rng)
-        ref = invariants_mod.makhlin_all(bloch_decompose(rho)).as_array()
-        rotated = invariants_mod.makhlin_all(
-            bloch_decompose(apply_local_unitary(rho, u1, u2))
-        ).as_array()
-        dev = float(np.max(np.abs(rotated - ref) / np.maximum(np.abs(ref), floor)))
-        max_dev = max(max_dev, dev)
-        if dev > INVARIANCE_REL:
-            failures += 1
-            writer.record(rho)
-    return SuiteResult("local_unitary_invariance", count, failures, max_dev)
+        states += [rho, apply_local_unitary(rho, u1, u2)]
+    states = np.array(states).reshape(-1, 4, 4)
+    s, r, t, valid = bloch_decompose_stack(states)
+    for rho in states[~valid]:
+        bloch_decompose(rho)  # raises for the first refused state
+    inv = invariants_mod.makhlin_stack(s, r, t)
+    ref, rotated = inv[0::2], inv[1::2]
+    # Normalizing by max(|I|, ABS/REL) folds the absolute floor into one
+    # relative-style deviation with threshold INVARIANCE_REL.
+    floor = INVARIANCE_ABS / INVARIANCE_REL
+    dev = np.max(np.abs(rotated - ref) / np.maximum(np.abs(ref), floor), axis=1)
+    failed = np.flatnonzero(dev > INVARIANCE_REL)
+    if failed.size:
+        writer.record(states[2 * failed[0]])
+    return SuiteResult("local_unitary_invariance", count, int(failed.size),
+                       float(dev.max(initial=0.0)))
 
 
 def _suite_positivity(count, rng, writer) -> SuiteResult:
@@ -119,6 +132,8 @@ def _suite_xform_equivalence(count, rng, writer) -> SuiteResult:
     max_dev = 0.0
     for _ in range(count):
         x = random_xform(rng)
+        # The floor lies above SIGN_ZERO_BAND, so xform_equivalence_check
+        # never meets the degenerate (a - d)^2 it raises on.
         if (x.a - x.d) ** 2 <= _I4_FLOOR or x.c + abs(x.b) <= _I4_FLOOR:
             continue
         cases += 1
@@ -127,11 +142,7 @@ def _suite_xform_equivalence(count, rng, writer) -> SuiteResult:
         numeric = ppt_check(rho).min_eig
         spectrum_dev = abs(float(closed[0]) - numeric)
         max_dev = max(max_dev, spectrum_dev)
-        try:
-            signs_agree = xform_equivalence_check(x)
-        except DegenerateHypothesis:
-            signs_agree = True
-        if not signs_agree or spectrum_dev > SIGN_ZERO_BAND:
+        if not xform_equivalence_check(x) or spectrum_dev > SIGN_ZERO_BAND:
             failures += 1
             writer.record(rho)
     return SuiteResult("xform_pt_equivalence", cases, failures, max_dev)

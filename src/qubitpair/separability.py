@@ -117,17 +117,23 @@ class SeparableEnsemble:
         object.__setattr__(self, "bloch_vectors", v)
 
     def to_state(self) -> np.ndarray:
-        """Assemble sum_w p_w rho_w (x) rho_w; separable and symmetric by construction."""
-        rho = np.zeros((4, 4), dtype=complex)
-        for p, vec in zip(self.weights, self.bloch_vectors):
-            single = 0.5 * (
-                qmat.IDENTITY_2
-                + vec[0] * qmat.SIGMA_X
-                + vec[1] * qmat.SIGMA_Y
-                + vec[2] * qmat.SIGMA_Z
-            )
-            rho += p * qmat.kron(single, single)
-        return rho
+        """Assemble sum_w p_w rho_w (x) rho_w; separable and symmetric by construction.
+
+        All factors rho_w and products rho_w (x) rho_w are built at once; the
+        weighted terms are then added from zero in ensemble order.  The
+        products must be laid out as ``qmat.kron`` lays out one, axis for
+        axis, so the state equals the term-by-term ``qmat.kron`` sum bit
+        for bit.
+        """
+        v = self.bloch_vectors[:, :, None, None]
+        singles = 0.5 * (
+            qmat.IDENTITY_2
+            + v[:, 0] * qmat.SIGMA_X
+            + v[:, 1] * qmat.SIGMA_Y
+            + v[:, 2] * qmat.SIGMA_Z
+        )
+        products = (singles[:, :, None, :, None] * singles[:, None, :, None, :]).reshape(-1, 4, 4)
+        return sum(self.weights[:, None, None] * products, np.zeros((4, 4), dtype=complex))
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
@@ -248,15 +254,9 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     )
 
 
-def classify(rho: np.ndarray) -> Classification:
-    """Full verdict for a symmetric state: PT ground truth plus fired criteria.
-
-    Refuses non-symmetric inputs (the invariant criteria are defined only
-    on the triplet subspace).  If a criterion fires while the PT spectrum
-    is strictly positive beyond the tolerance band, the contradiction is
-    surfaced as InconsistentClassification rather than silently resolved.
-    """
-    rho = assert_density_matrix(rho)
+def _classify_valid(rho: np.ndarray) -> Classification:
+    """:func:`classify` of a state that ``assert_density_matrix`` has
+    accepted, such as one ``stateio.read_state_file`` returns."""
     if not is_symmetric(rho):
         raise NotSymmetricState("state has singlet support; classify requires triplet support")
     result = evidence(rho)
@@ -266,6 +266,17 @@ def classify(rho: np.ndarray) -> Classification:
             f"{result.ppt_min_eigenvalue:.3e}; state sits inside the tolerance band"
         )
     return result
+
+
+def classify(rho: np.ndarray) -> Classification:
+    """Full verdict for a symmetric state: PT ground truth plus fired criteria.
+
+    Refuses non-symmetric inputs (the invariant criteria are defined only
+    on the triplet subspace).  If a criterion fires while the PT spectrum
+    is strictly positive beyond the tolerance band, the contradiction is
+    surfaced as InconsistentClassification rather than silently resolved.
+    """
+    return _classify_valid(assert_density_matrix(rho))
 
 
 def sample_separable_symmetric(

@@ -38,6 +38,30 @@ class TestKron:
             rhs = qmat.kron(a @ c, b @ d)
             assert_allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((2, 2), (2, 2)), ((4, 4), (4, 4)), ((2, 4), (4, 2)), ((2, 2), (2, 4)), ((4, 4), (2, 2)),
+    ])
+    def test_equals_numpy_kron_bit_for_bit(self, rng, shape_a, shape_b):
+        def operand(shape):
+            m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            zeros = rng.uniform(size=shape) < 0.3  # signed zeros in either part
+            m.real[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+            m.imag[~zeros & (rng.uniform(size=shape) < 0.3)] = -0.0
+            return m
+
+        for _ in range(200):
+            a, b = operand(shape_a), operand(shape_b)
+            got, want = qmat.kron(a, b), np.kron(a, b)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones(2), np.eye(2)), (np.eye(2), np.ones((2, 2, 2))), (np.array(1.0), np.eye(2)),
+    ])
+    def test_rejects_operands_that_are_not_2d(self, a, b):
+        with pytest.raises(ValueError, match="2-D operands"):
+            qmat.kron(a, b)
+
 
 class TestHermitianEigenvalues:
     def test_diagonal_input(self):

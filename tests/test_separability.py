@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qubitpair import cli, qmat
@@ -227,6 +229,26 @@ class TestSeparableEnsemble:
     def test_overlong_bloch_vector_rejected(self):
         with pytest.raises(ValueError):
             SeparableEnsemble(weights=np.array([1.0]), bloch_vectors=np.array([[1.2, 0, 0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+    ), min_size=1, max_size=6))
+    def test_to_state_equals_the_term_by_term_loop(self, terms):
+        weights = np.array([w for w, *_ in terms])
+        if weights.sum() == 0.0:
+            return
+        vectors = np.array([v for _, *v in terms])
+        norms = np.linalg.norm(vectors, axis=1)
+        vectors[norms > 1.0] /= norms[norms > 1.0, None] * (1.0 + 1e-12)
+        ens = SeparableEnsemble(weights=weights / weights.sum(), bloch_vectors=vectors)
+        # The single-state loop, one np.kron per term, added in order.
+        loop = np.zeros((4, 4), dtype=complex)
+        for p, vec in zip(ens.weights, ens.bloch_vectors):
+            single = 0.5 * (qmat.IDENTITY_2 + vec[0] * qmat.SIGMA_X
+                            + vec[1] * qmat.SIGMA_Y + vec[2] * qmat.SIGMA_Z)
+            loop += p * np.kron(single, single)
+        assert np.array_equal(ens.to_state().view(np.uint64), loop.view(np.uint64))
 
 
 class TestSampleSeparableSymmetric:

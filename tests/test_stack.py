@@ -1,12 +1,14 @@
 """The stacked core against the scalar one.
 
 ``sweep`` evaluates its grid with ``evidence_stack`` (one PT solve, one
-Pauli decomposition and one invariant contraction per stack), single
-states go through ``evidence``.  The two must give the same numbers bit
-for bit, including the sign of zero, and refuse the same rows with the
-same error.
+Pauli decomposition and one invariant contraction per stack), and the
+self-test's invariance suite evaluates its draws with the same Pauli
+decomposition and contraction; single states go through ``evidence``.
+The two must give the same numbers bit for bit, including the sign of
+zero, and refuse the same rows with the same error.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubitpair import cli, selftest
 from qubitpair.errors import InvalidDensityMatrix
 from qubitpair.invariants import makhlin_all, makhlin_stack
 from qubitpair.models import dicke_pair, ising_pair, oat_pair
@@ -25,7 +28,10 @@ from qubitpair.separability import (
     evidence_stack,
     ppt_check,
 )
-from qubitpair.states import XForm, bloch_decompose, bloch_decompose_stack
+from qubitpair.qmat import haar_su2
+from qubitpair.states import XForm, apply_local_unitary, bloch_decompose, bloch_decompose_stack
+from qubitpair.stateio import read_state_file
+from qubitpair.tolerances import INVARIANCE_ABS, INVARIANCE_REL
 
 STACK_SIZE = 600
 
@@ -198,3 +204,76 @@ class TestStackedGates:
     def test_shape_is_checked(self):
         with pytest.raises(InvalidDensityMatrix, match=r"expected shape \(k, 4, 4\)"):
             evidence_stack(np.eye(4))
+
+
+def selftest_draws(seed, count):
+    """The invariance suite's draws for ``seed``: (rho, rotated rho) per draw,
+    replayed with the suite's sampler calls in its order."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        rho = random_density_matrix(rng)
+        u1, u2 = haar_su2(rng), haar_su2(rng)
+        draws.append((rho, apply_local_unitary(rho, u1, u2)))
+    return draws
+
+
+class TestInvarianceSuite:
+    """The self-test's invariance suite evaluates every draw as one stack."""
+
+    @pytest.mark.parametrize("seed, count", [(seed, 20) for seed in range(32)] + [(42, 500)])
+    def test_equals_the_scalar_loop_bit_for_bit(self, seed, count, tmp_path):
+        # The suite as it ran before the stack: one bloch_decompose and one
+        # makhlin_all per state, the deviation folded draw by draw.
+        floor = INVARIANCE_ABS / INVARIANCE_REL
+        failures, max_dev = 0, 0.0
+        for rho, rotated in selftest_draws(seed, count):
+            ref = makhlin_all(bloch_decompose(rho)).as_array()
+            rot = makhlin_all(bloch_decompose(rotated)).as_array()
+            dev = float(np.max(np.abs(rot - ref) / np.maximum(np.abs(ref), floor)))
+            max_dev = max(max_dev, dev)
+            failures += dev > INVARIANCE_REL
+        suite = selftest.run_selftest(seed, count, out_dir=str(tmp_path)).suites[0]
+        assert (suite.name, suite.cases, suite.failures, float.hex(suite.max_deviation)) == (
+            "local_unitary_invariance", count, failures, float.hex(max_dev))
+
+    def test_biased_rotated_rows_fail_with_the_first_draw_as_counterexample(
+            self, tmp_path, capsys, monkeypatch):
+        seed, count, biased = 3, 20, (4, 9, 17)
+        draws = selftest_draws(seed, count)
+        targets = [bloch_decompose(draws[j][1]).s for j in biased]
+        real = selftest.invariants_mod.makhlin_stack
+
+        def corrupted(s, r, t):
+            inv = real(s, r, t)
+            for row, s_row in enumerate(s):
+                if any(np.array_equal(s_row, target) for target in targets):
+                    inv[row, 11] += 1e-3  # I12 of a rotated state only
+            return inv
+
+        monkeypatch.setattr(selftest.invariants_mod, "makhlin_stack", corrupted)
+        argv = ["selftest", "--seed", str(seed), "--count", str(count), "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr().out
+        failures = dict(re.findall(r"^(\w+) +cases=\d+ +failures=(\d+)", out, re.MULTILINE))
+        assert failures == {"local_unitary_invariance": str(len(biased)),
+                            "separable_positivity": "0", "xform_pt_equivalence": "0"}
+        written = read_state_file(tmp_path / selftest.COUNTEREXAMPLE_FILENAME)
+        assert np.array_equal(written.view(np.uint64), draws[biased[0]][0].view(np.uint64))
+
+    @pytest.mark.parametrize("j", [0, 7, 19])
+    def test_a_refused_draw_raises_the_scalar_error(self, j, tmp_path, monkeypatch):
+        seed, count = 5, 20
+        bad = selftest_draws(seed, count)[j][0].copy()
+        bad[0, 1] += 1e-6  # no longer Hermitian
+        with pytest.raises(InvalidDensityMatrix) as scalar:
+            bloch_decompose(bad)
+        real, draw = selftest.random_density_matrix, itertools.count()
+
+        def sampler(rng):
+            rho = real(rng)
+            return bad if next(draw) == j else rho
+
+        monkeypatch.setattr(selftest, "random_density_matrix", sampler)
+        with pytest.raises(type(scalar.value), match=f"^{re.escape(str(scalar.value))}$"):
+            selftest.run_selftest(seed, count, out_dir=str(tmp_path))

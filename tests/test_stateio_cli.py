@@ -400,29 +400,33 @@ class TestGenerateIsOneSweepPoint:
         assert "--m-ratio" in capsys.readouterr().err
 
 
+def profiled_calls(argv, capsys, functions) -> dict:
+    """Run ``cli.main(argv)`` and count the calls to each function by code object."""
+    names = {f.__code__: f.__name__ for f in functions}
+    counts = dict.fromkeys(names.values(), 0)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == 0
+    return counts
+
+
 class TestInvariantsDecomposesOnce:
-    """``invariants`` reads a symmetric state's 18 invariants off ``classify``'s result."""
+    """``invariants`` reads a symmetric state's 18 invariants off the evidence of its verdict."""
 
     @staticmethod
     def _calls(argv, capsys):
         from qubitpair import invariants, states
 
-        names = {states.bloch_decompose.__code__: "bloch_decompose",
-                 invariants.makhlin_all.__code__: "makhlin_all"}
-        counts = dict.fromkeys(names.values(), 0)
-
-        def hook(frame, event, arg):
-            if event == "call" and frame.f_code in names:
-                counts[names[frame.f_code]] += 1
-
-        sys.setprofile(hook)
-        try:
-            code = cli.main(argv)
-        finally:
-            sys.setprofile(None)
-        capsys.readouterr()
-        assert code == 0
-        return counts
+        return profiled_calls(argv, capsys, [states.bloch_decompose, invariants.makhlin_all])
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "dense"])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
@@ -434,6 +438,46 @@ class TestInvariantsDecomposesOnce:
             write_state_file(path, matrix=random_density_matrix(rng))
         argv = ["invariants", str(path)] + (["--json"] if as_json else [])
         assert self._calls(argv, capsys) == {"bloch_decompose": 1, "makhlin_all": 1}
+
+
+class TestInvariantsValidatesOnce:
+    """``read_state_file`` validates the state, and ``invariants`` does not
+    validate it again: one eigen solve for the validation, one for the PT
+    spectrum, and one more to compose a Bloch file."""
+
+    @staticmethod
+    def _write(representation, path):
+        x = oat_pair(6, 0.7)
+        if representation == "xform":
+            write_state_file(path, xform=x)
+        elif representation == "matrix":
+            write_state_file(path, matrix=x.to_matrix())
+        else:
+            write_state_file(path, bloch=bloch_decompose(x.to_matrix()))
+
+    @pytest.mark.parametrize("representation", ["xform", "matrix", "bloch"])
+    def test_one_validation_per_file(self, representation, tmp_path, capsys):
+        from qubitpair import qmat, states
+
+        path = tmp_path / "state.json"
+        self._write(representation, path)
+        counts = profiled_calls(
+            ["invariants", str(path), "--json"], capsys,
+            [states.assert_density_matrix, qmat.hermitian_eigenvalues, states.is_symmetric])
+        assert counts == {
+            "assert_density_matrix": 1,
+            "hermitian_eigenvalues": 2 + (representation == "bloch"),
+            "is_symmetric": 1,
+        }
+
+
+def test_classify_still_validates_its_input(bell_symmetric):
+    from qubitpair.errors import InvalidDensityMatrix, NotPositive
+
+    with pytest.raises(NotPositive, match="not positive semidefinite"):
+        classify(np.diag([1.2, -0.2, 0.0, 0.0]))
+    with pytest.raises(InvalidDensityMatrix, match="trace invariant violated"):
+        classify(2.0 * bell_symmetric)
 
 
 class TestToleranceKnobsGone:
