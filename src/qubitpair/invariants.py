@@ -5,13 +5,14 @@ independent single-qubit rotations.  Exchange-symmetric states need only
 the subset (I1, I2, I4, I10, I12, I14); states with the special
 four-parameter pattern admit closed forms for that subset.
 
-Epsilon-tensor contractions are single ``einsum`` calls against the
-(3, 3, 3) Levi-Civita tensor; the tests check each of them against an
-explicit loop over an independently built epsilon.
+The epsilon triples are one ``einsum`` against the (3, 3, 3) Levi-Civita
+tensor, and I14 is a running sum of its 36 nonzero double-epsilon terms;
+the tests check each of them against an explicit loop over an
+independently built epsilon.
 
-``makhlin_all`` evaluates one ``BlochForm``; ``makhlin_stack`` evaluates
-``k`` of them at once, from ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)``
-to a ``(k, 18)`` array, bit for bit equal to ``makhlin_all`` row by row.
+``makhlin_stack`` is the one contraction: it evaluates ``k`` Bloch forms
+at once, from ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)`` to a
+``(k, 18)`` array.  ``makhlin_all`` is its one-form case.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ class SymmetricSix:
         return np.array([self.i1, self.i2, self.i4, self.i10, self.i12, self.i14])
 
 
-def _eps_triple(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-    """eps_ijk u_i v_j w_k."""
-    return float(np.einsum("ijk,i,j,k->", _EPS, u, v, w))
-
-
 def _det3(t):
     """Cofactor expansion along the first row; ``t[i, j]`` may be a stack of entries."""
     return (
@@ -97,115 +93,96 @@ def _det3(t):
     )
 
 
-def makhlin_all(form: BlochForm) -> InvariantSet:
-    """Evaluate all 18 invariants of a Bloch form.
-
-    The s-side quadratic is T T^T and the r-side quadratic is T^T T,
-    matching how the two sides transform (s with O1, r with O2,
-    T -> O1 T O2^T); every entry is then invariant under local unitaries
-    to relative 1e-9 (absolute floor 1e-12).
-    """
-    s, r, t = form.s, form.r, form.t
-    tt = t @ t.T          # transforms with O1 on both sides
-    ttr = t.T @ t         # transforms with O2 on both sides
-    tt_s = tt @ s
-    tt2_s = tt @ tt_s
-    ttr_r = ttr @ r
-    ttr2_r = ttr @ ttr_r
-    t_r = t @ r
-    tT_s = t.T @ s
-
-    return InvariantSet(
-        i1=float(_det3(t)),
-        i2=float(np.sum(t * t)),
-        i3=float(np.sum(ttr * ttr)),
-        i4=float(s @ s),
-        i5=float(s @ tt_s),
-        i6=float(s @ tt2_s),
-        i7=float(r @ r),
-        i8=float(r @ ttr_r),
-        i9=float(r @ ttr2_r),
-        i10=_eps_triple(s, tt_s, tt2_s),
-        i11=_eps_triple(r, ttr_r, ttr2_r),
-        i12=float(s @ t_r),
-        i13=float(s @ (tt @ t_r)),
-        i14=float(np.einsum("ijk,lmn,i,l,jm,kn->", _EPS, _EPS, s, r, t, t)),
-        i15=_eps_triple(s, tt_s, t_r),
-        i16=_eps_triple(tT_s, r, ttr_r),
-        i17=_eps_triple(tT_s, ttr @ tT_s, r),
-        i18=_eps_triple(s, t_r, tt @ t_r),
-    )
-
-
-# The 36 nonzero terms of eps_ijk eps_lmn: their signs and the index arrays
-# i, j, k, l, m, n, in the (i, j, k, l, m, n) order in which makhlin_all's
-# einsum sums I14.
+# The 36 nonzero terms eps_ijk eps_lmn s_i r_l t_jm t_kn of I14, in the
+# (i, j, k, l, m, n) order in which the einsum "ijk,lmn,i,l,jm,kn->" sums
+# them: their signs, and indices into s, r and the flattened T.
 _EPS_EPS = np.multiply.outer(_EPS, _EPS)
-_I14_INDEX = np.nonzero(_EPS_EPS)
-_I14_SIGN = _EPS_EPS[_I14_INDEX]
+_I14_SIGN = _EPS_EPS[np.nonzero(_EPS_EPS)]
+_I14_I, _I14_J, _I14_K, _I14_L, _I14_M, _I14_N = np.nonzero(_EPS_EPS)
+_I14_JM, _I14_KN = 3 * _I14_J + _I14_M, 3 * _I14_K + _I14_N
+
+# Slots of the (k, 10, 3) array of vectors the dot products and epsilon
+# triples read: s, r, and products of T T^T, T^T T, T and T^T with them.
+_S, _R, _TT_S, _TT2_S, _TTR_R, _TTR2_R, _T_R, _TT_T_R, _TR_S, _TTR_TR_S = range(10)
+# Invariant number: u . v
+_DOTS = {
+    4: (_S, _S), 5: (_S, _TT_S), 6: (_S, _TT2_S),
+    7: (_R, _R), 8: (_R, _TTR_R), 9: (_R, _TTR2_R),
+    12: (_S, _T_R), 13: (_S, _TT_T_R),
+}
+# Invariant number: eps_ijk u_i v_j w_k
+_TRIPLES = {
+    10: (_S, _TT_S, _TT2_S), 11: (_R, _TTR_R, _TTR2_R), 15: (_S, _TT_S, _T_R),
+    16: (_TR_S, _R, _TTR_R), 17: (_TR_S, _TTR_TR_S, _R), 18: (_S, _T_R, _TT_T_R),
+}
+_DOT_COLUMNS = np.array(list(_DOTS)) - 1
+_DOT_U, _DOT_V = np.array(list(_DOTS.values())).T
+_TRIPLE_COLUMNS = np.array(list(_TRIPLES)) - 1
+_TRIPLE_U, _TRIPLE_V, _TRIPLE_W = np.array(list(_TRIPLES.values())).T
 
 
-def _eps_triple_stack(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """eps_ijk u_i v_j w_k for each row of (k, 3) stacks."""
-    return np.einsum("ijk,...i,...j,...k->...", _EPS, u, v, w)
+def _mv(m, v):
+    """Each matrix of a (k, 3, 3) stack times the matching row of a (k, 3) stack."""
+    return (m @ v[:, :, None])[:, :, 0]
 
 
 def makhlin_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The 18 invariants of k Bloch forms as a ``(k, 18)`` array.
 
     ``s`` and ``r`` have shape ``(k, 3)``, ``t`` has shape ``(k, 3, 3)``.
+    Column i holds I(i+1).
 
-    Row j equals ``makhlin_all(BlochForm(s[j], r[j], t[j])).as_array()``
-    bit for bit, including the sign of zero: every product keeps
-    ``makhlin_all``'s operands, association and memory layout, so numpy
-    sends each matrix of the stack to the kernel the 2-D call uses, and
-    I14 adds its 36 terms in that einsum's order.  A contraction
-    reassociated to save work (``I14 = 2 s^T cof(T) r``, say) changes
-    the last bit on a large share of the model-family states.
+    The s-side quadratic is T T^T and the r-side quadratic is T^T T,
+    matching how the two sides transform (s with O1, r with O2,
+    T -> O1 T O2^T); every entry is then invariant under local unitaries
+    to relative 1e-9 (absolute floor 1e-12).
+
+    Each row is computed as if alone: numpy sends every matrix and vector
+    product of the stack to the kernel the 2-D product of that size uses,
+    so a row does not depend on the stack around it, and I14 adds its 36
+    terms in the order of the einsum ``"ijk,lmn,i,l,jm,kn->"``.  The 8
+    dot products are one batched matmul and the 6 epsilon triples one
+    einsum.  A contraction reassociated to save work (``I14 = 2 s^T cof(T)
+    r``, say) changes the last bit on a large share of the model-family
+    states, and with it the 17-digit sweep output.
     """
     s, r, t = (np.ascontiguousarray(a, dtype=float) for a in (s, r, t))
     t_t = t.swapaxes(1, 2)
+    tt = t @ t_t          # transforms with O1 on both sides
+    ttr = t_t @ t         # transforms with O2 on both sides
+    v = np.empty((len(s), 10, 3))
+    v[:, _S], v[:, _R] = s, r
+    v[:, _TT_S] = _mv(tt, s)
+    v[:, _TT2_S] = _mv(tt, v[:, _TT_S])
+    v[:, _TTR_R] = _mv(ttr, r)
+    v[:, _TTR2_R] = _mv(ttr, v[:, _TTR_R])
+    v[:, _T_R] = _mv(t, r)
+    v[:, _TT_T_R] = _mv(tt, v[:, _T_R])
+    v[:, _TR_S] = _mv(t_t, s)
+    v[:, _TTR_TR_S] = _mv(ttr, v[:, _TR_S])
 
-    def mv(m, v):
-        return (m @ v[:, :, None])[:, :, 0]
+    inv = np.empty((len(s), 18))
+    inv[:, 0] = _det3(np.moveaxis(t, 0, -1))
+    inv[:, 1] = (t * t).reshape(-1, 9).sum(axis=1)
+    inv[:, 2] = (ttr * ttr).reshape(-1, 9).sum(axis=1)
+    u_dot, v_dot = (v.take(slots, axis=1) for slots in (_DOT_U, _DOT_V))
+    inv[:, _DOT_COLUMNS] = (u_dot[:, :, None, :] @ v_dot[:, :, :, None])[:, :, 0, 0]
+    inv[:, _TRIPLE_COLUMNS] = np.einsum(
+        "ijk,...i,...j,...k->...", _EPS,
+        *(v.take(slots, axis=1) for slots in (_TRIPLE_U, _TRIPLE_V, _TRIPLE_W)))
+    flat_t = t.reshape(-1, 9)
+    terms = (_I14_SIGN * s.take(_I14_I, axis=1) * r.take(_I14_L, axis=1)
+             * flat_t.take(_I14_JM, axis=1) * flat_t.take(_I14_KN, axis=1))
+    # A running sum term by term, as einsum adds them; a pairwise sum
+    # (np.sum) would round differently.
+    inv[:, 13] = np.add.accumulate(terms, axis=1)[:, -1]
+    return inv
 
-    def dot(u, v):
-        return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
-    tt = t @ t_t
-    ttr = t_t @ t
-    tt_s = mv(tt, s)
-    tt2_s = mv(tt, tt_s)
-    ttr_r = mv(ttr, r)
-    ttr2_r = mv(ttr, ttr_r)
-    t_r = mv(t, r)
-    tT_s = mv(t_t, s)
-    tt_t_r = mv(tt, t_r)
-    i, j, k, l, m, n = _I14_INDEX
-    terms = _I14_SIGN * s[:, i] * r[:, l] * t[:, j, m] * t[:, k, n]
-    # A running sum from 0.0, term by term, as einsum adds them; a pairwise
-    # sum (np.sum) would round differently.
-    i14 = np.add.accumulate(np.hstack([np.zeros((len(s), 1)), terms]), axis=1)[:, -1]
-    return np.stack([
-        _det3(np.moveaxis(t, 0, -1)),
-        (t * t).reshape(-1, 9).sum(axis=1),
-        (ttr * ttr).reshape(-1, 9).sum(axis=1),
-        dot(s, s),
-        dot(s, tt_s),
-        dot(s, tt2_s),
-        dot(r, r),
-        dot(r, ttr_r),
-        dot(r, ttr2_r),
-        _eps_triple_stack(s, tt_s, tt2_s),
-        _eps_triple_stack(r, ttr_r, ttr2_r),
-        dot(s, t_r),
-        dot(s, tt_t_r),
-        i14,
-        _eps_triple_stack(s, tt_s, t_r),
-        _eps_triple_stack(tT_s, r, ttr_r),
-        _eps_triple_stack(tT_s, mv(ttr, tT_s), r),
-        _eps_triple_stack(s, t_r, tt_t_r),
-    ], axis=1)
+def makhlin_all(form: BlochForm) -> InvariantSet:
+    """Evaluate all 18 invariants of a Bloch form: the one-form case of
+    :func:`makhlin_stack`."""
+    return InvariantSet(*makhlin_stack(form.s[None], form.r[None], form.t[None])[0].tolist())
 
 
 def symmetric_invariants(form: BlochForm) -> InvariantSet:

@@ -10,14 +10,18 @@ Three suites mirror the library's central guarantees:
   criteria signs agree with the partial-transpose signs and the
   closed-form PT spectrum matches the numeric one.
 
-The invariance suite draws its states one by one and then evaluates all
-of them, references and rotations, as one ``(2 count, 4, 4)`` stack
-through ``states.bloch_decompose_stack`` and ``invariants.makhlin_stack``,
-the path ``sweep`` takes, which equals the scalar path bit for bit.  The
-positivity and X-form suites stay on the scalar path on purpose:
-``bloch_decompose``, ``makhlin_all``, ``ppt_check`` and
-``xform_equivalence_check`` one state at a time, as ``classify`` and
-``invariants`` run them, so the self-test covers both implementations.
+Each suite draws its states one by one, in a fixed order, and then
+evaluates them as stacks through the one contraction
+``invariants.makhlin_stack`` (``makhlin_all``, and so ``classify``, is its
+one-state case).  The invariance suite decomposes all of its states,
+references and rotations, as one ``(2 count, 4, 4)`` stack through
+``states.bloch_decompose_stack``, the path ``sweep`` takes.  The
+positivity suite decomposes each draw with ``bloch_decompose``, the path
+``classify`` takes, so the self-test covers both implementations of the
+Pauli decomposition.  The X-form suite solves the partial transposes of
+all its cases in one batched eigen solve; its closed forms,
+``xform_pt_eigenvalues`` and ``xform_equivalence_check``, are what it
+tests, and they run per draw.
 
 Deterministic for a fixed seed.  On the first violation the offending
 state is serialized for reproduction.
@@ -31,9 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariants as invariants_mod
-from .qmat import haar_su2
+from .qmat import haar_su2, hermitian_eigenvalues
 from .sampling import random_density_matrix, random_xform
-from .separability import ppt_check, sample_separable_symmetric, xform_equivalence_check, xform_pt_eigenvalues
+from .separability import (
+    _criteria_columns, partial_transpose, sample_separable_symmetric, xform_equivalence_check,
+    xform_pt_eigenvalues,
+)
 from .states import apply_local_unitary, bloch_decompose, bloch_decompose_stack
 from .stateio import write_state_file
 from .tolerances import INVARIANCE_ABS, INVARIANCE_REL, SIGN_ZERO_BAND
@@ -103,53 +110,62 @@ def _suite_invariance(count, rng, writer) -> SuiteResult:
 
 
 def _suite_positivity(count, rng, writer) -> SuiteResult:
-    failures = 0
-    cases = 0
-    max_dev = 0.0
+    # Each draw goes through the single-state decomposition that classify
+    # runs, so the self-test covers both decomposition paths; the
+    # contraction is one stack.
+    states, forms = [], []
     for _ in range(count):
-        n_terms = int(rng.integers(1, 7))
-        rho, _ = sample_separable_symmetric(n_terms, rng)
-        # Mixed product factors carry singlet weight, so project the full
-        # set instead of going through the exchange-constraint gate.
-        six = invariants_mod.SymmetricSix.from_full(
-            invariants_mod.makhlin_all(bloch_decompose(rho))
-        )
-        if six.i4 <= _I4_FLOOR:
-            continue
-        cases += 1
-        worst = min(six.i12, six.i14, six.i12 - six.i4 ** 2)
-        dev = max(0.0, -worst)
-        max_dev = max(max_dev, dev)
-        if worst < -SIGN_ZERO_BAND:
-            failures += 1
-            writer.record(rho)
-    return SuiteResult("separable_positivity", cases, failures, max_dev)
+        rho, _ = sample_separable_symmetric(int(rng.integers(1, 7)), rng)
+        states.append(rho)
+        forms.append(bloch_decompose(rho))
+    # Mixed product factors carry singlet weight, so the full set is read
+    # without the exchange-constraint gate.
+    inv = invariants_mod.makhlin_stack(
+        np.array([f.s for f in forms]).reshape(-1, 3),
+        np.array([f.r for f in forms]).reshape(-1, 3),
+        np.array([f.t for f in forms]).reshape(-1, 3, 3),
+    )
+    i4, i12, i14, gap = _criteria_columns(inv)
+    worst = np.minimum(np.minimum(i12, i14), gap)
+    cases = i4 > _I4_FLOOR
+    failed = np.flatnonzero(cases & (worst < -SIGN_ZERO_BAND))
+    if failed.size:
+        writer.record(states[failed[0]])
+    # The largest max(0, -worst) over the cases, 0 when there is none.
+    max_dev = max(0.0, -float(worst[cases].min(initial=np.inf)))
+    return SuiteResult("separable_positivity", int(cases.sum()), int(failed.size), max_dev)
 
 
 def _suite_xform_equivalence(count, rng, writer) -> SuiteResult:
-    failures = 0
-    cases = 0
-    max_dev = 0.0
+    xs = []
     for _ in range(count):
         x = random_xform(rng)
         # The floor lies above SIGN_ZERO_BAND, so xform_equivalence_check
         # never meets the degenerate (a - d)^2 it raises on.
-        if (x.a - x.d) ** 2 <= _I4_FLOOR or x.c + abs(x.b) <= _I4_FLOOR:
-            continue
-        cases += 1
-        rho = x.to_matrix()
+        if (x.a - x.d) ** 2 > _I4_FLOOR and x.c + abs(x.b) > _I4_FLOOR:
+            xs.append(x)
+    states = np.array([x.to_matrix() for x in xs]).reshape(-1, 4, 4)
+    # One PT solve for every case, through the two functions ppt_check calls.
+    numeric = hermitian_eigenvalues(partial_transpose(states))[:, 0].tolist()
+    failures = 0
+    max_dev = 0.0
+    for x, rho, pt_min in zip(xs, states, numeric):
         closed = np.sort(xform_pt_eigenvalues(x))
-        numeric = ppt_check(rho).min_eig
-        spectrum_dev = abs(float(closed[0]) - numeric)
+        spectrum_dev = abs(float(closed[0]) - pt_min)
         max_dev = max(max_dev, spectrum_dev)
         if not xform_equivalence_check(x) or spectrum_dev > SIGN_ZERO_BAND:
             failures += 1
             writer.record(rho)
-    return SuiteResult("xform_pt_equivalence", cases, failures, max_dev)
+    return SuiteResult("xform_pt_equivalence", len(xs), failures, max_dev)
 
 
 def run_selftest(seed: int, count: int, out_dir: str = ".") -> SelfTestReport:
-    """Run all suites with ``count`` draws each from a single seeded generator."""
+    """Run all suites with ``count`` draws each from a single seeded generator.
+
+    Raises ValueError if ``count`` is negative.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
     writer = _CounterexampleWriter(out_dir)
     suites = (

@@ -222,6 +222,15 @@ def evidence(rho: np.ndarray) -> Classification:
     )
 
 
+def _criteria_columns(inv: np.ndarray) -> tuple:
+    """I4, I12, I14 and I12 - I4^2 of a ``(k, 18)`` invariant array, each
+    row rounded as :func:`invariant_criteria` rounds it."""
+    i4, i12, i14 = inv[:, 3], inv[:, 11], inv[:, 13]
+    # Python's float ** 2 (C pow) and numpy's square differ in the last bit
+    # on about 1 value in 1000; the scalar criteria use the former.
+    return i4, i12, i14, i12 - np.array([v ** 2 for v in i4.tolist()])
+
+
 def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     """:func:`evidence` of a ``(k, 4, 4)`` stack with one PT solve, one
     Pauli decomposition and one invariant contraction for the whole stack.
@@ -239,10 +248,7 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
             evidence(rho)  # raises on the first row the scalar gates refuse
     pt_min = qmat.hermitian_eigenvalues(partial_transpose(rhos))[:, 0]
     inv = makhlin_stack(s, r, t)
-    i4, i12, i14 = inv[:, 3], inv[:, 11], inv[:, 13]
-    # Python's float ** 2 (C pow) and numpy's square differ in the last bit
-    # on about 1 value in 1000; the scalar criteria use the former.
-    gap = i12 - np.array([v ** 2 for v in i4.tolist()])
+    i4, i12, i14, gap = _criteria_columns(inv)
     fallback = np.abs(i4) <= SIGN_ZERO_BAND
     fired = np.stack([i12, i14, gap], axis=1) < -SIGN_ZERO_BAND
     return EvidenceStack(

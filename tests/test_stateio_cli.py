@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -535,19 +536,17 @@ class TestCliSelftest:
         assert first.stdout == second.stdout
 
     def test_injected_fault_exits_1_with_counterexample(self, tmp_path, capsys, monkeypatch):
-        import dataclasses
-
         from qubitpair import invariants as invariants_mod
-        from qubitpair.invariants import makhlin_all
 
-        real = makhlin_all
+        real = invariants_mod.makhlin_stack
 
-        def corrupted(form):
+        def corrupted(s, r, t):
             # Bias I12 downward so separable samples cross the zero band.
-            inv = real(form)
-            return dataclasses.replace(inv, i12=inv.i12 - 1e-3)
+            inv = real(s, r, t)
+            inv[:, 11] -= 1e-3
+            return inv
 
-        monkeypatch.setattr(invariants_mod, "makhlin_all", corrupted)
+        monkeypatch.setattr(invariants_mod, "makhlin_stack", corrupted)
         code, out, _ = run_cli(
             ["selftest", "--seed", "3", "--count", "20", "--out", str(tmp_path)],
             capsys,
@@ -557,3 +556,28 @@ class TestCliSelftest:
         counterexamples = list(tmp_path.glob("selftest_counterexample.json"))
         assert len(counterexamples) == 1
         read_state_file(counterexamples[0])  # reproducible state
+
+    def test_run_selftest_rejects_a_negative_count(self, tmp_path):
+        from qubitpair.selftest import run_selftest
+
+        with pytest.raises(ValueError, match=r"^count must be >= 0$"):
+            run_selftest(5, -3, out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("count", ["-1", "-3"])
+    def test_negative_count_exits_2(self, count, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["selftest", "--seed", "5", "--count", count, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "count must be >= 0" in err
+
+    def test_zero_count_passes_with_empty_suites(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["selftest", "--seed", "5", "--count", "0", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        suites = re.findall(r"^(\w+) +cases=(\d+) +failures=(\d+)", out, re.MULTILINE)
+        assert suites == [("local_unitary_invariance", "0", "0"),
+                          ("separable_positivity", "0", "0"),
+                          ("xform_pt_equivalence", "0", "0")]
+        assert "result: PASS" in out
+        assert not list(tmp_path.iterdir())
