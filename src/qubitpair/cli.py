@@ -3,8 +3,8 @@
 Subcommands: ``invariants``, ``classify``, ``generate``, ``sweep`` and
 ``selftest``.  ``generate`` is the one-point case of ``sweep``: both take a
 model family and the same family flags.  Exit codes: 0 ok, 1
-self-test/property failure, 2 input validation, 3 domain precondition
-(e.g. non-symmetric input to classify).
+self-test/property failure, 2 input validation or an unwritable output
+path, 3 domain precondition (e.g. non-symmetric input to classify).
 """
 
 from __future__ import annotations
@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     except NotSymmetricState as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (QubitPairError, ValueError) as exc:
+    except (QubitPairError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,9 @@ from .errors import I4Zero, NoRealSpectrum, NotSymmetricState
 from .states import BlochForm, XForm
 from .tolerances import SIGN_ZERO_BAND, matches
 
+#: Message of the NotSymmetricState an exchange-constraint gate raises.
+_EXCHANGE_VIOLATION = "Bloch form violates the exchange constraints (r = s, T = T^T, tr T = 1)"
+
 # Levi-Civita tensor eps[i, j, k].
 _EPS = np.zeros((3, 3, 3))
 _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
@@ -192,9 +195,7 @@ def symmetric_invariants(form: BlochForm) -> InvariantSet:
     within SYMMETRIC_CONSTRAINTS.
     """
     if not form.is_symmetric_form():
-        raise NotSymmetricState(
-            "Bloch form violates the exchange constraints (r = s, T = T^T, tr T = 1)"
-        )
+        raise NotSymmetricState(_EXCHANGE_VIOLATION)
     return makhlin_all(form)
 
 

@@ -45,10 +45,22 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
+def hermiticity_defect(m: np.ndarray):
+    """Largest entrywise deviation of each matrix of ``m`` from its conjugate transpose.
+
+    Takes one ``(n, n)`` matrix or a ``(..., n, n)`` stack and returns a
+    float or a ``(...)`` array.  A matrix with a non-finite entry has
+    defect ``inf``: its deviation would be NaN, which compares False
+    against every band, so each Hermiticity gate would let it through.
+    """
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return np.fmin(defect, np.inf)  # fmin passes over NaN: NaN -> inf, the rest as is
+
+
+def _not_hermitian(defect, where: str = "") -> NotHermitian:
+    """The error of the Hermiticity gate of :func:`hermitian_eigenvalues`."""
+    return NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {HERMITICITY:.1e}{where}")
 
 
 def is_unitary(u: np.ndarray) -> bool:
@@ -78,23 +90,22 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     Raises
     ------
     NotHermitian
-        If ``max |m - m^dag|`` exceeds ``tolerances.HERMITICITY`` for any
-        matrix of the stack; the message names the first such matrix.
+        If :func:`hermiticity_defect` exceeds ``tolerances.HERMITICITY``
+        for any matrix of the stack, a non-finite matrix included; the
+        message names the first such matrix.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] > 4:
         raise ValueError("only sizes up to 4x4 are supported")
-    m_dag = m.conj().swapaxes(-1, -2)
-    defect = np.abs(m - m_dag).max(axis=(-2, -1))
+    defect = np.asarray(hermiticity_defect(m))
     bad = defect > HERMITICITY
     if bad.any():
         first = np.unravel_index(bad.argmax(), bad.shape)
         where = f" in matrix {', '.join(str(int(i)) for i in first)}" if m.ndim > 2 else ""
-        raise NotHermitian(
-            f"Hermiticity defect {defect[first]:.3e} exceeds tol {HERMITICITY:.1e}{where}")
-    return np.linalg.eigvalsh(0.5 * (m + m_dag))
+        raise _not_hermitian(defect[first], where)
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
 
 
 def su2_to_so3(u: np.ndarray) -> np.ndarray:

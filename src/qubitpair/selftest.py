@@ -11,17 +11,16 @@ Three suites mirror the library's central guarantees:
   closed-form PT spectrum matches the numeric one.
 
 Each suite draws its states one by one, in a fixed order, and then
-evaluates them as stacks through the one contraction
-``invariants.makhlin_stack`` (``makhlin_all``, and so ``classify``, is its
-one-state case).  The invariance suite decomposes all of its states,
-references and rotations, as one ``(2 count, 4, 4)`` stack through
-``states.bloch_decompose_stack``, the path ``sweep`` takes.  The
-positivity suite decomposes each draw with ``bloch_decompose``, the path
-``classify`` takes, so the self-test covers both implementations of the
-Pauli decomposition.  The X-form suite solves the partial transposes of
-all its cases in one batched eigen solve; its closed forms,
-``xform_pt_eigenvalues`` and ``xform_equivalence_check``, are what it
-tests, and they run per draw.
+evaluates them as stacks through the one Pauli decomposition
+``states.bloch_decompose_stack`` and the one contraction
+``invariants.makhlin_stack`` (``bloch_decompose`` and ``makhlin_all``, and
+so ``classify``, are their one-row cases).  The invariance suite
+decomposes all of its states, references and rotations, as one ``(2
+count, 4, 4)`` stack.  The positivity suite decomposes each draw with
+``bloch_decompose`` and contracts them as one stack.  The X-form suite
+solves the partial transposes of all its cases in one batched eigen
+solve; its closed forms, ``xform_pt_eigenvalues`` and
+``xform_equivalence_check``, are what it tests, and they run per draw.
 
 Deterministic for a fixed seed.  On the first violation the offending
 state is serialized for reproduction.
@@ -85,18 +84,15 @@ class _CounterexampleWriter:
 
 def _suite_invariance(count, rng, writer) -> SuiteResult:
     # Each draw's reference and rotated state sit side by side in one
-    # (2 count, 4, 4) stack, so a refusal replays in the order the draws
-    # were made and raises the scalar path's error for the first one.
+    # (2 count, 4, 4) stack, so a refusal raises the error of the first
+    # refused state in the order the draws were made.
     states = []
     for _ in range(count):
         rho = random_density_matrix(rng)
         u1, u2 = haar_su2(rng), haar_su2(rng)
         states += [rho, apply_local_unitary(rho, u1, u2)]
     states = np.array(states).reshape(-1, 4, 4)
-    s, r, t, valid = bloch_decompose_stack(states)
-    for rho in states[~valid]:
-        bloch_decompose(rho)  # raises for the first refused state
-    inv = invariants_mod.makhlin_stack(s, r, t)
+    inv = invariants_mod.makhlin_stack(*bloch_decompose_stack(states))
     ref, rotated = inv[0::2], inv[1::2]
     # Normalizing by max(|I|, ABS/REL) folds the absolute floor into one
     # relative-style deviation with threshold INVARIANCE_REL.
@@ -110,8 +106,10 @@ def _suite_invariance(count, rng, writer) -> SuiteResult:
 
 
 def _suite_positivity(count, rng, writer) -> SuiteResult:
-    # Each draw goes through the single-state decomposition that classify
-    # runs, so the self-test covers both decomposition paths; the
+    # Each draw is decomposed on its own, through the one-row case of the
+    # stack: the benchmark's selftest_suites binding test
+    # (perfbench/test_perfbench.py) plants its unwrapped site on this
+    # module's bloch_decompose and needs one call per draw.  The
     # contraction is one stack.
     states, forms = [], []
     for _ in range(count):

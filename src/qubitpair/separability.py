@@ -7,13 +7,15 @@ separable symmetric state with non-vanishing I4.  For states with the
 special four-parameter pattern the two routes are provably equivalent,
 and this module exposes that equivalence as a checkable predicate.
 
-``evidence`` reads one ``(4, 4)`` state; ``evidence_stack`` reads a
-``(k, 4, 4)`` stack with one call per stage and returns the same numbers
-as arrays (``EvidenceStack``).
+``evidence_stack`` reads a ``(k, 4, 4)`` stack with one call per stage
+and returns its numbers as arrays (``EvidenceStack``); it refuses a stack
+by the error of its first bad state.  ``evidence`` of one ``(4, 4)``
+state is its one-row case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,17 +28,18 @@ from .errors import (
     NotSymmetricState,
 )
 from .invariants import (
-    InvariantSet, SymmetricSix, makhlin_stack, symmetric_invariants, xform_invariants,
+    _EXCHANGE_VIOLATION, InvariantSet, SymmetricSix, makhlin_stack, xform_invariants,
 )
 from .states import (
     XForm,
+    _as_state,
+    _decomposition,
+    _raise_first,
     assert_density_matrix,
-    bloch_decompose,
-    bloch_decompose_stack,
     is_symmetric,
     symmetric_form_stack,
 )
-from .tolerances import SIGN_ZERO_BAND
+from .tolerances import HERMITICITY, SIGN_ZERO_BAND
 
 CRITERION_I12 = "I12_negative"
 CRITERION_I14 = "I14_negative"
@@ -73,9 +76,9 @@ class Classification:
 
 @dataclass(frozen=True)
 class EvidenceStack:
-    """:func:`evidence` of each state of a ``(k, 4, 4)`` stack, as arrays.
+    """The evidence of each state of a ``(k, 4, 4)`` stack, as arrays.
 
-    Row j holds exactly what ``evidence(rhos[j])`` returns: the 18
+    Row j holds what ``evidence(rhos[j])`` returns: the 18
     invariants ``(k, 18)`` (column i is I(i+1)), the PT minimum
     eigenvalue ``(k,)``, ``I12 - I4^2`` ``(k,)``, the fired criteria as a
     ``(k, 3)`` mask with columns in ``CRITERIA`` order, and the I4-zero
@@ -198,27 +201,22 @@ def invariant_criteria(six: SymmetricSix) -> frozenset:
 
 
 def evidence(rho: np.ndarray) -> Classification:
-    """PT verdict, fired criteria and invariants of a valid symmetric state.
+    """PT verdict, fired criteria and invariants of a valid symmetric state:
+    the one-row case of :func:`evidence_stack`, with its gates.
 
     The verdict is the PT ground truth.  When I4 is inside the zero band
-    no criterion is read and ``i4_zero_fallback_used`` is set.  Nothing is
-    validated and a criterion that fires on a PT-positive state is
-    returned as is; :func:`classify` adds the gates and that check.
+    no criterion is read and ``i4_zero_fallback_used`` is set.  A
+    criterion that fires on a PT-positive state is returned as is;
+    :func:`classify` adds the density-matrix and triplet gates and that
+    check.
     """
-    ppt = ppt_check(rho)
-    inv = symmetric_invariants(bloch_decompose(rho))
-    fallback = False
-    try:
-        fired = invariant_criteria(SymmetricSix.from_full(inv))
-    except I4Zero:
-        fired = frozenset()
-        fallback = True
+    ev = evidence_stack(_as_state(rho)[None])
     return Classification(
-        verdict=VERDICT_SEPARABLE if ppt.separable else VERDICT_ENTANGLED,
-        criteria_fired=fired,
-        ppt_min_eigenvalue=ppt.min_eig,
-        i4_zero_fallback_used=fallback,
-        invariants=inv,
+        verdict=VERDICT_SEPARABLE if ev.separable[0] else VERDICT_ENTANGLED,
+        criteria_fired=frozenset(itertools.compress(CRITERIA, ev.criteria[0].tolist())),
+        ppt_min_eigenvalue=float(ev.ppt_min_eigenvalue[0]),
+        i4_zero_fallback_used=bool(ev.i4_zero_fallback[0]),
+        invariants=InvariantSet(*ev.invariants[0].tolist()),
     )
 
 
@@ -227,25 +225,29 @@ def _criteria_columns(inv: np.ndarray) -> tuple:
     row rounded as :func:`invariant_criteria` rounds it."""
     i4, i12, i14 = inv[:, 3], inv[:, 11], inv[:, 13]
     # Python's float ** 2 (C pow) and numpy's square differ in the last bit
-    # on about 1 value in 1000; the scalar criteria use the former.
+    # on about 1 value in 1000; invariant_criteria uses the former.
     return i4, i12, i14, i12 - np.array([v ** 2 for v in i4.tolist()])
 
 
 def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
-    """:func:`evidence` of a ``(k, 4, 4)`` stack with one PT solve, one
-    Pauli decomposition and one invariant contraction for the whole stack.
+    """PT verdicts, fired criteria and invariants of a ``(k, 4, 4)`` stack of
+    valid symmetric states, with one PT solve, one Pauli decomposition and
+    one invariant contraction for the whole stack.
 
-    Every row equals the scalar result bit for bit.  A row that a gate of
-    ``evidence`` refuses (Hermiticity, trace, imaginary Pauli residue,
-    ``BlochForm`` bounds, exchange constraints) makes the stack replay
-    ``evidence`` row by row, so the error raised is the class and message
-    the scalar path raises on the first refused row.
+    The gates, in the order a single state meets them: Hermiticity
+    (NotHermitian, as the PT solve raises it), the gates of
+    ``states.bloch_decompose_stack`` after its Hermiticity gate, and the
+    exchange constraints (NotSymmetricState).  For the first row that a
+    gate refuses, the first gate refusing it raises.
     """
-    rhos = np.asarray(rhos, dtype=complex)
-    s, r, t, valid = bloch_decompose_stack(rhos)
-    if not np.all(valid & symmetric_form_stack(s, r, t)):
-        for rho in rhos:
-            evidence(rho)  # raises on the first row the scalar gates refuse
+    s, r, t, defect, gates = _decomposition(rhos)
+    _raise_first([
+        (defect > HERMITICITY, lambda j: qmat._not_hermitian(defect[j])),
+        *gates,
+        (~symmetric_form_stack(s, r, t), lambda j: NotSymmetricState(_EXCHANGE_VIOLATION)),
+    ])
+    # The PT permutes the entries of rho - rho^dag, so its defect is the
+    # state's: the solve's own Hermiticity gate cannot refuse it.
     pt_min = qmat.hermitian_eigenvalues(partial_transpose(rhos))[:, 0]
     inv = makhlin_stack(s, r, t)
     i4, i12, i14, gap = _criteria_columns(inv)

@@ -13,15 +13,18 @@ Bloch decomposition
 population is reported non-symmetric, because the unit-trace constraint
 on T holds only for triplet support.
 
-Single states go through ``bloch_decompose`` (one ``(4, 4)`` matrix to a
-``BlochForm``).  Grids go through ``bloch_decompose_stack``, which takes a
-``(k, 4, 4)`` stack and returns ``s``, ``r`` ``(k, 3)``, ``t`` ``(k, 3, 3)``
-and a ``(k,)`` mask of the rows the scalar gates accept; the two agree bit
-for bit.
+There is one Pauli decomposition, ``bloch_decompose_stack``: a ``(k, 4,
+4)`` stack to ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)``.  It refuses
+a stack by the error of its first bad state, so ``bloch_decompose`` (one
+``(4, 4)`` matrix to a ``BlochForm``) is its one-row case.  ``BlochForm``
+and the stack share one entry rule, and ``is_symmetric_form`` is
+``symmetric_form_stack`` on one row.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +65,42 @@ TRIPLET_BASIS.setflags(write=False)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
+    a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _raise_first(gates) -> None:
+    """Raise the error a stack's first refused row raises alone.
+
+    ``gates`` lists ``(refused, error)`` pairs in the order a single state
+    meets them: a ``(k,)`` mask of the rows the gate refuses, and a
+    function of the row index that builds the gate's exception.  The row
+    is the first that any gate refuses, and the error is that of the first
+    gate that refuses it.
+    """
+    refused = functools.reduce(operator.or_, (mask for mask, _ in gates))
+    if refused.any():
+        j = int(refused.argmax())
+        raise next(error(j) for mask, error in gates if mask[j])
+
+
+def _entry_gates(entries: np.ndarray) -> list:
+    """The entry rule of a Bloch form on the ``(k, 15)`` entries of k forms:
+    finite, then within [-1, 1] (``compose`` checks the rest of physicality)."""
+    largest = np.abs(entries).max(axis=1)  # NaN or inf if any entry is
+    return [
+        (~np.isfinite(largest), lambda j: ValueError("BlochForm entries must be finite")),
+        (largest > _PAULI_BOUND, lambda j: ValueError("BlochForm components must lie in [-1, 1]")),
+    ]
+
+
+def _as_state(rho: np.ndarray) -> np.ndarray:
+    """``rho`` as a complex ``(4, 4)`` array; InvalidDensityMatrix for any other shape."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise InvalidDensityMatrix(f"expected shape (4, 4), got {rho.shape}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -76,26 +112,15 @@ class BlochForm:
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "s", _frozen(np.asarray(self.s, dtype=float)))
-        object.__setattr__(self, "r", _frozen(np.asarray(self.r, dtype=float)))
-        object.__setattr__(self, "t", _frozen(np.asarray(self.t, dtype=float)))
+        for name in ("s", "r", "t"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         if self.s.shape != (3,) or self.r.shape != (3,) or self.t.shape != (3, 3):
             raise ValueError("BlochForm needs s, r of shape (3,) and t of shape (3, 3)")
-        if not (np.all(np.isfinite(self.s)) and np.all(np.isfinite(self.r))
-                and np.all(np.isfinite(self.t))):
-            raise ValueError("BlochForm entries must be finite")
-        # compose() checks the rest of physicality.
-        if (np.max(np.abs(self.s)) > _PAULI_BOUND or np.max(np.abs(self.r)) > _PAULI_BOUND
-                or np.max(np.abs(self.t)) > _PAULI_BOUND):
-            raise ValueError("BlochForm components must lie in [-1, 1]")
+        _raise_first(_entry_gates(np.concatenate((self.s, self.r, self.t.ravel()))[None]))
 
     def is_symmetric_form(self) -> bool:
         """Exchange constraints r = s, T = T^T, tr T = 1, within SYMMETRIC_CONSTRAINTS."""
-        return (
-            float(np.max(np.abs(self.r - self.s))) <= SYMMETRIC_CONSTRAINTS
-            and float(np.max(np.abs(self.t - self.t.T))) <= SYMMETRIC_CONSTRAINTS
-            and abs(float(np.trace(self.t)) - 1.0) <= SYMMETRIC_CONSTRAINTS
-        )
+        return bool(symmetric_form_stack(self.s[None], self.r[None], self.t[None])[0])
 
 
 @dataclass(frozen=True)
@@ -150,9 +175,7 @@ def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     Raises InvalidDensityMatrix (or NotPositive) with the violated
     invariant named in the message.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidDensityMatrix(f"expected shape (4, 4), got {rho.shape}")
+    rho = _as_state(rho)
     if not np.all(np.isfinite(rho)):
         raise InvalidDensityMatrix("matrix contains non-finite entries")
     defect = qmat.hermiticity_defect(rho)
@@ -168,62 +191,64 @@ def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 def bloch_decompose(rho: np.ndarray) -> BlochForm:
-    """Decompose a state into (s, r, T) via Pauli traces.
+    """Decompose a state into (s, r, T) via Pauli traces: the one-row case
+    of :func:`bloch_decompose_stack`, with its gates.
 
-    All fifteen traces must be real within 1e-12 (imaginary residue is
-    discarded after the check).  Hermiticity and trace are gated here;
-    use :func:`assert_density_matrix` for the full (PSD) validation.
+    Use :func:`assert_density_matrix` for the full (PSD) validation.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidDensityMatrix(f"expected shape (4, 4), got {rho.shape}")
-    defect = qmat.hermiticity_defect(rho)
-    if defect > HERMITICITY:
-        raise InvalidDensityMatrix(f"not Hermitian: defect {defect:.3e}")
-    if abs(complex(np.trace(rho)) - 1.0) > TRACE:
-        raise InvalidDensityMatrix("trace invariant violated")
-
-    c = np.einsum("ij,mnji->mn", rho, _BASIS)
-    residue = float(np.max(np.abs(c.imag.flat[1:])))  # c[0, 0] is the trace
-    if residue > _IMAG_RESIDUE:
-        raise InvalidDensityMatrix(f"Pauli trace has imaginary residue {residue:.3e}")
-    c = c.real
-    return BlochForm(s=c[1:, 0], r=c[0, 1:], t=c[1:, 1:])
+    s, r, t = bloch_decompose_stack(_as_state(rho)[None])
+    return BlochForm(s=s[0], r=r[0], t=t[0])
 
 
-def bloch_decompose_stack(rhos: np.ndarray):
-    """:func:`bloch_decompose` of a ``(k, 4, 4)`` stack, as arrays.
+def _decomposition(rhos: np.ndarray) -> tuple:
+    """The Pauli decomposition of a ``(k, 4, 4)`` stack before its gates run.
 
-    Returns ``(s, r, t, valid)`` with ``s`` and ``r`` of shape ``(k, 3)``,
-    ``t`` of shape ``(k, 3, 3)`` and ``valid`` of shape ``(k,)``.  Nothing
-    is raised for a row: ``valid[j]`` is False exactly where
-    ``bloch_decompose(rhos[j])`` raises, from its own gates (Hermiticity,
-    trace, imaginary residue) or from ``BlochForm``'s (finite entries
-    bounded by 1), and wherever it is True, row j holds that form's
-    arrays bit for bit.
+    Returns ``(s, r, t, defect, gates)``: the Bloch arrays, the
+    Hermiticity defect of each state, and the gates that follow the
+    Hermiticity gate in ``_raise_first``'s form (trace, imaginary residue,
+    entry rule).  Each caller puts its own Hermiticity error first.
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise InvalidDensityMatrix(f"expected shape (k, 4, 4), got {rhos.shape}")
-    defect = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2))
-    trace = np.trace(rhos, axis1=1, axis2=2)
+    trace = rhos.trace(axis1=1, axis2=2)
     c = np.einsum("...ij,mnji->...mn", rhos, _BASIS).reshape(-1, 16)
-    residue = np.max(np.abs(c.imag[:, 1:]), axis=1)  # c[:, 0] is the trace
+    residue = np.abs(c.imag[:, 1:]).max(axis=1)  # c[:, 0] is the trace
     c = c.real
-    entries = c[:, 1:]
-    refused = ((defect > HERMITICITY) | (np.abs(trace - 1.0) > TRACE)
-               | (residue > _IMAG_RESIDUE) | ~np.all(np.isfinite(entries), axis=1)
-               | (np.max(np.abs(entries), axis=1) > _PAULI_BOUND))
+    gates = [
+        (np.abs(trace - 1.0) > TRACE, lambda j: InvalidDensityMatrix("trace invariant violated")),
+        (residue > _IMAG_RESIDUE, lambda j: InvalidDensityMatrix(
+            f"Pauli trace has imaginary residue {residue[j]:.3e}")),
+        *_entry_gates(c[:, 1:]),
+    ]
     c = c.reshape(-1, 4, 4)
     s, r, t = (np.ascontiguousarray(a) for a in (c[:, 1:, 0], c[:, 0, 1:], c[:, 1:, 1:]))
-    return s, r, t, ~refused
+    return s, r, t, qmat.hermiticity_defect(rhos), gates
+
+
+def bloch_decompose_stack(rhos: np.ndarray) -> tuple:
+    """The Pauli decomposition of a ``(k, 4, 4)`` stack, as arrays.
+
+    Returns ``(s, r, t)`` with ``s`` and ``r`` of shape ``(k, 3)`` and
+    ``t`` of shape ``(k, 3, 3)``.  The gates, in the order a single state
+    meets them: Hermiticity (HERMITICITY), trace (TRACE), an imaginary
+    Pauli trace residue above 1e-12, and ``BlochForm``'s entry rule
+    (finite, within [-1, 1]).  For the first row that a gate refuses, the
+    first gate refusing it raises: InvalidDensityMatrix, or ValueError
+    from the entry rule.
+    """
+    s, r, t, defect, gates = _decomposition(rhos)
+    _raise_first([(defect > HERMITICITY, lambda j: InvalidDensityMatrix(
+        f"not Hermitian: defect {defect[j]:.3e}")), *gates])
+    return s, r, t
 
 
 def symmetric_form_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``BlochForm.is_symmetric_form`` of each row of a stack, as a ``(k,)`` mask."""
-    return ((np.max(np.abs(r - s), axis=1) <= SYMMETRIC_CONSTRAINTS)
-            & (np.max(np.abs(t - t.swapaxes(1, 2)), axis=(1, 2)) <= SYMMETRIC_CONSTRAINTS)
-            & (np.abs(np.trace(t, axis1=1, axis2=2) - 1.0) <= SYMMETRIC_CONSTRAINTS))
+    """The exchange constraints r = s, T = T^T, tr T = 1 of each row of a
+    stack, within SYMMETRIC_CONSTRAINTS, as a ``(k,)`` mask."""
+    return ((np.abs(r - s).max(axis=1) <= SYMMETRIC_CONSTRAINTS)
+            & (np.abs(t - t.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRIC_CONSTRAINTS)
+            & (np.abs(t.trace(axis1=1, axis2=2) - 1.0) <= SYMMETRIC_CONSTRAINTS))
 
 
 def bloch_compose(form: BlochForm) -> np.ndarray:
@@ -264,9 +289,7 @@ def xform_extract(rho: np.ndarray) -> XForm:
     outside the pattern, or the spread within the middle block, exceeds
     XFORM_PATTERN.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidDensityMatrix(f"expected shape (4, 4), got {rho.shape}")
+    rho = _as_state(rho)
     off = [
         rho[0, 1], rho[0, 2], rho[1, 0], rho[2, 0],
         rho[1, 3], rho[2, 3], rho[3, 1], rho[3, 2],

@@ -155,6 +155,44 @@ class TestHermitianEigenvaluesStack:
             qmat.hermitian_eigenvalues(np.zeros(shape))
 
 
+class TestHermiticityDefect:
+    """One defect rule for one matrix, a stack, and every gate that reads it."""
+
+    def test_stack_is_the_per_matrix_defect(self, rng):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(12)]).reshape(3, 4, 4, 4)
+        stack[1, 2, 0, 3] += 2.5e-7
+        got = qmat.hermiticity_defect(stack)
+        assert got.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            m = stack[idx]
+            assert got[idx] == qmat.hermiticity_defect(m) == np.max(np.abs(m - m.conj().T))
+        assert got[1, 2] == pytest.approx(2.5e-7) and np.count_nonzero(got) == 1
+
+    def test_one_matrix_gives_a_float(self):
+        assert isinstance(qmat.hermiticity_defect(np.eye(3)), float)
+
+    # inf - inf on the diagonal warns before the defect maps its NaN to inf.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value, at", [
+        (np.nan, (2, 2)), (np.nan, (0, 3)), (np.inf, (1, 1)), (-np.inf, (3, 0)),
+        (complex(0.0, np.nan), (1, 2)),
+    ])
+    def test_non_finite_matrix_has_infinite_defect(self, value, at):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[at] = value
+        assert qmat.hermiticity_defect(m) == np.inf
+        stack = np.array([np.eye(4) / 4.0, m, m])
+        assert qmat.hermiticity_defect(stack).tolist() == [0.0, np.inf, np.inf]
+
+    def test_nan_on_the_diagonal_raises_not_hermitian(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[2, 2] = np.nan
+        with pytest.raises(NotHermitian, match=r"^Hermiticity defect inf exceeds tol 1\.0e-10$"):
+            qmat.hermitian_eigenvalues(m)
+        with pytest.raises(NotHermitian, match=r"defect inf exceeds tol .* in matrix 1$"):
+            qmat.hermitian_eigenvalues(np.array([np.eye(4) / 4.0, m]))
+
+
 def bloch_vector(rho):
     return np.array([np.real(np.trace(rho @ s)) for s in qmat.PAULIS])
 

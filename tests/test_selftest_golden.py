@@ -9,8 +9,8 @@ The deviations are rounding noise of matrix products and eigen solves,
 whose last bits depend on the BLAS/LAPACK build and the CPU kernels it
 picks.  So suite names, case and failure counts and the report's words
 are compared exactly and the deviations within ``NOISE``; the bit-for-bit
-claim, stacked invariants equal to scalar ones, is checked on the running
-machine by ``test_stack.py::TestInvarianceSuite``.
+claim, stacked invariants equal to the frozen scalar references, is
+checked on the running machine by ``test_stack.py::TestInvarianceSuite``.
 
 Regenerate the file (only when a change to the reports is intended) with
 ``PYTHONPATH=src python tests/test_selftest_golden.py``.

@@ -205,6 +205,15 @@ class TestCliGenerate:
         assert code == 2
         assert "M" in err
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "dicke.json"
+        code, out, err = run_cli(
+            ["generate", "dicke", "--n", "4", "--m", "1", "--out", str(out_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(out_path) in err
+        assert "Traceback" not in err
+
 
 class TestCliSweep:
     HEADER = ("family,N,M,chi_t,i1,i2,i4,i10,i12,i14,i12_minus_i4sq,"
@@ -257,6 +266,15 @@ class TestCliSweep:
         rows = json.loads(out_path.read_text())
         assert [r["N"] for r in rows] == [4, 8]
         assert rows[0]["criteria"] == ["I12_minus_I4sq_negative"]
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run_cli(
+            ["sweep", "dicke", "--n", "4,8", "--m", "1", "--out", str(out_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(out_path) in err
+        assert "Traceback" not in err
 
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -421,13 +439,18 @@ def profiled_calls(argv, capsys, functions) -> dict:
 
 
 class TestInvariantsDecomposesOnce:
-    """``invariants`` reads a symmetric state's 18 invariants off the evidence of its verdict."""
+    """``invariants`` reads a symmetric state's 18 invariants off the evidence
+    of its verdict: one Pauli decomposition and one contraction per call.
+
+    The decomposition is counted at ``states._decomposition``, the body that
+    ``bloch_decompose_stack`` and ``evidence_stack`` share (the latter
+    needs every gate's mask before either raises)."""
 
     @staticmethod
     def _calls(argv, capsys):
         from qubitpair import invariants, states
 
-        return profiled_calls(argv, capsys, [states.bloch_decompose, invariants.makhlin_all])
+        return profiled_calls(argv, capsys, [states._decomposition, invariants.makhlin_stack])
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "dense"])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
@@ -438,7 +461,7 @@ class TestInvariantsDecomposesOnce:
         else:
             write_state_file(path, matrix=random_density_matrix(rng))
         argv = ["invariants", str(path)] + (["--json"] if as_json else [])
-        assert self._calls(argv, capsys) == {"bloch_decompose": 1, "makhlin_all": 1}
+        assert self._calls(argv, capsys) == {"_decomposition": 1, "makhlin_stack": 1}
 
 
 class TestInvariantsValidatesOnce:
