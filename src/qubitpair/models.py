@@ -77,6 +77,8 @@ class DickeInvariants:
 
 
 def _validate_dicke(n: int, m: float) -> None:
+    if not np.isfinite(m):  # round() below raises OverflowError on inf, ValueError on NaN
+        raise InvalidDicke(f"M must be finite, got M = {m}")
     two_m = 2.0 * m
     if abs(two_m - round(two_m)) > 1e-12:
         raise InvalidDicke(f"2M must be an integer, got M = {m}")

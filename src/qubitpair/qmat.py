@@ -29,8 +29,8 @@ for _m in PAULIS + (IDENTITY_2, _PAULI_STACK):
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 2-D operands; block (i, j) of the result equals a[i, j] * b.
 
-    One broadcast product over the axes ``np.kron`` pairs up, so the result
-    equals ``np.kron(a, b)`` bit for bit without its general-rank set-up.
+    The 2-D case of :func:`kron_stack`, so the result equals ``np.kron(a,
+    b)`` bit for bit without its general-rank set-up.
 
     Raises
     ------
@@ -41,8 +41,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"kron takes 2-D operands, got shapes {a.shape} and {b.shape}")
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    return kron_stack(a, b)
+
+
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of two stacks, matrix by matrix: ``(..., m, n)``
+    and ``(..., p, q)`` to ``(..., m p, n q)``, the leading axes broadcast.
+
+    One broadcast product over the axes ``np.kron`` pairs up, so each
+    matrix of the result equals ``np.kron`` of its pair bit for bit.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(*product.shape[:-4], m * p, n * q)
 
 
 def hermiticity_defect(m: np.ndarray):
@@ -54,7 +67,8 @@ def hermiticity_defect(m: np.ndarray):
     against every band, so each Hermiticity gate would let it through.
     """
     m = np.asarray(m)
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal gives NaN, mapped below
+        defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     return np.fmin(defect, np.inf)  # fmin passes over NaN: NaN -> inf, the rest as is
 
 
@@ -63,11 +77,18 @@ def _not_hermitian(defect, where: str = "") -> NotHermitian:
     return NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {HERMITICITY:.1e}{where}")
 
 
+def unitarity_defect(u: np.ndarray):
+    """Largest entrywise deviation of U U^dag from the identity, for one
+    ``(n, n)`` matrix (a float) or each matrix of a ``(..., n, n)`` stack."""
+    u = np.asarray(u, dtype=complex)
+    return np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max(axis=(-2, -1))
+
+
 def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u))))) <= UNITARITY
+    return float(unitarity_defect(u)) <= UNITARITY
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -135,24 +156,32 @@ def su2_to_so3(u: np.ndarray) -> np.ndarray:
 
 
 def haar_su2(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random SU(2) element via a uniform unit quaternion.
+    """Haar-random SU(2) element: :func:`su2_from_normals` of one draw of
+    four standard normals.  Deterministic for a given generator state."""
+    return su2_from_normals(rng.normal(size=4))
+
+
+def su2_from_normals(v: np.ndarray) -> np.ndarray:
+    """Special unitaries from standard normals: ``(..., 4)`` to ``(..., 2, 2)``.
 
     A standard-normal 4-vector normalized to the unit 3-sphere is Haar
     uniform on SU(2); the map below sends the quaternion (a, b, c, d) to
     ``[[a+ib, c+id], [-c+id, a-ib]]``, whose determinant is exactly
-    a^2+b^2+c^2+d^2 = 1.  Deterministic for a given generator state.
+    a^2+b^2+c^2+d^2 = 1.  Each row is normalized as ``np.linalg.norm``
+    normalizes one vector, with a dot product: ``norm(v, axis=-1)``
+    rounds differently on about one draw in five.
     """
-    v = rng.normal(size=4)
-    v = v / np.linalg.norm(v)
-    a, b, c, d = v
-    return np.array(
-        [[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]], dtype=complex
-    )
+    v = np.asarray(v, dtype=float)
+    v = v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    a, b, c, d = np.moveaxis(v, -1, 0)
+    u = np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b], axis=-1)
+    return u.reshape(*v.shape[:-1], 2, 2)
 
 
 def require_unitary(u: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return ``u`` as a complex array, raising NotUnitary on gate failure."""
+    """Return ``u``, one square matrix or a ``(..., n, n)`` stack, as a
+    complex array; NotUnitary if any matrix fails the gate."""
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u):
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2] or not np.all(unitarity_defect(u) <= UNITARITY):
         raise NotUnitary(f"{name} is not unitary within tol {UNITARITY:.1e}")
     return u

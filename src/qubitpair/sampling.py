@@ -12,10 +12,21 @@ from .states import TRIPLET_BASIS, XForm
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Hilbert-Schmidt random state: G G^dag / tr for a complex Ginibre G."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    """Hilbert-Schmidt random state: :func:`hilbert_schmidt_states` of one
+    ``(2, dim, dim)`` draw of standard normals."""
+    return hilbert_schmidt_states(rng.normal(size=(2, dim, dim)))
+
+
+def hilbert_schmidt_states(normals: np.ndarray) -> np.ndarray:
+    """States G G^dag / tr from standard normals: ``(..., 2, d, d)`` to ``(..., d, d)``.
+
+    Normals ``[..., 0]`` and ``[..., 1]`` are the real and imaginary parts
+    of the complex Ginibre matrix G.
+    """
+    normals = np.asarray(normals, dtype=float)
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / rho.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_symmetric_density_matrix(rng: np.random.Generator) -> np.ndarray:

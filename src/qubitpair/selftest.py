@@ -10,17 +10,22 @@ Three suites mirror the library's central guarantees:
   criteria signs agree with the partial-transpose signs and the
   closed-form PT spectrum matches the numeric one.
 
-Each suite draws its states one by one, in a fixed order, and then
-evaluates them as stacks through the one Pauli decomposition
+The suites take their draws from one generator in a fixed order, on the
+stream the public scalar samplers would take draw by draw, and evaluate
+them as stacks through the one Pauli decomposition
 ``states.bloch_decompose_stack`` and the one contraction
 ``invariants.makhlin_stack`` (``bloch_decompose`` and ``makhlin_all``, and
-so ``classify``, are their one-row cases).  The invariance suite
-decomposes all of its states, references and rotations, as one ``(2
-count, 4, 4)`` stack.  The positivity suite decomposes each draw with
-``bloch_decompose`` and contracts them as one stack.  The X-form suite
-solves the partial transposes of all its cases in one batched eigen
-solve; its closed forms, ``xform_pt_eigenvalues`` and
-``xform_equivalence_check``, are what it tests, and they run per draw.
+so ``classify``, are their one-row cases).  The invariance suite draws
+all of its normals as one block and builds its states, references and
+rotations, as one ``(2 count, 4, 4)`` stack, which it decomposes at
+once.  The positivity suite makes its sampler calls per draw, builds all
+of its separable states at once, decomposes each with
+``bloch_decompose`` and contracts them as one stack.  Each stacked state
+equals the scalar sampler's state bit for bit.  The X-form suite draws
+its forms one by one and solves the partial transposes of all its cases
+in one batched eigen solve; its closed forms, ``xform_pt_eigenvalues``
+and ``xform_equivalence_check``, are what it tests, and they run per
+draw.
 
 Deterministic for a fixed seed.  On the first violation the offending
 state is serialized for reproduction.
@@ -34,11 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariants as invariants_mod
-from .qmat import haar_su2, hermitian_eigenvalues
-from .sampling import random_density_matrix, random_xform
+from .qmat import hermitian_eigenvalues, su2_from_normals
+from .sampling import hilbert_schmidt_states, random_xform
 from .separability import (
-    _criteria_columns, partial_transpose, sample_separable_symmetric, xform_equivalence_check,
-    xform_pt_eigenvalues,
+    _ball_points, _criteria_columns, _ensemble_draw, partial_transpose, separable_mixtures,
+    xform_equivalence_check, xform_pt_eigenvalues,
 )
 from .states import apply_local_unitary, bloch_decompose, bloch_decompose_stack
 from .stateio import write_state_file
@@ -47,6 +52,8 @@ from .tolerances import INVARIANCE_ABS, INVARIANCE_REL, SIGN_ZERO_BAND
 COUNTEREXAMPLE_FILENAME = "selftest_counterexample.json"
 
 _I4_FLOOR = 1e-8
+# The positivity suite's ensembles have 1 to _MAX_TERMS terms.
+_MAX_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -82,16 +89,47 @@ class _CounterexampleWriter:
         self.path = path
 
 
+def _invariance_states(count, rng) -> np.ndarray:
+    """The invariance suite's draws as one ``(2 count, 4, 4)`` stack: each
+    Hilbert-Schmidt state next to its copy rotated by two Haar SU(2)
+    factors, equal bit for bit to the scalar samplers called draw by draw.
+
+    A draw takes 40 standard normals in the order those samplers take
+    them, 32 for the Ginibre matrix and 4 for each factor, so one
+    ``(count, 40)`` block is the same stream.
+    """
+    normals = rng.normal(size=(count, 40))
+    rhos = hilbert_schmidt_states(normals[:, :32].reshape(count, 2, 4, 4))
+    u1, u2 = su2_from_normals(normals[:, 32:36]), su2_from_normals(normals[:, 36:])
+    return np.stack([rhos, apply_local_unitary(rhos, u1, u2)], axis=1).reshape(-1, 4, 4)
+
+
+def _positivity_states(count, rng) -> np.ndarray:
+    """The positivity suite's draws as one ``(count, 4, 4)`` stack, equal bit
+    for bit to ``sample_separable_symmetric`` called draw by draw.
+
+    Each draw makes that sampler's calls on the generator, in its order
+    and sizes; the Bloch vectors and the states are then built for all
+    draws at once, each ensemble padded with zeros to _MAX_TERMS terms.
+    """
+    lengths = np.zeros(count, dtype=int)
+    weights = np.zeros((count, _MAX_TERMS))
+    normals = np.zeros((count, _MAX_TERMS, 3))
+    uniforms = np.zeros((count, _MAX_TERMS))
+    for j in range(count):
+        n = lengths[j] = int(rng.integers(1, _MAX_TERMS + 1))
+        weights[j, :n], normals[j, :n], uniforms[j, :n] = _ensemble_draw(n, rng)
+    terms = np.arange(_MAX_TERMS) < lengths[:, None]
+    vectors = np.zeros((count, _MAX_TERMS, 3))
+    vectors[terms] = _ball_points(normals[terms], uniforms[terms])
+    return separable_mixtures(weights, vectors)
+
+
 def _suite_invariance(count, rng, writer) -> SuiteResult:
     # Each draw's reference and rotated state sit side by side in one
-    # (2 count, 4, 4) stack, so a refusal raises the error of the first
-    # refused state in the order the draws were made.
-    states = []
-    for _ in range(count):
-        rho = random_density_matrix(rng)
-        u1, u2 = haar_su2(rng), haar_su2(rng)
-        states += [rho, apply_local_unitary(rho, u1, u2)]
-    states = np.array(states).reshape(-1, 4, 4)
+    # stack, so a refusal raises the error of the first refused state in
+    # the order the draws were made.
+    states = _invariance_states(count, rng)
     inv = invariants_mod.makhlin_stack(*bloch_decompose_stack(states))
     ref, rotated = inv[0::2], inv[1::2]
     # Normalizing by max(|I|, ABS/REL) folds the absolute floor into one
@@ -111,11 +149,8 @@ def _suite_positivity(count, rng, writer) -> SuiteResult:
     # (perfbench/test_perfbench.py) plants its unwrapped site on this
     # module's bloch_decompose and needs one call per draw.  The
     # contraction is one stack.
-    states, forms = [], []
-    for _ in range(count):
-        rho, _ = sample_separable_symmetric(int(rng.integers(1, 7)), rng)
-        states.append(rho)
-        forms.append(bloch_decompose(rho))
+    states = _positivity_states(count, rng)
+    forms = [bloch_decompose(rho) for rho in states]
     # Mixed product factors carry singlet weight, so the full set is read
     # without the exchange-constraint gate.
     inv = invariants_mod.makhlin_stack(

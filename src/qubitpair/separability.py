@@ -99,7 +99,12 @@ class EvidenceStack:
 
 @dataclass(frozen=True)
 class SeparableEnsemble:
-    """Convex mixture of identical product states: weights and Bloch vectors."""
+    """Convex mixture of identical product states: weights and Bloch vectors.
+
+    The weights must be finite, non-negative and sum to 1 within 1e-12,
+    and the vectors finite and within the unit ball (1 + 1e-12); a
+    violation raises ValueError.
+    """
 
     weights: np.ndarray
     bloch_vectors: np.ndarray
@@ -109,34 +114,70 @@ class SeparableEnsemble:
         v = np.asarray(self.bloch_vectors, dtype=float)
         if w.ndim != 1 or v.shape != (w.size, 3):
             raise ValueError("need weights (n,) and bloch_vectors (n, 3)")
-        if np.any(w < 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError("weights must be non-negative and sum to 1")
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(norms > 1.0 + 1e-12):
-            raise ValueError("Bloch vectors must lie in the unit ball")
+        _raise_first(_ensemble_gates(w[None], v[None]))
         w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bloch_vectors", v)
 
     def to_state(self) -> np.ndarray:
-        """Assemble sum_w p_w rho_w (x) rho_w; separable and symmetric by construction.
+        """Assemble sum_w p_w rho_w (x) rho_w; separable and symmetric by
+        construction.  The one-ensemble case of :func:`separable_mixtures`."""
+        return _mixture_states(self.weights[None], self.bloch_vectors[None])[0]
 
-        All factors rho_w and products rho_w (x) rho_w are built at once; the
-        weighted terms are then added from zero in ensemble order.  The
-        products must be laid out as ``qmat.kron`` lays out one, axis for
-        axis, so the state equals the term-by-term ``qmat.kron`` sum bit
-        for bit.
-        """
-        v = self.bloch_vectors[:, :, None, None]
-        singles = 0.5 * (
-            qmat.IDENTITY_2
-            + v[:, 0] * qmat.SIGMA_X
-            + v[:, 1] * qmat.SIGMA_Y
-            + v[:, 2] * qmat.SIGMA_Z
-        )
-        products = (singles[:, :, None, :, None] * singles[:, None, :, None, :]).reshape(-1, 4, 4)
-        return sum(self.weights[:, None, None] * products, np.zeros((4, 4), dtype=complex))
+
+def _ensemble_gates(weights: np.ndarray, vectors: np.ndarray) -> list:
+    """``SeparableEnsemble``'s rule on k ensembles, ``(k, n)`` weights and
+    ``(k, n, 3)`` vectors, in ``_raise_first``'s form.  Zero padding
+    (zero weights, zero vectors) passes every gate and leaves each sum as
+    it is."""
+    finite = np.isfinite(weights).all(axis=1) & np.isfinite(vectors).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf in a refused row's sum
+        total = weights.sum(axis=1)
+    norms = np.linalg.norm(vectors, axis=2)
+    return [
+        (~finite, lambda j: ValueError("weights and Bloch vectors must be finite")),
+        ((weights < 0.0).any(axis=1) | (np.abs(total - 1.0) > 1e-12),
+         lambda j: ValueError("weights must be non-negative and sum to 1")),
+        ((norms > 1.0 + 1e-12).any(axis=1),
+         lambda j: ValueError("Bloch vectors must lie in the unit ball")),
+    ]
+
+
+def _mixture_states(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The states of :func:`separable_mixtures`, without its gates.
+
+    All factors rho_w and products rho_w (x) rho_w are built at once, each
+    product laid out as ``qmat.kron`` lays out one, and the weighted terms
+    are added from zero in ensemble order.  So each state equals the
+    term-by-term ``qmat.kron`` sum bit for bit, padding included: a
+    zero-weight term is +-0 throughout, and adding +-0 leaves every bit of
+    a sum that started from +0 as it is, since such a sum is never -0.
+    """
+    v = vectors[..., None, None]
+    singles = 0.5 * (
+        qmat.IDENTITY_2
+        + v[..., 0, :, :] * qmat.SIGMA_X
+        + v[..., 1, :, :] * qmat.SIGMA_Y
+        + v[..., 2, :, :] * qmat.SIGMA_Z
+    )
+    terms = weights[..., None, None] * qmat.kron_stack(singles, singles)
+    return sum(terms.swapaxes(0, 1), np.zeros((len(weights), 4, 4), dtype=complex))
+
+
+def separable_mixtures(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The states of k ensembles as one ``(k, 4, 4)`` stack.
+
+    Row j of ``weights`` ``(k, n)`` and ``vectors`` ``(k, n, 3)`` holds one
+    ensemble, padded to n terms with zero weights and zero vectors; row j
+    of the result equals ``SeparableEnsemble`` of the unpadded terms,
+    ``.to_state()``, bit for bit.  The first row that breaks the ensemble
+    rule raises its ValueError.
+    """
+    weights = np.asarray(weights, dtype=float)
+    vectors = np.asarray(vectors, dtype=float)
+    _raise_first(_ensemble_gates(weights, vectors))
+    return _mixture_states(weights, vectors)
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
@@ -299,13 +340,25 @@ def sample_separable_symmetric(
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    w = rng.exponential(size=n_terms)
-    w /= np.sum(w)
-    directions = rng.normal(size=(n_terms, 3))
-    directions /= np.linalg.norm(directions, axis=1)[:, None]
-    radii = rng.uniform(size=n_terms) ** (1.0 / 3.0)
-    ensemble = SeparableEnsemble(weights=w, bloch_vectors=directions * radii[:, None])
+    w, normals, uniforms = _ensemble_draw(n_terms, rng)
+    ensemble = SeparableEnsemble(weights=w, bloch_vectors=_ball_points(normals, uniforms))
     return ensemble.to_state(), ensemble
+
+
+def _ensemble_draw(n_terms: int, rng: np.random.Generator) -> tuple:
+    """The sampler calls of one ensemble, in stream order: the weights,
+    normalized, and the normals and uniforms of :func:`_ball_points`."""
+    w = rng.exponential(size=n_terms)
+    normals = rng.normal(size=(n_terms, 3))
+    uniforms = rng.uniform(size=n_terms)
+    return w / np.sum(w), normals, uniforms
+
+
+def _ball_points(normals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Points uniform in the unit ball: the ``(..., 3)`` normals' directions
+    times the cube roots of the ``(...)`` uniforms."""
+    directions = normals / np.linalg.norm(normals, axis=-1)[..., None]
+    return directions * (uniforms ** (1.0 / 3.0))[..., None]
 
 
 def xform_equivalence_check(x: XForm) -> bool:

@@ -309,10 +309,14 @@ def xform_extract(rho: np.ndarray) -> XForm:
 def apply_local_unitary(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Conjugate by U1 (x) U2.
 
-    Trace-preserving; the Bloch parameters transform as s' = O(U1) s,
-    r' = O(U2) r and T' = O(U1) T O(U2)^T for special-unitary factors.
+    Takes one state and two 2x2 unitaries, or stacks of them: ``rho``
+    ``(..., 4, 4)`` and ``u1``, ``u2`` ``(..., 2, 2)``, the leading axes
+    broadcast.  Each matrix of the result equals the one-state result bit
+    for bit.  Trace-preserving; the Bloch parameters transform as
+    s' = O(U1) s, r' = O(U2) r and T' = O(U1) T O(U2)^T for
+    special-unitary factors.
     """
     u1 = qmat.require_unitary(u1, name="u1")
     u2 = qmat.require_unitary(u2, name="u2")
-    u = qmat.kron(u1, u2)
-    return u @ np.asarray(rho, dtype=complex) @ u.conj().T
+    u = qmat.kron_stack(u1, u2)
+    return u @ np.asarray(rho, dtype=complex) @ u.conj().swapaxes(-1, -2)

@@ -46,6 +46,12 @@ class TestDickePair:
         with pytest.raises(InvalidDicke):
             dicke_pair(n, m)
 
+    @pytest.mark.parametrize("m", [np.inf, -np.inf, np.nan])
+    def test_non_finite_m_is_invalid(self, m):
+        for build in (dicke_pair, dicke_invariants):
+            with pytest.raises(InvalidDicke, match="^M must be finite"):
+                build(4, m)
+
 
 class TestDickeInvariants:
     def test_n4_m1(self):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qubitpair import qmat
-from qubitpair.errors import NotHermitian, NotSpecialUnitary
+from qubitpair.errors import NotHermitian, NotSpecialUnitary, NotUnitary
 
 
 def random_hermitian(rng, n):
@@ -54,6 +54,16 @@ class TestKron:
             got, want = qmat.kron(a, b), np.kron(a, b)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_stack_is_the_kron_of_each_pair(self, rng):
+        a = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+        b = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+        got = qmat.kron_stack(a, b)
+        assert got.shape == (6, 4, 4)
+        for g, x, y in zip(got, a, b):
+            assert np.array_equal(g.view(np.uint64), qmat.kron(x, y).view(np.uint64))
+        # Leading axes broadcast: one matrix against a stack.
+        assert np.array_equal(qmat.kron_stack(a[0], b)[3], qmat.kron(a[0], b[3]))
 
     @pytest.mark.parametrize("a, b", [
         (np.ones(2), np.eye(2)), (np.eye(2), np.ones((2, 2, 2))), (np.array(1.0), np.eye(2)),
@@ -171,8 +181,8 @@ class TestHermiticityDefect:
     def test_one_matrix_gives_a_float(self):
         assert isinstance(qmat.hermiticity_defect(np.eye(3)), float)
 
-    # inf - inf on the diagonal warns before the defect maps its NaN to inf.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # inf - inf on the diagonal makes a NaN, which the defect maps to inf
+    # without a RuntimeWarning (the test configuration turns one into an error).
     @pytest.mark.parametrize("value, at", [
         (np.nan, (2, 2)), (np.nan, (0, 3)), (np.inf, (1, 1)), (-np.inf, (3, 0)),
         (complex(0.0, np.nan), (1, 2)),
@@ -195,6 +205,28 @@ class TestHermiticityDefect:
 
 def bloch_vector(rho):
     return np.array([np.real(np.trace(rho @ s)) for s in qmat.PAULIS])
+
+
+class TestUnitarityGate:
+    def test_stack_defect_is_the_per_matrix_defect(self, rng):
+        stack = np.array([qmat.haar_su2(rng) for _ in range(5)])
+        stack[3, 0, 1] += 1e-3
+        defect = qmat.unitarity_defect(stack)
+        assert defect.shape == (5,)
+        for d, u in zip(defect, stack):
+            assert d == qmat.unitarity_defect(u) == np.max(np.abs(u @ u.conj().T - np.eye(2)))
+        assert np.flatnonzero(defect > 1e-6).tolist() == [3]
+
+    def test_require_unitary_refuses_a_stack_with_one_bad_matrix(self, rng):
+        stack = np.array([qmat.haar_su2(rng) for _ in range(5)])
+        assert qmat.require_unitary(stack, name="u1") is stack  # already complex: no copy
+        stack[4, 1, 1] = np.nan
+        with pytest.raises(NotUnitary, match="^u1 is not unitary"):
+            qmat.require_unitary(stack, name="u1")
+
+    def test_is_unitary_takes_one_matrix_only(self):
+        assert qmat.is_unitary(qmat.IDENTITY_2)
+        assert not qmat.is_unitary(np.array([qmat.IDENTITY_2] * 2))
 
 
 class TestSu2ToSo3:
@@ -250,6 +282,19 @@ class TestHaarSu2:
             assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
             det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
             assert abs(det - 1.0) < 1e-12
+
+    def test_rows_are_the_one_vector_normalization(self, rng):
+        # A frozen copy of the one-draw sampler before it took stacks:
+        # np.linalg.norm of one vector is a BLAS dot product.
+        def one_draw(v):
+            a, b, c, d = v / np.linalg.norm(v)
+            return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]], dtype=complex)
+
+        normals = rng.normal(size=(4000, 4))
+        got = qmat.su2_from_normals(normals.reshape(40, 100, 4)).reshape(-1, 2, 2)
+        for u, v in zip(got, normals):
+            assert np.array_equal(u.view(np.uint64), one_draw(v).view(np.uint64))
+        assert qmat.su2_from_normals(normals[0]).shape == (2, 2)
 
     def test_haar_moment(self):
         # E|U_00|^2 = 1/2 for Haar on SU(2).

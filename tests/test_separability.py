@@ -18,12 +18,14 @@ from qubitpair.separability import (
     CRITERION_I12_MINUS_I4SQ,
     CRITERION_I14,
     SeparableEnsemble,
+    _mixture_states,
     classify,
     evidence,
     invariant_criteria,
     partial_transpose,
     ppt_check,
     sample_separable_symmetric,
+    separable_mixtures,
     xform_equivalence_check,
     xform_pt_eigenvalues,
 )
@@ -230,6 +232,16 @@ class TestSeparableEnsemble:
         with pytest.raises(ValueError):
             SeparableEnsemble(weights=np.array([1.0]), bloch_vectors=np.array([[1.2, 0, 0]]))
 
+    @pytest.mark.parametrize("weights, vectors", [
+        ([np.nan], [[0.1, 0.2, 0.3]]),
+        ([1.0], [[np.nan, 0.2, 0.3]]),
+        ([0.5, 0.5], [[0.1, 0.2, 0.3], [0.0, np.inf, 0.0]]),
+        ([np.inf, -np.inf], [[0.0, 0.0, 0.0]] * 2),
+    ])
+    def test_non_finite_entries_rejected(self, weights, vectors):
+        with pytest.raises(ValueError, match="^weights and Bloch vectors must be finite$"):
+            SeparableEnsemble(weights=np.array(weights), bloch_vectors=np.array(vectors))
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
         st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
@@ -249,6 +261,46 @@ class TestSeparableEnsemble:
                             + vec[1] * qmat.SIGMA_Y + vec[2] * qmat.SIGMA_Z)
             loop += p * np.kron(single, single)
         assert np.array_equal(ens.to_state().view(np.uint64), loop.view(np.uint64))
+
+
+class TestSeparableMixtures:
+    """``SeparableEnsemble`` is the one-ensemble case of ``separable_mixtures``."""
+
+    def test_padded_rows_are_the_ensemble_states(self, rng):
+        lengths = np.array([1, 6, 3, 2, 6, 4])
+        weights, vectors = np.zeros((6, 6)), np.zeros((6, 6, 3))
+        ensembles = [sample_separable_symmetric(int(n), rng)[1] for n in lengths]
+        for j, ens in enumerate(ensembles):
+            weights[j, :lengths[j]], vectors[j, :lengths[j]] = ens.weights, ens.bloch_vectors
+        got = separable_mixtures(weights, vectors)
+        for state, ens in zip(got, ensembles):
+            assert np.array_equal(state.view(np.uint64), ens.to_state().view(np.uint64))
+
+    def test_zero_weight_padding_changes_no_bit(self, rng):
+        # The sum starts from +0 and is never -0, so adding a term that is
+        # +-0 throughout leaves it as it is, signed zeros included.
+        values = np.array([0.0, -0.0, 0.25, -0.5, 1.0])
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            weights, vectors = np.zeros((1, 6)), rng.choice(values, size=(1, 6, 3))
+            weights[0, :n] = rng.choice(values, size=n)
+            padded = _mixture_states(weights, vectors)
+            alone = _mixture_states(weights[:, :n], vectors[:, :n])
+            assert np.array_equal(padded.view(np.uint64), alone.view(np.uint64))
+
+    def test_first_refused_row_raises_its_error(self):
+        weights = np.array([[1.0, 0.0], [0.6, 0.6], [np.nan, 0.0]])
+        vectors = np.zeros((3, 2, 3))
+        vectors[1, 0, 0] = 1.5
+        with pytest.raises(ValueError, match="^weights must be non-negative and sum to 1$"):
+            separable_mixtures(weights, vectors)
+        with pytest.raises(ValueError, match="^weights and Bloch vectors must be finite$"):
+            separable_mixtures(weights[[0, 2]], vectors[[0, 2]])
+        with pytest.raises(ValueError, match="^Bloch vectors must lie in the unit ball$"):
+            separable_mixtures(weights[:1], vectors[[1]])
+
+    def test_no_ensembles_make_an_empty_stack(self):
+        assert separable_mixtures(np.zeros((0, 6)), np.zeros((0, 6, 3))).shape == (0, 4, 4)
 
 
 class TestSampleSeparableSymmetric:

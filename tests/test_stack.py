@@ -13,20 +13,21 @@ of zero, and ``reference_evidence`` built from them.  Its refusals are
 pinned to a table of the class and message each gate raised.
 """
 
-import itertools
 import re
 from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubitpair import cli, selftest
 from qubitpair.errors import I4Zero, InvalidDensityMatrix, NotHermitian, NotSymmetricState
 from qubitpair.invariants import InvariantSet, SymmetricSix, makhlin_all, makhlin_stack
 from qubitpair.models import dicke_pair, ising_pair, oat_pair
-from qubitpair.sampling import random_density_matrix, random_symmetric_density_matrix, random_xform
+from qubitpair.sampling import (
+    hilbert_schmidt_states, random_density_matrix, random_symmetric_density_matrix, random_xform,
+)
 from qubitpair.separability import (
     CRITERIA,
     SeparableEnsemble,
@@ -475,6 +476,41 @@ def assert_same_matrix(got, want):
     assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
+class TestSuiteDraws:
+    """The invariance and positivity suites build their draws as stacks, on
+    the stream the scalar samplers take draw by draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 50))
+    @example(5, 0)
+    def test_stacked_draws_are_the_scalar_replay_bit_for_bit(self, seed, count):
+        invariance, separable, xforms = suite_draws(seed, count)
+        rng = np.random.default_rng(seed)
+        pairs = selftest._invariance_states(count, rng)
+        states = selftest._positivity_states(count, rng)
+        assert pairs.shape == (2 * count, 4, 4) and states.shape == (count, 4, 4)
+        for j, (rho, rotated) in enumerate(invariance):
+            assert_same_matrix(pairs[2 * j], rho)
+            assert_same_matrix(pairs[2 * j + 1], rotated)
+        for got, want in zip(states, separable):
+            assert_same_matrix(got, want)
+        # The X-form suite draws on from where the stacks leave the stream.
+        assert [random_xform(rng) for _ in range(count)] == xforms
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_ginibre_rows_are_the_one_draw_formula(self, rng, dim):
+        # A frozen copy of the one-draw sampler before it took stacks.
+        def one_draw(re, im):
+            g = re + 1j * im
+            rho = g @ g.conj().T
+            return rho / np.trace(rho).real
+
+        normals = rng.normal(size=(300, 2, dim, dim))
+        got = hilbert_schmidt_states(normals.reshape(30, 10, 2, dim, dim)).reshape(-1, dim, dim)
+        for rho, (re, im) in zip(got, normals):
+            assert_same_matrix(rho, one_draw(re, im))
+
+
 class TestInvarianceSuite:
     """The self-test's invariance suite evaluates every draw as one stack."""
 
@@ -521,13 +557,14 @@ class TestInvarianceSuite:
         seed, count = 5, 20
         bad = suite_draws(seed, count)[0][j][0].copy()
         bad[0, 1] += 1e-6  # no longer Hermitian
-        real, draw = selftest.random_density_matrix, itertools.count()
+        real = selftest.hilbert_schmidt_states
 
-        def sampler(rng):
-            rho = real(rng)
-            return bad if next(draw) == j else rho
+        def states(normals):
+            rhos = real(normals)
+            rhos[j] = bad
+            return rhos
 
-        monkeypatch.setattr(selftest, "random_density_matrix", sampler)
+        monkeypatch.setattr(selftest, "hilbert_schmidt_states", states)
         with raises_exactly(DECOMPOSITION_ERRORS["hermiticity"]):
             selftest.run_selftest(seed, count, out_dir=str(tmp_path))
 
@@ -636,14 +673,13 @@ class TestPositivitySuite:
     def _run_with_draws(replace, monkeypatch, tmp_path):
         """Run the suite (seed 5, count 20) with draw j replaced by
         ``replace(j, rho)``; return its result and the states it read."""
-        real, draw, states = selftest.sample_separable_symmetric, itertools.count(), []
+        real, states = selftest.separable_mixtures, []
 
-        def sampler(n_terms, rng):
-            rho, ensemble = real(n_terms, rng)
-            states.append(replace(next(draw), rho))
-            return states[-1], ensemble
+        def mixtures(weights, vectors):
+            states.extend(replace(j, rho) for j, rho in enumerate(real(weights, vectors)))
+            return np.array(states)
 
-        monkeypatch.setattr(selftest, "sample_separable_symmetric", sampler)
+        monkeypatch.setattr(selftest, "separable_mixtures", mixtures)
         return selftest.run_selftest(5, 20, out_dir=str(tmp_path)).suites[1], states
 
     def test_a_draw_with_i4_below_the_floor_is_no_case(self, tmp_path, monkeypatch):
@@ -671,13 +707,14 @@ class TestPositivitySuite:
         seed, count = 5, 20
         bad = suite_draws(seed, count)[1][j].copy()
         bad[0, 1] += 1e-6  # no longer Hermitian
-        real, draw = selftest.sample_separable_symmetric, itertools.count()
+        real = selftest.separable_mixtures
 
-        def sampler(n_terms, rng):
-            rho, ensemble = real(n_terms, rng)
-            return (bad if next(draw) == j else rho), ensemble
+        def mixtures(weights, vectors):
+            rhos = real(weights, vectors)
+            rhos[j] = bad
+            return rhos
 
-        monkeypatch.setattr(selftest, "sample_separable_symmetric", sampler)
+        monkeypatch.setattr(selftest, "separable_mixtures", mixtures)
         with raises_exactly(DECOMPOSITION_ERRORS["hermiticity"]):
             selftest.run_selftest(seed, count, out_dir=str(tmp_path))
 

@@ -205,6 +205,12 @@ class TestCliGenerate:
         assert code == 2
         assert "M" in err
 
+    @pytest.mark.parametrize("m", ["inf", "-inf", "nan"])
+    def test_non_finite_m_exit_2(self, m, capsys):
+        code, out, err = run_cli(["generate", "dicke", "--n", "4", f"--m={m}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: M must be finite, got M = {m}\n"
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "dicke.json"
         code, out, err = run_cli(
@@ -275,6 +281,18 @@ class TestCliSweep:
         assert out == ""
         assert err.startswith("error: ") and str(out_path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, m", [
+        ("--m", "inf", "inf"), ("--m", "nan", "nan"), ("--m-ratio", "inf", "inf"),
+        ("--m-ratio", "-inf", "-inf"), ("--m-ratio", "nan", "nan"),
+    ])
+    def test_non_finite_m_exit_2(self, flag, value, m, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            ["sweep", "dicke", "--n", "4", f"{flag}={value}", "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: M must be finite, got M = {m}\n"
+        assert not out_path.exists()
 
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         code, _, _ = run_cli(

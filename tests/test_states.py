@@ -191,6 +191,24 @@ class TestApplyLocalUnitary:
         with pytest.raises(NotUnitary):
             apply_local_unitary(ket00, np.ones((2, 2)), qmat.IDENTITY_2)
 
+    def test_stack_is_each_state_conjugated_alone(self, rng):
+        rhos = np.array([random_density_matrix(rng) for _ in range(8)])
+        u1 = np.array([qmat.haar_su2(rng) for _ in range(8)])
+        u2 = np.array([qmat.haar_su2(rng) for _ in range(8)])
+        got = apply_local_unitary(rhos, u1, u2)
+        assert got.shape == (8, 4, 4)
+        for g, rho, a, b in zip(got, rhos, u1, u2):
+            assert np.array_equal(g.view(np.uint64), apply_local_unitary(rho, a, b).view(np.uint64))
+        # One state under a stack of rotations.
+        assert np.array_equal(apply_local_unitary(rhos[0], u1, u2[0])[5],
+                              apply_local_unitary(rhos[0], u1[5], u2[0]))
+
+    def test_stack_with_one_non_unitary_factor_is_refused(self, rng):
+        u2 = np.array([qmat.haar_su2(rng) for _ in range(4)])
+        u2[2] *= 1.01
+        with pytest.raises(NotUnitary, match="^u2 "):
+            apply_local_unitary(random_density_matrix(rng), qmat.IDENTITY_2, u2)
+
 
 class TestAssertDensityMatrix:
     def test_accepts_random_states(self, rng):
