@@ -18,20 +18,25 @@ import numpy as np
 
 from .errors import NotSymmetricState, NotXForm, QubitPairError
 from .invariants import makhlin_all, xform_invariants
-from .models import FAMILIES, dicke_pair, ising_pair, oat_pair
+from .models import FAMILIES, pair_parameters
 from .selftest import format_report, run_selftest
 from .separability import (
     CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classify_valid, classify, evidence_stack,
 )
-from .states import bloch_decompose, xform_extract
+from .states import XForm, bloch_decompose, xform_extract, xform_matrices
 from .stateio import read_state_file, state_payload, write_state_file
 
 #: Sweep columns: the CSV header, the order of each CSV line and of each JSON
-#: row's keys.  Columns 4..11 are the floats printed with ``_fmt``.
+#: row's keys.  Columns 4..11 are the evidence floats.
 SWEEP_COLUMNS = (
     "family", "N", "M", "chi_t", "i1", "i2", "i4", "i10", "i12", "i14",
     "i12_minus_i4sq", "ppt_min_eig", "verdict", "criteria",
 )
+
+
+#: The fired criteria of each 3-bit mask (bit i is ``CRITERIA[i]``), sorted.
+_CRITERIA_SETS = [sorted(name for bit, name in enumerate(CRITERIA) if mask >> bit & 1)
+                  for mask in range(8)]
 
 
 def _fmt(x: float) -> str:
@@ -123,24 +128,11 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _family_pair(family: str, n: int, m, chi_t, paper_literal: bool):
-    """X-pattern pair of one grid point of ``family``.
-
-    ``m`` is read by dicke only, ``chi_t`` by oat and ising, and
-    ``paper_literal`` by oat only; ``_sweep_grid`` rejects the rest.
-    """
-    if family == "dicke":
-        return dicke_pair(n, m)
-    if family == "oat":
-        return oat_pair(n, chi_t, paper_literal=paper_literal)
-    return ising_pair(n, chi_t)
-
-
 def cmd_generate(args) -> int:
     points = _sweep_grid(args)
     if len(points) != 1:
         raise ValueError(f"generate takes one grid point, got {len(points)}")
-    x = _family_pair(args.family, *points[0], args.paper_literal)
+    x = XForm(*(v.item() for v in pair_parameters(args.family, points, args.paper_literal)))
     if args.out:
         write_state_file(args.out, xform=x)
         print(f"wrote {args.out}: a={_fmt(x.a)} b_re={_fmt(x.b.real)} "
@@ -204,63 +196,55 @@ def _sweep_grid(args) -> list:
     return [(n, None, chit) for n in ns for chit in _parse_float_list(args.chit)]
 
 
-def _sweep_rows(family: str, points: list, paper_literal: bool) -> list:
-    """The grid's rows, each keyed by SWEEP_COLUMNS.
+def _sweep_text(family: str, points: list, ev, as_json: bool) -> str:
+    """The sweep file of a grid's points and their ``EvidenceStack``.
 
-    Each point's pair is built as ``generate`` builds it; the pairs are
-    then evaluated as one stack.  The model pairs are valid X-pattern
-    states by construction, so the rows take ``evidence_stack`` without
-    ``classify``'s gates, and a criterion that fires inside the PT band is
-    written out instead of raised.  Cells are Python ints, floats and
-    strings, which ``json`` writes.
+    Each row is one format string filled straight from the evidence arrays.
+    CSV cells are ``_fmt``'s 17 digits.  JSON is the text ``json.dump(rows,
+    indent=2)`` writes of the rows as dicts keyed by SWEEP_COLUMNS, floats
+    as ``repr``.
     """
-    ev = evidence_stack(np.array([
-        _family_pair(family, n, m, chi_t, paper_literal).to_matrix() for n, m, chi_t in points
-    ]))
+    num, none, quoted = ("%r", "null", '"%s"') if as_json else ("%.17g", "", "%s")
+    cells = (quoted, "%d", "%s", "%s", *[num] * 8, quoted, "%s")
+    if as_json:
+        row = "  {\n" + ",\n".join(
+            f'    "{name}": {cell}' for name, cell in zip(SWEEP_COLUMNS, cells)) + "\n  }"
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+        fired_cells = ["[]" if not names else "[\n" + ",\n".join(
+            f'      "{name}"' for name in names) + "\n    ]" for names in _CRITERIA_SETS]
+    else:
+        row = ",".join(cells)
+        head, sep, tail = ",".join(SWEEP_COLUMNS) + "\n", "\n", "\n"
+        fired_cells = [";".join(names) for names in _CRITERIA_SETS]
     per_point = zip(
         points,
         ev.invariants[:, [0, 1, 3, 9, 11, 13]].tolist(),  # I1, I2, I4, I10, I12, I14
         ev.i12_minus_i4sq.tolist(),
         ev.ppt_min_eigenvalue.tolist(),
         ev.separable.tolist(),
-        ev.criteria.tolist(),
+        (ev.criteria @ (1, 2, 4)).tolist(),  # the fired set as an index into _CRITERIA_SETS
     )
-    return [dict(zip(SWEEP_COLUMNS, (
-        family, n, m, chi_t, *six, gap, pt,
-        VERDICT_SEPARABLE if separable else VERDICT_ENTANGLED,
-        sorted(name for name, hit in zip(CRITERIA, fired) if hit),
-    ))) for (n, m, chi_t), six, gap, pt, separable, fired in per_point]
-
-
-def _csv_line(r: dict) -> str:
-    return ",".join([
-        r["family"],
-        str(r["N"]),
-        _fmt(r["M"]) if r["M"] is not None else "",
-        _fmt(r["chi_t"]) if r["chi_t"] is not None else "",
-        *map(_fmt, [r[k] for k in SWEEP_COLUMNS[4:12]]),
-        r["verdict"],
-        ";".join(r["criteria"]),
-    ])
+    return head + sep.join(row % (
+        family, n, none if m is None else num % m, none if chi_t is None else num % chi_t,
+        *six, gap, pt, VERDICT_SEPARABLE if separable else VERDICT_ENTANGLED, fired_cells[fired],
+    ) for (n, m, chi_t), six, gap, pt, separable, fired in per_point) + tail
 
 
 def cmd_sweep(args) -> int:
     points = _sweep_grid(args)
     if not points:
         raise ValueError("empty sweep grid")
-    rows = _sweep_rows(args.family, points, args.paper_literal)
+    # The model pairs are valid X-pattern states by construction, so the
+    # stack takes ``evidence_stack`` without ``classify``'s gates, and a
+    # criterion that fires inside the PT band is written out, not raised.
+    ev = evidence_stack(xform_matrices(*pair_parameters(args.family, points, args.paper_literal)))
     as_json = args.format == "json" or (
         args.format == "auto" and args.out.endswith(".json")
     )
-    if as_json:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-    else:
-        lines = [",".join(SWEEP_COLUMNS)] + [_csv_line(r) for r in rows]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    text = _sweep_text(args.family, points, ev, as_json)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {len(points)} rows to {args.out}")
     return 0
 
 

@@ -5,10 +5,10 @@ independent single-qubit rotations.  Exchange-symmetric states need only
 the subset (I1, I2, I4, I10, I12, I14); states with the special
 four-parameter pattern admit closed forms for that subset.
 
-The epsilon triples are one ``einsum`` against the (3, 3, 3) Levi-Civita
-tensor, and I14 is a running sum of its 36 nonzero double-epsilon terms;
-the tests check each of them against an explicit loop over an
-independently built epsilon.
+Each epsilon triple is a running sum of its 6 nonzero Levi-Civita terms,
+and I14 one of its 36 nonzero double-epsilon terms, in the order an
+``einsum`` against the (3, 3, 3) tensor adds them; the tests check each
+of them against such an einsum.
 
 ``makhlin_stack`` is the one contraction: it evaluates ``k`` Bloch forms
 at once, from ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)`` to a
@@ -121,8 +121,17 @@ _TRIPLES = {
 _DOT_COLUMNS = np.array(list(_DOTS)) - 1
 _DOT_U, _DOT_V = np.array(list(_DOTS.values())).T
 _TRIPLE_COLUMNS = np.array(list(_TRIPLES)) - 1
-_TRIPLE_U, _TRIPLE_V, _TRIPLE_W = np.array(list(_TRIPLES.values())).T
-
+# The einsum "ijk,...i,...j,...k->..." of a triple adds the products
+# ((eps_ijk u_i) v_j) w_k in (i, j, k) order to a +0.0.  Its 21 zero terms
+# leave such a sum as it is, and the 6 others are never all -0.0 (the sign
+# bits of the six products add up to an odd number), so a running sum of
+# the 6 from the first one is the same: signs (6,) and indices (6, 6) into
+# the flattened (k, 30) vectors.
+_EPS_I, _EPS_J, _EPS_K = np.nonzero(_EPS)
+_TRIPLE_SIGN = _EPS[_EPS_I, _EPS_J, _EPS_K]
+_TRIPLE_U, _TRIPLE_V, _TRIPLE_W = (
+    3 * slots[:, None] + axis
+    for slots, axis in zip(np.array(list(_TRIPLES.values())).T, (_EPS_I, _EPS_J, _EPS_K)))
 
 def _mv(m, v):
     """Each matrix of a (k, 3, 3) stack times the matching row of a (k, 3) stack."""
@@ -144,10 +153,12 @@ def makhlin_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     product of the stack to the kernel the 2-D product of that size uses,
     so a row does not depend on the stack around it, and I14 adds its 36
     terms in the order of the einsum ``"ijk,lmn,i,l,jm,kn->"``.  The 8
-    dot products are one batched matmul and the 6 epsilon triples one
-    einsum.  A contraction reassociated to save work (``I14 = 2 s^T cof(T)
-    r``, say) changes the last bit on a large share of the model-family
-    states, and with it the 17-digit sweep output.
+    dot products are one batched matmul, and each epsilon triple is a
+    running sum of its 6 terms in the order of the einsum ``"ijk,i,j,k->"``
+    (+0.0 when every term is a zero, as there).  A contraction reassociated
+    to save work (``I14 = 2 s^T cof(T) r``, say) changes the last bit on a
+    large share of the model-family states, and with it the 17-digit sweep
+    output.
     """
     s, r, t = (np.ascontiguousarray(a, dtype=float) for a in (s, r, t))
     t_t = t.swapaxes(1, 2)
@@ -165,14 +176,15 @@ def makhlin_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     v[:, _TTR_TR_S] = _mv(ttr, v[:, _TR_S])
 
     inv = np.empty((len(s), 18))
-    inv[:, 0] = _det3(np.moveaxis(t, 0, -1))
+    inv[:, 0] = _det3(t.transpose(1, 2, 0))
     inv[:, 1] = (t * t).reshape(-1, 9).sum(axis=1)
     inv[:, 2] = (ttr * ttr).reshape(-1, 9).sum(axis=1)
     u_dot, v_dot = (v.take(slots, axis=1) for slots in (_DOT_U, _DOT_V))
     inv[:, _DOT_COLUMNS] = (u_dot[:, :, None, :] @ v_dot[:, :, :, None])[:, :, 0, 0]
-    inv[:, _TRIPLE_COLUMNS] = np.einsum(
-        "ijk,...i,...j,...k->...", _EPS,
-        *(v.take(slots, axis=1) for slots in (_TRIPLE_U, _TRIPLE_V, _TRIPLE_W)))
+    flat = v.reshape(-1, 30)
+    triples = (_TRIPLE_SIGN * flat.take(_TRIPLE_U, axis=1) * flat.take(_TRIPLE_V, axis=1)
+               * flat.take(_TRIPLE_W, axis=1))
+    inv[:, _TRIPLE_COLUMNS] = np.add.accumulate(triples, axis=2)[:, :, -1]
     flat_t = t.reshape(-1, 9)
     terms = (_I14_SIGN * s.take(_I14_I, axis=1) * r.take(_I14_L, axis=1)
              * flat_t.take(_I14_JM, axis=1) * flat_t.take(_I14_KN, axis=1))

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import qmat
 from .errors import InvalidDicke, TooLarge
-from .states import XForm
+from .states import XForm, _raise_first, _refused, _xform_gates
 
 FAMILIES = ("dicke", "oat", "ising")
 
@@ -56,7 +56,7 @@ class ModelSpec:
         if self.family == "dicke":
             if self.m is None:
                 raise ValueError("dicke requires m")
-            _validate_dicke(self.n, self.m)
+            _raise_first(_family_gates("dicke", [self.n], [self.m], [None])[0])
         elif self.chi_t is None:
             raise ValueError(f"{self.family} requires chi_t")
 
@@ -76,19 +76,99 @@ class DickeInvariants:
     i12_minus_i4sq: float
 
 
-def _validate_dicke(n: int, m: float) -> None:
-    if not np.isfinite(m):  # round() below raises OverflowError on inf, ValueError on NaN
-        raise InvalidDicke(f"M must be finite, got M = {m}")
-    two_m = 2.0 * m
-    if abs(two_m - round(two_m)) > 1e-12:
-        raise InvalidDicke(f"2M must be an integer, got M = {m}")
-    two_m = int(round(two_m))
-    if abs(two_m) > n:
-        raise InvalidDicke(f"|M| <= N/2 required, got N = {n}, M = {m}")
-    if (n + two_m) % 2 != 0:
-        raise InvalidDicke(
-            f"M must step from -N/2 in integer increments: N = {n}, M = {m}"
-        )
+def _family_gates(family: str, ns, ms, chi_ts) -> tuple:
+    """The family rule of k grid points in ``_raise_first``'s form, with N and
+    the family parameter (M, or chi t) as float arrays.
+
+    The rule: N >= 2; then for dicke M finite, 2M an integer (within
+    1e-12), |M| <= N/2 and N + 2M even, and for oat and ising chi t finite.
+    ``ns``, ``ms`` and ``chi_ts`` hold the values the messages name.
+    """
+    n = np.array(ns, dtype=float)
+    few = (n < 2, lambda j: (InvalidDicke if family == "dicke" else ValueError)(
+        "need at least two qubits"))
+    if family != "dicke":
+        chi_t = np.array(chi_ts, dtype=float)
+        return [few, (~np.isfinite(chi_t), lambda j: ValueError(
+            f"chi_t must be finite, got chi_t = {chi_ts[j]}"))], n, chi_t
+    m = np.array(ms, dtype=float)
+    finite = np.isfinite(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # 2M of a huge M is inf
+        two_m = 2.0 * np.where(finite, m, 0.0)
+        whole = np.rint(two_m)
+        fraction, odd = np.abs(two_m - whole), (n + whole) % 2.0 != 0.0
+    return [
+        few,
+        (~finite, lambda j: InvalidDicke(f"M must be finite, got M = {ms[j]}")),
+        (fraction > 1e-12, lambda j: InvalidDicke(f"2M must be an integer, got M = {ms[j]}")),
+        (np.abs(whole) > n, lambda j: InvalidDicke(
+            f"|M| <= N/2 required, got N = {ns[j]}, M = {ms[j]}")),
+        (odd, lambda j: InvalidDicke(
+            f"M must step from -N/2 in integer increments: N = {ns[j]}, M = {ms[j]}")),
+    ], n, m
+
+
+def _pow(base: np.ndarray, exponent) -> np.ndarray:
+    """``base ** exponent`` entry by entry on Python floats, as the one-point
+    formulas took it: numpy's array power rounds otherwise on a share of the
+    entries (hundreds in 20,000 at exponent 3)."""
+    exponent = np.broadcast_to(exponent, base.shape).tolist()
+    return np.array([x ** e for x, e in zip(base.tolist(), exponent)])
+
+
+def _closed_form(family: str, points, paper_literal: bool, stacklevel: int) -> tuple:
+    """The family rule of k grid points ``(N, M, chi_t)`` in ``_raise_first``'s
+    form, then the XForm parameters ``a, b, c, d`` as ``(k,)`` arrays, by the
+    formulas of ``dicke_pair``, ``oat_pair`` and ``ising_pair``.
+
+    A refused point is evaluated at N = 2 and M = chi t = 0 instead, so the
+    formulas meet no value numpy warns on.  An Ising grid warns when an
+    N = 2 point comes before the first refused one, as a loop over the
+    points would; ``stacklevel`` counts from the caller of this function.
+    """
+    gates, n, x = _family_gates(family, *zip(*points))
+    refused = _refused(gates)
+    n, x = np.where(refused, 2.0, n), np.where(refused, 0.0, x)
+    if family == "dicke":  # x is M
+        denom = 4.0 * n * (n - 1.0)
+        a = (n + 2.0 * x) * (n + 2.0 * x - 2.0) / denom
+        b, c = np.zeros(len(x), dtype=complex), (n * n - 4.0 * x * x) / denom
+    elif family == "oat":  # x is chi t
+        cos2, cos1 = _pow(np.cos(2.0 * x), n - 2.0), np.cos(x)
+        a = (3.0 + cos2 - 4.0 * _pow(cos1, n - 1.0)) / 8.0
+        c = (1.0 - cos2) / 8.0
+        b = np.empty(len(x), dtype=complex)
+        b.real, b.imag = -c, 0.5 * _pow(cos1, n - 1.0 if paper_literal else n - 2.0) * np.sin(x)
+    else:  # ising, x is chi t
+        if (n[:refused.argmax() if refused.any() else len(n)] == 2.0).any():
+            warnings.warn("ising_pair with n=2: the closed form assumes a pair embedded in a "
+                          "longer chain", stacklevel=stacklevel + 1)
+        s, denom = np.sin(x), 8.0 * (n - 1.0)
+        a = (4.0 * (n - 1.0) * (1.0 + _pow(np.cos(x / 2.0), 2)) - s * s) / denom
+        b, c = -s * (s + 4.0j) / denom, s * s / denom
+    return gates, a, b, c, 1.0 - a - 2.0 * c
+
+
+def pair_parameters(family: str, points, paper_literal: bool = False) -> tuple:
+    """The X-pattern parameters ``(a, b, c, d)`` of k grid points
+    ``(N, M, chi_t)`` of ``family``, as ``(k,)`` arrays.
+
+    ``M`` is read by dicke only, ``chi_t`` by oat and ising, and
+    ``paper_literal`` by oat only.  Each entry equals the one-point
+    ``*_pair`` result bit for bit, and the first point that the family rule
+    or ``XForm``'s rule refuses raises the error that point raises alone.
+    """
+    gates, *abcd = _closed_form(family, points, paper_literal, stacklevel=2)
+    _raise_first(gates + _xform_gates(*abcd))
+    return tuple(abcd)
+
+
+def _pair(family: str, n, m, chi_t, paper_literal: bool = False) -> XForm:
+    """The one-point case of :func:`pair_parameters`, for the ``*_pair``
+    functions (the Ising warning names their caller)."""
+    gates, *abcd = _closed_form(family, [(n, m, chi_t)], paper_literal, stacklevel=3)
+    _raise_first(gates)
+    return XForm(*(v.item() for v in abcd))
 
 
 def dicke_pair(n: int, m: float) -> XForm:
@@ -97,13 +177,7 @@ def dicke_pair(n: int, m: float) -> XForm:
     a = (N + 2M)(N + 2M - 2) / (4N(N-1)),   b = 0,
     c = (N^2 - 4M^2) / (4N(N-1)),           d = 1 - a - 2c.
     """
-    if n < 2:
-        raise InvalidDicke("need at least two qubits")
-    _validate_dicke(n, m)
-    denom = 4.0 * n * (n - 1.0)
-    a = (n + 2.0 * m) * (n + 2.0 * m - 2.0) / denom
-    c = (n * n - 4.0 * m * m) / denom
-    return XForm.from_abc(a=a, b=0.0 + 0.0j, c=c)
+    return _pair("dicke", n, m, None)
 
 
 def dicke_invariants(n: int, m: float) -> DickeInvariants:
@@ -114,9 +188,7 @@ def dicke_invariants(n: int, m: float) -> DickeInvariants:
     I12 - I4^2 = I4 (4M^2 - N^2) / (N^2 (N-1)); the last expression is
     non-positive, vanishing exactly at M = +/- N/2.
     """
-    if n < 2:
-        raise InvalidDicke("need at least two qubits")
-    _validate_dicke(n, m)
+    _raise_first(_family_gates("dicke", [n], [m], [None])[0])
     i4 = (2.0 * m / n) ** 2
     i12 = i4 * (4.0 * m * m - n) / (n * (n - 1.0))
     i14 = 8.0 * i4 * ((n * n - 4.0 * m * m) / (4.0 * n * (n - 1.0))) ** 2
@@ -136,17 +208,10 @@ def oat_pair(n: int, chi_t: float, paper_literal: bool = False) -> XForm:
     two-qubit solution; the default N-2 satisfies both.  Pass
     ``paper_literal=True`` to reproduce the printed variant for
     comparison.  The overall phase of b is a local-unitary gauge; every
-    invariant depends on |b| only.  cos^0 is 1 for any argument.
+    invariant depends on |b| only.  cos^0 is 1 for any argument.  A
+    non-finite chi t raises ValueError.
     """
-    if n < 2:
-        raise ValueError("need at least two qubits")
-    cos2 = np.cos(2.0 * chi_t) ** (n - 2)
-    cos1 = np.cos(chi_t)
-    a = (3.0 + cos2 - 4.0 * cos1 ** (n - 1)) / 8.0
-    c = (1.0 - cos2) / 8.0
-    exponent = n - 1 if paper_literal else n - 2
-    im_b = 0.5 * cos1 ** exponent * np.sin(chi_t)
-    return XForm.from_abc(a=a, b=complex(-c, im_b), c=c)
+    return _pair("oat", n, None, chi_t, paper_literal)
 
 
 def oat_invariants(n: int, chi_t: float) -> FamilyInvariants:
@@ -155,8 +220,7 @@ def oat_invariants(n: int, chi_t: float) -> FamilyInvariants:
     I4 = cos^(2N-2)(chi t), I12 = (I4/2)(1 + cos^(N-2)(2 chi t)) and
     I14 = -2 I4 cos^(2N-4)(chi t) sin^2(chi t); I14 <= 0 throughout.
     """
-    if n < 2:
-        raise ValueError("need at least two qubits")
+    _raise_first(_family_gates("oat", [n], [None], [chi_t])[0])
     cos1 = np.cos(chi_t)
     i4 = cos1 ** (2 * (n - 1))
     i12 = 0.5 * i4 * (1.0 + np.cos(2.0 * chi_t) ** (n - 2))
@@ -187,22 +251,10 @@ def ising_pair(n: int, chi_t: float) -> XForm:
     the (N-1) normalization is outside its derivation regime.  N = 3 is
     accepted without a warning: unlike N = 2 its parameters are a valid
     state for every chi t, and its gap to the exact ring is pinned by
-    criterion 8c and ``TestIsingOracleDiagnostics``.
+    criterion 8c and ``TestIsingOracleDiagnostics``.  A non-finite chi t
+    raises ValueError.
     """
-    if n < 2:
-        raise ValueError("need at least two qubits")
-    if n == 2:
-        warnings.warn(
-            "ising_pair with n=2: the closed form assumes a pair embedded in a "
-            "longer chain",
-            stacklevel=2,
-        )
-    s = np.sin(chi_t)
-    denom = 8.0 * (n - 1.0)
-    a = (4.0 * (n - 1.0) * (1.0 + np.cos(chi_t / 2.0) ** 2) - s * s) / denom
-    b = -s * (s + 4.0j) / denom
-    c = s * s / denom
-    return XForm.from_abc(a=float(a), b=complex(b), c=float(c))
+    return _pair("ising", n, None, chi_t)
 
 
 def ising_invariants(n: int, chi_t: float) -> FamilyInvariants:
@@ -212,8 +264,7 @@ def ising_invariants(n: int, chi_t: float) -> FamilyInvariants:
     I14 = -2 I4 sin^2(chi t) / (N-1)^2, strictly negative whenever
     sin(chi t) != 0 and cos(chi t / 2) != 0.
     """
-    if n < 2:
-        raise ValueError("need at least two qubits")
+    _raise_first(_family_gates("ising", [n], [None], [chi_t])[0])
     i4 = np.cos(chi_t / 2.0) ** 4
     s2 = np.sin(chi_t) ** 2
     i12 = i4 * (1.0 - s2 / (2.0 * (n - 1.0)))

@@ -45,7 +45,7 @@ from .separability import (
     _ball_points, _criteria_columns, _ensemble_draw, partial_transpose, separable_mixtures,
     xform_equivalence_check, xform_pt_eigenvalues,
 )
-from .states import apply_local_unitary, bloch_decompose, bloch_decompose_stack
+from .states import apply_local_unitary, bloch_decompose, bloch_decompose_stack, xform_matrices
 from .stateio import write_state_file
 from .tolerances import INVARIANCE_ABS, INVARIANCE_REL, SIGN_ZERO_BAND
 
@@ -177,7 +177,7 @@ def _suite_xform_equivalence(count, rng, writer) -> SuiteResult:
         # never meets the degenerate (a - d)^2 it raises on.
         if (x.a - x.d) ** 2 > _I4_FLOOR and x.c + abs(x.b) > _I4_FLOOR:
             xs.append(x)
-    states = np.array([x.to_matrix() for x in xs]).reshape(-1, 4, 4)
+    states = xform_matrices(*(np.array([getattr(x, f) for x in xs]) for f in "abcd"))
     # One PT solve for every case, through the two functions ppt_check calls.
     numeric = hermitian_eigenvalues(partial_transpose(states))[:, 0].tolist()
     failures = 0

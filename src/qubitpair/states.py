@@ -23,7 +23,9 @@ and the stack share one entry rule, and ``is_symmetric_form`` is
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -70,6 +72,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _refused(gates) -> np.ndarray:
+    """The ``(k,)`` mask of the rows that any of ``_raise_first``'s gates refuses."""
+    return functools.reduce(operator.or_, (mask for mask, _ in gates))
+
+
 def _raise_first(gates) -> None:
     """Raise the error a stack's first refused row raises alone.
 
@@ -79,7 +86,7 @@ def _raise_first(gates) -> None:
     is the first that any gate refuses, and the error is that of the first
     gate that refuses it.
     """
-    refused = functools.reduce(operator.or_, (mask for mask, _ in gates))
+    refused = _refused(gates)
     if refused.any():
         j = int(refused.argmax())
         raise next(error(j) for mask, error in gates if mask[j])
@@ -138,19 +145,9 @@ class XForm:
     d: float
 
     def __post_init__(self):
-        a, c, d = self.a, self.c, self.d
-        if not all(np.isfinite([a, c, d])) or not np.isfinite(complex(self.b)):
-            raise ValueError("XForm parameters must be finite")
-        if min(a, c, d) < -1e-12:
-            raise NotPositive(f"negative diagonal parameter: a={a:.3e} c={c:.3e} d={d:.3e}")
-        if abs(a + d + 2.0 * c - 1.0) > TRACE:
-            raise InvalidDensityMatrix(
-                f"trace constraint a + d + 2c = 1 violated by {a + d + 2 * c - 1:.3e}"
-            )
-        if a * d < abs(self.b) ** 2 - 1e-10:
-            raise NotPositive(
-                f"corner block not PSD: a*d = {a * d:.6e} < |b|^2 = {abs(self.b) ** 2:.6e}"
-            )
+        error = _xform_error(self.a, self.b, self.c, self.d)
+        if error is not None:
+            raise error
 
     @classmethod
     def from_abc(cls, a: float, b: complex, c: float) -> "XForm":
@@ -158,13 +155,44 @@ class XForm:
         return cls(a=a, b=b, c=c, d=1.0 - a - 2.0 * c)
 
     def to_matrix(self) -> np.ndarray:
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = self.a
-        rho[0, 3] = self.b
-        rho[3, 0] = np.conj(self.b)
-        rho[1, 1] = rho[1, 2] = rho[2, 1] = rho[2, 2] = self.c
-        rho[3, 3] = self.d
-        return rho
+        return xform_matrices(*(np.array([v]) for v in (self.a, self.b, self.c, self.d)))[0]
+
+
+def _xform_error(a: float, b: complex, c: float, d: float):
+    """The error ``XForm``'s rule raises for one parameter set, or None.
+
+    The checks, in order: finite, diagonal above -1e-12, unit trace within
+    TRACE, corner block PSD within 1e-10.  One point is checked on Python
+    floats: a stack of 1-element numpy arrays costs about five times as
+    much, and every ``random_xform`` draw of the self-test pays it.
+    """
+    if not all(map(math.isfinite, (a, c, d))) or not cmath.isfinite(b):
+        return ValueError("XForm parameters must be finite")
+    if min(a, c, d) < -1e-12:
+        return NotPositive(f"negative diagonal parameter: a={a:.3e} c={c:.3e} d={d:.3e}")
+    excess = a + d + 2.0 * c - 1.0
+    if abs(excess) > TRACE:
+        return InvalidDensityMatrix(f"trace constraint a + d + 2c = 1 violated by {excess:.3e}")
+    if a * d < abs(b) ** 2 - 1e-10:
+        return NotPositive(f"corner block not PSD: a*d = {a * d:.6e} < |b|^2 = {abs(b) ** 2:.6e}")
+    return None
+
+
+def _xform_gates(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> list:
+    """``XForm``'s rule on k parameter sets (``(k,)`` arrays) in
+    ``_raise_first``'s form: one gate, whose error for a refused point is
+    the one ``XForm`` raises for it."""
+    errors = [_xform_error(*p) for p in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())]
+    return [(np.array([e is not None for e in errors]), errors.__getitem__)]
+
+
+def xform_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The ``(k, 4, 4)`` density matrices of k parameter sets, each laid out
+    as ``XForm`` shows; the parameters are not checked."""
+    rho = np.zeros((len(a), 4, 4), dtype=complex)
+    rho[:, 0, 0], rho[:, 0, 3], rho[:, 3, 0], rho[:, 3, 3] = a, b, np.conj(b), d
+    rho[:, 1:3, 1:3] = c[:, None, None]
+    return rho
 
 
 def assert_density_matrix(rho: np.ndarray) -> np.ndarray:

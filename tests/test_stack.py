@@ -246,6 +246,41 @@ class TestDecompositionAndInvariants:
         assert np.signbit(rhos.real).any() and np.signbit(rhos.imag).any()
         assert_stack_is_reference_bloch(rhos)
 
+    def test_triples_of_all_zero_operands_are_plus_zero(self, rng):
+        """Forms whose entries are all +-0, in every one of the 2^15 sign
+        patterns: each epsilon triple reads only +-0 operands, and the einsum
+        gives +0.0 for it, so the stack must too."""
+        signs = (np.arange(2 ** 15)[:, None] >> np.arange(15)) & 1
+        entries = np.where(signs == 1, -0.0, 0.0)
+        s, r, t = entries[:, :3], entries[:, 3:6], entries[:, 6:].reshape(-1, 3, 3)
+        inv = makhlin_stack(s, r, t)
+        triples = inv[:, [9, 10, 14, 15, 16, 17]]
+        assert not np.signbit(triples).any() and not triples.any()
+        for j in rng.choice(len(s), 200, replace=False):
+            assert_bits_equal(inv[j], reference_makhlin(Bloch(s[j], r[j], t[j])))
+
+    def test_six_triple_terms_are_never_all_negative_zero(self):
+        """Why a triple's running sum may start from its first term where the
+        einsum starts from +0.0: the two differ only when all 6 nonzero
+        epsilon terms are -0.0, and no signs of u, v, w make them so."""
+        signs = (np.arange(2 ** 9)[:, None] >> np.arange(9)) & 1
+        u, v, w = np.split(np.where(signs == 1, -0.0, 0.0), 3, axis=1)
+        i, j, k = np.nonzero(_EPS)
+        terms = _EPS[i, j, k] * u[:, i] * v[:, j] * w[:, k]
+        assert not np.signbit(terms).all(axis=1).any()
+        einsum = np.einsum("ijk,...i,...j,...k->...", _EPS, u, v, w)
+        assert not np.signbit(einsum).any()
+
+    def test_forms_with_signed_zero_entries(self, rng):
+        """Dense forms with entries zeroed at random, with either sign."""
+        s, r, t = bloch_decompose_stack(dense_states(rng, 400))
+        entries = np.concatenate([s, r, t.reshape(-1, 9)], axis=1)
+        zeroed = rng.random(entries.shape) < 0.4
+        entries[zeroed] = np.where(rng.random(zeroed.sum()) < 0.5, -0.0, 0.0)
+        s, r, t = entries[:, :3], entries[:, 3:6], entries[:, 6:].reshape(-1, 3, 3)
+        assert_bits_equal(makhlin_stack(s, r, t),
+                          [reference_makhlin(Bloch(*row)) for row in zip(s, r, t)])
+
     def test_each_row_is_computed_as_if_alone(self, rng):
         rhos = dense_states(rng, 50)
         s, r, t = bloch_decompose_stack(rhos)

@@ -388,7 +388,11 @@ class TestGenerateIsOneSweepPoint:
         assert run_cli(["sweep", family, *flags, "--out", str(rows), "--format", "json"],
                        capsys)[0] == 0
         (row,) = json.loads(rows.read_text())
-        x = cli._family_pair(family, row["N"], row["M"], row["chi_t"], "--paper-literal" in flags)
+        x = {
+            "dicke": lambda: dicke_pair(row["N"], row["M"]),
+            "oat": lambda: oat_pair(row["N"], row["chi_t"], paper_literal="--paper-literal" in flags),
+            "ising": lambda: ising_pair(row["N"], row["chi_t"]),
+        }[family]()
         assert json.loads(state.read_text()) == state_payload(xform=x)
         code, out, _ = run_cli(["classify", str(state), "--json"], capsys)
         assert code == 0
