@@ -16,15 +16,17 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import NotSymmetricState, NotXForm, QubitPairError
+from .errors import InconsistentClassification, NotSymmetricState, NotXForm, QubitPairError
 from .invariants import makhlin_all, xform_invariants
 from .models import FAMILIES, pair_parameters
 from .selftest import format_report, run_selftest
 from .separability import (
-    CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classify_valid, classify, evidence_stack,
+    CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classify_valid, classify, evidence,
+    evidence_stack,
 )
 from .states import XForm, bloch_decompose, xform_extract, xform_matrices
 from .stateio import read_state_file, state_payload, write_state_file
+from .tolerances import SIGN_ZERO_BAND
 
 #: Sweep columns: the CSV header, the order of each CSV line and of each JSON
 #: row's keys.  Columns 4..11 are the evidence floats.
@@ -56,17 +58,25 @@ def _invariants_payload(rho: np.ndarray) -> dict:
     """The ``invariants`` report of a state that ``read_state_file`` validated.
 
     A symmetric state's 18 invariants are the ones ``classify`` read its
-    verdict from, so the state is decomposed once.
+    verdict from, so the state is decomposed once.  A symmetric state that
+    ``classify`` refuses because a criterion fires while its PT minimum
+    eigenvalue is inside the zero band is reported with its invariants and
+    no classification; a criterion firing on a PT spectrum positive beyond
+    the band contradicts the theorem and is raised as ``classify`` raises it.
     """
     try:
-        cls = _classify_valid(rho)
+        ev = cls = _classify_valid(rho)
     except NotSymmetricState:  # the triplet test: the exchange-constraint band is 100x wider
-        cls = None
-    inv = cls.invariants if cls else makhlin_all(bloch_decompose(rho))
+        ev = cls = None
+    except InconsistentClassification:
+        ev, cls = evidence(rho), None
+        if ev.ppt_min_eigenvalue > SIGN_ZERO_BAND:
+            raise
+    inv = ev.invariants if ev else makhlin_all(bloch_decompose(rho))
     payload: dict = {
         "invariants": {f"i{k}": getattr(inv, f"i{k}") for k in range(1, 19)},
-        "symmetric": cls is not None,
-        "symmetric_six": asdict(cls.six) if cls else None,
+        "symmetric": ev is not None,
+        "symmetric_six": asdict(ev.six) if ev else None,
         "xform": None,
         "xform_six": None,
         "classification": _classification_payload(cls) if cls else None,

@@ -12,7 +12,10 @@ of them against such an einsum.
 
 ``makhlin_stack`` is the one contraction: it evaluates ``k`` Bloch forms
 at once, from ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)`` to a
-``(k, 18)`` array.  ``makhlin_all`` is its one-form case.
+``(k, 18)`` array.  ``makhlin_all`` is its one-form case.  The exchange
+constraints of a symmetric form are one gate, ``states.symmetric_form_stack``
+raising NotSymmetricState: ``separability.evidence_stack`` runs it on a
+stack and ``symmetric_six`` on one form.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import I4Zero, NoRealSpectrum, NotSymmetricState
-from .states import BlochForm, XForm
+from .states import BlochForm, XForm, _raise_first, symmetric_form_stack
 from .tolerances import SIGN_ZERO_BAND, matches
 
 #: Message of the NotSymmetricState an exchange-constraint gate raises.
@@ -200,24 +203,22 @@ def makhlin_all(form: BlochForm) -> InvariantSet:
     return InvariantSet(*makhlin_stack(form.s[None], form.r[None], form.t[None])[0].tolist())
 
 
-def symmetric_invariants(form: BlochForm) -> InvariantSet:
-    """All 18 invariants of a form that meets the exchange constraints.
-
-    Raises NotSymmetricState unless r = s, T = T^T and tr T = 1 hold
-    within SYMMETRIC_CONSTRAINTS.
-    """
-    if not form.is_symmetric_form():
-        raise NotSymmetricState(_EXCHANGE_VIOLATION)
-    return makhlin_all(form)
+def _exchange_gate(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple:
+    """The exchange constraints of k Bloch forms (``states.symmetric_form_stack``)
+    as a gate in ``_raise_first``'s form, raising NotSymmetricState."""
+    return ~symmetric_form_stack(s, r, t), lambda j: NotSymmetricState(_EXCHANGE_VIOLATION)
 
 
 def symmetric_six(form: BlochForm) -> SymmetricSix:
     """Project the full set onto (I1, I2, I4, I10, I12, I14).
 
-    Gated as :func:`symmetric_invariants`; the returned entries agree with
-    :func:`makhlin_all` exactly.
+    Raises NotSymmetricState unless r = s, T = T^T and tr T = 1 hold
+    within SYMMETRIC_CONSTRAINTS: the exchange gate of
+    ``separability.evidence_stack``, on one row.  The returned entries
+    agree with :func:`makhlin_all` exactly.
     """
-    return SymmetricSix.from_full(symmetric_invariants(form))
+    _raise_first([_exchange_gate(form.s[None], form.r[None], form.t[None])])
+    return SymmetricSix.from_full(makhlin_all(form))
 
 
 def i10_diagonal_frame(t_eigs, s_diag) -> float:

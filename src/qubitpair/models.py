@@ -51,14 +51,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.n < 2:
-            raise ValueError("need at least two qubits")
-        if self.family == "dicke":
-            if self.m is None:
-                raise ValueError("dicke requires m")
-            _raise_first(_family_gates("dicke", [self.n], [self.m], [None])[0])
-        elif self.chi_t is None:
-            raise ValueError(f"{self.family} requires chi_t")
+        parameter = "m" if self.family == "dicke" else "chi_t"
+        if getattr(self, parameter) is None:
+            raise ValueError(f"{self.family} requires {parameter}")
+        _raise_first(_family_gates(self.family, [self.n], [self.m], [self.chi_t])[0])
 
 
 @dataclass(frozen=True)
@@ -80,16 +76,22 @@ def _family_gates(family: str, ns, ms, chi_ts) -> tuple:
     """The family rule of k grid points in ``_raise_first``'s form, with N and
     the family parameter (M, or chi t) as float arrays.
 
-    The rule: N >= 2; then for dicke M finite, 2M an integer (within
-    1e-12), |M| <= N/2 and N + 2M even, and for oat and ising chi t finite.
-    ``ns``, ``ms`` and ``chi_ts`` hold the values the messages name.
+    The rule: N a whole number (finite), N >= 2; then for dicke M finite,
+    2M an integer (within 1e-12), |M| <= N/2 and N + 2M even, and for oat
+    and ising chi t finite.  A bad N raises InvalidDicke for dicke and
+    ValueError otherwise.  ``ns``, ``ms`` and ``chi_ts`` hold the values
+    the messages name.
     """
     n = np.array(ns, dtype=float)
-    few = (n < 2, lambda j: (InvalidDicke if family == "dicke" else ValueError)(
-        "need at least two qubits"))
+    error = InvalidDicke if family == "dicke" else ValueError
+    n_gates = [
+        (~(np.isfinite(n) & (np.floor(n) == n)),
+         lambda j: error(f"N must be a whole number, got N = {ns[j]}")),
+        (n < 2, lambda j: error("need at least two qubits")),
+    ]
     if family != "dicke":
         chi_t = np.array(chi_ts, dtype=float)
-        return [few, (~np.isfinite(chi_t), lambda j: ValueError(
+        return [*n_gates, (~np.isfinite(chi_t), lambda j: ValueError(
             f"chi_t must be finite, got chi_t = {chi_ts[j]}"))], n, chi_t
     m = np.array(ms, dtype=float)
     finite = np.isfinite(m)
@@ -98,7 +100,7 @@ def _family_gates(family: str, ns, ms, chi_ts) -> tuple:
         whole = np.rint(two_m)
         fraction, odd = np.abs(two_m - whole), (n + whole) % 2.0 != 0.0
     return [
-        few,
+        *n_gates,
         (~finite, lambda j: InvalidDicke(f"M must be finite, got M = {ms[j]}")),
         (fraction > 1e-12, lambda j: InvalidDicke(f"2M must be an integer, got M = {ms[j]}")),
         (np.abs(whole) > n, lambda j: InvalidDicke(
@@ -318,7 +320,7 @@ def brute_force_pair_oracle(spec: ModelSpec, boundary: str = "periodic") -> np.n
     """
     if spec.n > ORACLE_MAX_QUBITS:
         raise TooLarge(f"oracle handles at most {ORACLE_MAX_QUBITS} qubits, got {spec.n}")
-    n = spec.n
+    n = int(spec.n)  # the family rule admits a whole float N such as 4.0
     if spec.family == "dicke":
         vec = _dicke_vector(n, spec.m)
         return _pair_reduce(np.outer(vec, vec.conj()), n)

@@ -158,14 +158,14 @@ def _suite_positivity(count, rng, writer) -> SuiteResult:
         np.array([f.r for f in forms]).reshape(-1, 3),
         np.array([f.t for f in forms]).reshape(-1, 3, 3),
     )
-    i4, i12, i14, gap = _criteria_columns(inv)
-    worst = np.minimum(np.minimum(i12, i14), gap)
-    cases = i4 > _I4_FLOOR
-    failed = np.flatnonzero(cases & (worst < -SIGN_ZERO_BAND))
+    # The floor lies above SIGN_ZERO_BAND, so no case is an I4-zero fallback.
+    cases = inv[:, 3] > _I4_FLOOR
+    values, fired, _ = _criteria_columns(inv[:, 3], inv[:, 11], inv[:, 13])
+    failed = np.flatnonzero(cases & fired.any(axis=1))
     if failed.size:
         writer.record(states[failed[0]])
-    # The largest max(0, -worst) over the cases, 0 when there is none.
-    max_dev = max(0.0, -float(worst[cases].min(initial=np.inf)))
+    # The largest max(0, -value) over the cases' criteria, 0 when there is none.
+    max_dev = max(0.0, -float(values[cases].min(initial=np.inf)))
     return SuiteResult("separable_positivity", int(cases.sum()), int(failed.size), max_dev)
 
 

@@ -10,7 +10,9 @@ and this module exposes that equivalence as a checkable predicate.
 ``evidence_stack`` reads a ``(k, 4, 4)`` stack with one call per stage
 and returns its numbers as arrays (``EvidenceStack``); it refuses a stack
 by the error of its first bad state.  ``evidence`` of one ``(4, 4)``
-state is its one-row case.
+state is its one-row case.  The criteria rule is written once, on
+columns of I4, I12 and I14: ``evidence_stack``, the self-test's
+positivity suite and ``invariant_criteria`` (one row) all read it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     NotSymmetricState,
 )
 from .invariants import (
-    _EXCHANGE_VIOLATION, InvariantSet, SymmetricSix, makhlin_stack, xform_invariants,
+    InvariantSet, SymmetricSix, _exchange_gate, makhlin_stack, xform_invariants,
 )
 from .states import (
     XForm,
@@ -37,7 +39,6 @@ from .states import (
     _raise_first,
     assert_density_matrix,
     is_symmetric,
-    symmetric_form_stack,
 )
 from .tolerances import HERMITICITY, SIGN_ZERO_BAND
 
@@ -220,7 +221,8 @@ def xform_pt_eigenvalues(x: XForm) -> np.ndarray:
 
 
 def invariant_criteria(six: SymmetricSix) -> frozenset:
-    """Entanglement witnesses from invariant signs.
+    """Entanglement witnesses from invariant signs: the one-row case of the
+    criteria rule that :func:`evidence_stack` reads.
 
     Separable symmetric states with I4 > 0 have I12 >= 0, I14 >= 0 and
     I12 - I4^2 >= 0, so each strict negativity (below -SIGN_ZERO_BAND) is
@@ -229,16 +231,11 @@ def invariant_criteria(six: SymmetricSix) -> frozenset:
     Raises I4Zero when |I4| <= SIGN_ZERO_BAND; the criteria are then
     uninformative and the caller must rely on the PT spectrum.
     """
-    if abs(six.i4) <= SIGN_ZERO_BAND:
+    columns = np.array([[six.i4], [six.i12], [six.i14]], dtype=float)
+    _, fired, fallback = _criteria_columns(*columns)
+    if fallback[0]:
         raise I4Zero(f"I4 = {six.i4:.3e} is inside the zero band {SIGN_ZERO_BAND:.1e}")
-    fired = set()
-    if six.i12 < -SIGN_ZERO_BAND:
-        fired.add(CRITERION_I12)
-    if six.i14 < -SIGN_ZERO_BAND:
-        fired.add(CRITERION_I14)
-    if six.i12 - six.i4 ** 2 < -SIGN_ZERO_BAND:
-        fired.add(CRITERION_I12_MINUS_I4SQ)
-    return frozenset(fired)
+    return frozenset(itertools.compress(CRITERIA, fired[0].tolist()))
 
 
 def evidence(rho: np.ndarray) -> Classification:
@@ -261,13 +258,19 @@ def evidence(rho: np.ndarray) -> Classification:
     )
 
 
-def _criteria_columns(inv: np.ndarray) -> tuple:
-    """I4, I12, I14 and I12 - I4^2 of a ``(k, 18)`` invariant array, each
-    row rounded as :func:`invariant_criteria` rounds it."""
-    i4, i12, i14 = inv[:, 3], inv[:, 11], inv[:, 13]
+def _criteria_columns(i4: np.ndarray, i12: np.ndarray, i14: np.ndarray) -> tuple:
+    """The criteria rule on k rows of the ``(k,)`` columns I4, I12 and I14.
+
+    Returns the ``(k, 3)`` criterion values I12, I14 and I12 - I4^2 (columns
+    in ``CRITERIA`` order), the ``(k, 3)`` mask of the criteria that fire
+    (value below -SIGN_ZERO_BAND) and the ``(k,)`` I4-zero fallback
+    (|I4| <= SIGN_ZERO_BAND), on whose rows no criterion fires.
+    """
     # Python's float ** 2 (C pow) and numpy's square differ in the last bit
-    # on about 1 value in 1000; invariant_criteria uses the former.
-    return i4, i12, i14, i12 - np.array([v ** 2 for v in i4.tolist()])
+    # on about 1 value in 1000; the sweep's I12 - I4^2 column is pinned to the former.
+    values = np.stack([i12, i14, i12 - np.array([v ** 2 for v in i4.tolist()])], axis=1)
+    fallback = np.abs(i4) <= SIGN_ZERO_BAND
+    return values, (values < -SIGN_ZERO_BAND) & ~fallback[:, None], fallback
 
 
 def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
@@ -285,20 +288,18 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     _raise_first([
         (defect > HERMITICITY, lambda j: qmat._not_hermitian(defect[j])),
         *gates,
-        (~symmetric_form_stack(s, r, t), lambda j: NotSymmetricState(_EXCHANGE_VIOLATION)),
+        _exchange_gate(s, r, t),
     ])
     # The PT permutes the entries of rho - rho^dag, so its defect is the
     # state's: the solve's own Hermiticity gate cannot refuse it.
     pt_min = qmat.hermitian_eigenvalues(partial_transpose(rhos))[:, 0]
     inv = makhlin_stack(s, r, t)
-    i4, i12, i14, gap = _criteria_columns(inv)
-    fallback = np.abs(i4) <= SIGN_ZERO_BAND
-    fired = np.stack([i12, i14, gap], axis=1) < -SIGN_ZERO_BAND
+    values, fired, fallback = _criteria_columns(inv[:, 3], inv[:, 11], inv[:, 13])
     return EvidenceStack(
         invariants=inv,
         ppt_min_eigenvalue=pt_min,
-        i12_minus_i4sq=gap,
-        criteria=fired & ~fallback[:, None],
+        i12_minus_i4sq=values[:, 2],
+        criteria=fired,
         i4_zero_fallback=fallback,
     )
 

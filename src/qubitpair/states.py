@@ -17,8 +17,8 @@ There is one Pauli decomposition, ``bloch_decompose_stack``: a ``(k, 4,
 4)`` stack to ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)``.  It refuses
 a stack by the error of its first bad state, so ``bloch_decompose`` (one
 ``(4, 4)`` matrix to a ``BlochForm``) is its one-row case.  ``BlochForm``
-and the stack share one entry rule, and ``is_symmetric_form`` is
-``symmetric_form_stack`` on one row.
+and the stack share one entry rule.  ``symmetric_form_stack`` holds the
+exchange constraints of a triplet-supported state's Bloch form.
 """
 
 from __future__ import annotations
@@ -124,10 +124,6 @@ class BlochForm:
         if self.s.shape != (3,) or self.r.shape != (3,) or self.t.shape != (3, 3):
             raise ValueError("BlochForm needs s, r of shape (3,) and t of shape (3, 3)")
         _raise_first(_entry_gates(np.concatenate((self.s, self.r, self.t.ravel()))[None]))
-
-    def is_symmetric_form(self) -> bool:
-        """Exchange constraints r = s, T = T^T, tr T = 1, within SYMMETRIC_CONSTRAINTS."""
-        return bool(symmetric_form_stack(self.s[None], self.r[None], self.t[None])[0])
 
 
 @dataclass(frozen=True)

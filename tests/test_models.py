@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +16,7 @@ from qubitpair.models import (
     ising_pair,
     oat_invariants,
     oat_pair,
+    pair_parameters,
 )
 from qubitpair.separability import classify, ppt_check
 from qubitpair.states import SINGLET, xform_extract
@@ -386,3 +390,59 @@ class TestModelSpec:
     def test_dicke_validation_at_construction(self):
         with pytest.raises(InvalidDicke):
             ModelSpec(family="dicke", n=4, m=0.5)
+        with pytest.raises(InvalidDicke, match="^need at least two qubits$"):
+            ModelSpec(family="dicke", n=1, m=0.5)
+
+    @pytest.mark.parametrize("family", ["oat", "ising"])
+    def test_takes_the_family_rule_on_chi_t(self, family):
+        with pytest.raises(ValueError, match="^chi_t must be finite, got chi_t = inf$"):
+            ModelSpec(family=family, n=4, chi_t=np.inf)
+
+
+#: Every entry point of the family rule, taking N and a valid family
+#: parameter.  A ``ModelSpec`` is read through the oracle it feeds.
+FAMILY_ENTRY_POINTS = {
+    "dicke_pair": lambda n: dicke_pair(n, 1.0),
+    "oat_pair": lambda n: oat_pair(n, 0.7),
+    "ising_pair": lambda n: ising_pair(n, 0.7),
+    "dicke_invariants": lambda n: dicke_invariants(n, 1.0),
+    "oat_invariants": lambda n: oat_invariants(n, 0.7),
+    "ising_invariants": lambda n: ising_invariants(n, 0.7),
+    "pair_parameters[dicke]": lambda n: pair_parameters("dicke", [(4, 0.0, None), (n, 1.0, None)]),
+    "pair_parameters[oat]": lambda n: pair_parameters("oat", [(4, None, 0.3), (n, None, 0.7)]),
+    "pair_parameters[ising]": lambda n: pair_parameters("ising", [(4, None, 0.3), (n, None, 0.7)]),
+    "ModelSpec[dicke]": lambda n: brute_force_pair_oracle(ModelSpec("dicke", n, m=1.0)),
+    "ModelSpec[oat]": lambda n: brute_force_pair_oracle(ModelSpec("oat", n, chi_t=0.7)),
+    "ModelSpec[ising]": lambda n: brute_force_pair_oracle(ModelSpec("ising", n, chi_t=0.7)),
+}
+
+
+def _float_bits(out) -> list:
+    """Every float of an entry point's output, as ``float.hex``."""
+    if dataclasses.is_dataclass(out):
+        out = dataclasses.astuple(out)
+    return [float(v).hex() for v in np.asarray(out, dtype=complex).view(float).ravel()]
+
+
+class TestFamilyRule:
+    """One family rule (``models._family_gates``) behind every entry point:
+    N must be a whole number >= 2, whatever type carries it."""
+
+    @pytest.mark.parametrize("n", [4.5, np.inf, np.nan])
+    @pytest.mark.parametrize("entry", FAMILY_ENTRY_POINTS)
+    def test_refuses_an_n_that_is_not_a_whole_number(self, entry, n):
+        expected = InvalidDicke if "dicke" in entry else ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Exception) as info:
+                FAMILY_ENTRY_POINTS[entry](n)
+        assert type(info.value) is expected
+        assert str(info.value) == f"N must be a whole number, got N = {n}"
+
+    @pytest.mark.parametrize("n", [4.0, np.int64(4)])
+    @pytest.mark.parametrize("entry", FAMILY_ENTRY_POINTS)
+    def test_a_whole_n_of_any_type_gives_the_int_result(self, entry, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = FAMILY_ENTRY_POINTS[entry](n)
+        assert _float_bits(out) == _float_bits(FAMILY_ENTRY_POINTS[entry](4))

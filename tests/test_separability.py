@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +207,35 @@ class TestCriterionBandVersusPtBand:
         write_state_file(path, xform=BAND_REFUSED)
         assert cli.main(["classify", str(path)]) == 2
         assert "tolerance band" in capsys.readouterr().err
+
+    def test_cli_invariants_reports_the_evidence_without_a_verdict(self, tmp_path, capsys):
+        path = tmp_path / "band.json"
+        write_state_file(path, xform=BAND_REFUSED)
+        ev = evidence(BAND_REFUSED.to_matrix())
+        assert cli.main(["invariants", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["invariants"] == asdict(ev.invariants)
+        assert payload["symmetric"] is True
+        assert payload["symmetric_six"] == asdict(ev.six)
+        assert payload["classification"] is None
+        assert cli.main(["invariants", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "symmetric: yes" in lines and len([ln for ln in lines if ln.startswith("I")]) == 18
+        assert any(ln.startswith("symmetric six: ") for ln in lines)
+        assert not any(ln.startswith("verdict") for ln in lines)
+
+    def test_cli_invariants_raises_a_contradiction_beyond_the_band(
+            self, tmp_path, capsys, monkeypatch):
+        # A criterion firing on a PT spectrum positive beyond the zero band
+        # contradicts the theorem: invariants refuses it as classify does.
+        from qubitpair import separability
+        ev = replace(evidence(BAND_REFUSED.to_matrix()), ppt_min_eigenvalue=0.5)
+        monkeypatch.setattr(separability, "evidence", lambda rho: ev)
+        monkeypatch.setattr(cli, "evidence", lambda rho: ev)
+        path = tmp_path / "band.json"
+        write_state_file(path, xform=BAND_REFUSED)
+        assert cli.main(["invariants", str(path)]) == 2
+        assert "PT min eigenvalue is 5.000e-01" in capsys.readouterr().err
 
     def test_neighbour_outside_pt_band_is_entangled(self):
         cls = classify(BAND_ENTANGLED.to_matrix())

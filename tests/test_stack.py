@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 
 from qubitpair import cli, selftest
 from qubitpair.errors import I4Zero, InvalidDensityMatrix, NotHermitian, NotSymmetricState
-from qubitpair.invariants import InvariantSet, SymmetricSix, makhlin_all, makhlin_stack
+from qubitpair.invariants import (
+    InvariantSet, SymmetricSix, makhlin_all, makhlin_stack, symmetric_six,
+)
 from qubitpair.models import dicke_pair, ising_pair, oat_pair
 from qubitpair.sampling import (
     hilbert_schmidt_states, random_density_matrix, random_symmetric_density_matrix, random_xform,
@@ -416,7 +418,8 @@ class TestStackedGates:
         for gate, error in DECOMPOSITION_ERRORS.items():
             if error is None:  # refused by the exchange constraints, not here
                 s, r, t = bloch_decompose_stack(np.array([clean[0], bad[gate]]))
-                assert not BlochForm(s[1], r[1], t[1]).is_symmetric_form()
+                with raises_exactly(EVIDENCE_ERRORS[gate]):
+                    symmetric_six(BlochForm(s[1], r[1], t[1]))
                 continue
             other = "trace" if gate != "trace" else "bloch_bound"
             for rhos in ([bad[gate]], [clean[0], bad[gate], bad[other]],
@@ -440,12 +443,18 @@ class TestStackedGates:
         on_the_bound = np.full(15, 1.0 + 1e-9)
         BlochForm(s=on_the_bound[:3], r=-on_the_bound[3:6], t=on_the_bound[6:].reshape(3, 3))
 
-    def test_is_symmetric_form_is_the_stack_mask(self, rng):
+    def test_symmetric_six_refuses_the_rows_the_stack_mask_refuses(self, rng):
         rhos = np.concatenate([symmetric_states(rng, 100), dense_states(rng, 100)])
         s, r, t = bloch_decompose_stack(rhos)
         mask = symmetric_form_stack(s, r, t)
         assert mask[:100].all() and not mask[100:].any()
-        assert [BlochForm(*row).is_symmetric_form() for row in zip(s, r, t)] == mask.tolist()
+        for row, symmetric in zip(zip(s, r, t), mask):
+            if symmetric:
+                assert symmetric_six(BlochForm(*row)) == SymmetricSix.from_full(
+                    makhlin_all(BlochForm(*row)))
+            else:
+                with raises_exactly(EVIDENCE_ERRORS["exchange"]):
+                    symmetric_six(BlochForm(*row))
 
     def test_shape_is_checked(self):
         with pytest.raises(InvalidDensityMatrix, match=r"expected shape \(k, 4, 4\)"):
