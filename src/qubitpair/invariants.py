@@ -209,6 +209,14 @@ def _exchange_gate(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple:
     return ~symmetric_form_stack(s, r, t), lambda j: NotSymmetricState(_EXCHANGE_VIOLATION)
 
 
+def _i4_zero_gate(i4: np.ndarray) -> tuple:
+    """The I4-zero rule on a ``(k,)`` column of I4 as a gate in
+    ``_raise_first``'s form: |I4| <= SIGN_ZERO_BAND, where the sign
+    criteria and the X-pattern relations carry no information, raising I4Zero."""
+    return np.abs(i4) <= SIGN_ZERO_BAND, lambda j: I4Zero(
+        f"I4 = {i4[j]:.3e} is inside the zero band {SIGN_ZERO_BAND:.1e}")
+
+
 def symmetric_six(form: BlochForm) -> SymmetricSix:
     """Project the full set onto (I1, I2, I4, I10, I12, I14).
 
@@ -255,15 +263,22 @@ def xform_invariants(x: XForm) -> SymmetricSix:
     """
     ab = abs(x.b)
     c = x.c
-    ad = x.a - x.d
+    i4, i12, i14 = _xform_criteria_invariants(x.a - x.d, ab, c)
     return SymmetricSix(
         i1=(4.0 * c * c - 4.0 * ab * ab) * (1.0 - 4.0 * c),
         i2=(2.0 * c + 2.0 * ab) ** 2 + (2.0 * c - 2.0 * ab) ** 2 + (1.0 - 4.0 * c) ** 2,
-        i4=ad * ad,
+        i4=i4,
         i10=0.0,
-        i12=ad * ad * (1.0 - 4.0 * c),
-        i14=8.0 * ad * ad * (c * c - ab * ab),
+        i12=i12,
+        i14=i14,
     )
+
+
+def _xform_criteria_invariants(ad, ab, c) -> tuple:
+    """The closed forms of (I4, I12, I14) from a - d, |b| and c, as
+    :func:`xform_invariants` gives them: Python floats or ``(k,)`` arrays,
+    with the same bits either way (products and differences only)."""
+    return ad * ad, ad * ad * (1.0 - 4.0 * c), 8.0 * ad * ad * (c * c - ab * ab)
 
 
 def xform_relation_check(six: SymmetricSix) -> bool:
@@ -274,8 +289,7 @@ def xform_relation_check(six: SymmetricSix) -> bool:
     when |I4| is inside that band; callers then fall back to the (I1, I2)
     pair.
     """
-    if abs(six.i4) <= SIGN_ZERO_BAND:
-        raise I4Zero(f"I4 = {six.i4:.3e} is inside the zero band {SIGN_ZERO_BAND:.1e}")
+    _raise_first([_i4_zero_gate(np.array([six.i4], dtype=float))])
     i4sq = six.i4 * six.i4
     i1_pred = six.i14 * six.i12 / (2.0 * i4sq)
     i2_pred = ((six.i4 - six.i12) ** 2 - six.i4 * six.i14 + six.i12 ** 2) / i4sq

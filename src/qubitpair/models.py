@@ -41,7 +41,11 @@ ORACLE_MAX_QUBITS = 6
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Family plus its parameters; ``m`` is Dicke-only, ``chi_t`` drives oat/ising."""
+    """Family plus its parameters; ``m`` is Dicke-only, ``chi_t`` drives oat/ising.
+
+    A parameter the family does not take raises ValueError, as the CLI's
+    family check does for a foreign flag.
+    """
 
     family: str
     n: int
@@ -51,7 +55,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        parameter = "m" if self.family == "dicke" else "chi_t"
+        parameter, foreign = ("m", "chi_t") if self.family == "dicke" else ("chi_t", "m")
+        if getattr(self, foreign) is not None:
+            raise ValueError(f"{self.family} does not take {foreign}")
         if getattr(self, parameter) is None:
             raise ValueError(f"{self.family} requires {parameter}")
         _raise_first(_family_gates(self.family, [self.n], [self.m], [self.chi_t])[0])
@@ -110,14 +116,6 @@ def _family_gates(family: str, ns, ms, chi_ts) -> tuple:
     ], n, m
 
 
-def _pow(base: np.ndarray, exponent) -> np.ndarray:
-    """``base ** exponent`` entry by entry on Python floats, as the one-point
-    formulas took it: numpy's array power rounds otherwise on a share of the
-    entries (hundreds in 20,000 at exponent 3)."""
-    exponent = np.broadcast_to(exponent, base.shape).tolist()
-    return np.array([x ** e for x, e in zip(base.tolist(), exponent)])
-
-
 def _closed_form(family: str, points, paper_literal: bool, stacklevel: int) -> tuple:
     """The family rule of k grid points ``(N, M, chi_t)`` in ``_raise_first``'s
     form, then the XForm parameters ``a, b, c, d`` as ``(k,)`` arrays, by the
@@ -136,17 +134,18 @@ def _closed_form(family: str, points, paper_literal: bool, stacklevel: int) -> t
         a = (n + 2.0 * x) * (n + 2.0 * x - 2.0) / denom
         b, c = np.zeros(len(x), dtype=complex), (n * n - 4.0 * x * x) / denom
     elif family == "oat":  # x is chi t
-        cos2, cos1 = _pow(np.cos(2.0 * x), n - 2.0), np.cos(x)
-        a = (3.0 + cos2 - 4.0 * _pow(cos1, n - 1.0)) / 8.0
+        cos2, cos1 = qmat.float_pow(np.cos(2.0 * x), n - 2.0), np.cos(x)
+        a = (3.0 + cos2 - 4.0 * qmat.float_pow(cos1, n - 1.0)) / 8.0
         c = (1.0 - cos2) / 8.0
         b = np.empty(len(x), dtype=complex)
-        b.real, b.imag = -c, 0.5 * _pow(cos1, n - 1.0 if paper_literal else n - 2.0) * np.sin(x)
+        power = qmat.float_pow(cos1, n - 1.0 if paper_literal else n - 2.0)
+        b.real, b.imag = -c, 0.5 * power * np.sin(x)
     else:  # ising, x is chi t
         if (n[:refused.argmax() if refused.any() else len(n)] == 2.0).any():
             warnings.warn("ising_pair with n=2: the closed form assumes a pair embedded in a "
                           "longer chain", stacklevel=stacklevel + 1)
         s, denom = np.sin(x), 8.0 * (n - 1.0)
-        a = (4.0 * (n - 1.0) * (1.0 + _pow(np.cos(x / 2.0), 2)) - s * s) / denom
+        a = (4.0 * (n - 1.0) * (1.0 + qmat.float_pow(np.cos(x / 2.0), 2)) - s * s) / denom
         b, c = -s * (s + 4.0j) / denom, s * s / denom
     return gates, a, b, c, 1.0 - a - 2.0 * c
 

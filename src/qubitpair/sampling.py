@@ -1,10 +1,14 @@
 """Random state generators used by the self-test and property suites.
 
 All samplers take a caller-owned ``numpy.random.Generator`` and are
-deterministic for a fixed generator state.
+deterministic for a fixed generator state.  ``random_xform`` is the
+checked ``XForm`` of one ``_xform_draw``, which the self-test calls
+draw by draw and gates once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,14 +45,21 @@ def random_symmetric_density_matrix(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_xform(rng: np.random.Generator) -> XForm:
-    """Random valid special-pattern state.
+    """Random valid special-pattern state: the :class:`XForm` of one
+    :func:`_xform_draw`.
 
     (a, 2c, d) is uniform on the probability simplex and b is uniform in
     the disc of radius sqrt(a d), which is exactly the PSD region.
     """
+    return XForm(*_xform_draw(rng))
+
+
+def _xform_draw(rng: np.random.Generator) -> tuple:
+    """The parameters ``(a, b, c, d)`` of one :func:`random_xform` draw, on
+    its stream, unchecked: a, c and d Python floats, b a numpy complex."""
     w = rng.exponential(size=3)
-    w /= np.sum(w)
-    a, d, c = float(w[0]), float(w[1]), float(w[2]) / 2.0
-    radius = np.sqrt(a * d) * np.sqrt(rng.uniform())
+    a, d, two_c = (w / w.sum()).tolist()
+    # math.sqrt and np.sqrt both round the square root correctly.
+    radius = math.sqrt(a * d) * math.sqrt(rng.uniform())
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    return XForm(a=a, b=radius * np.exp(1j * phase), c=c, d=d)
+    return a, radius * np.exp(1j * phase), two_c / 2.0, d

@@ -22,10 +22,11 @@ once.  The positivity suite makes its sampler calls per draw, builds all
 of its separable states at once, decomposes each with
 ``bloch_decompose`` and contracts them as one stack.  Each stacked state
 equals the scalar sampler's state bit for bit.  The X-form suite draws
-its forms one by one and solves the partial transposes of all its cases
-in one batched eigen solve; its closed forms, ``xform_pt_eigenvalues``
-and ``xform_equivalence_check``, are what it tests, and they run per
-draw.
+its parameters one by one, on ``random_xform``'s stream, gates them once
+with ``XForm``'s rule and then evaluates them as ``(k,)`` arrays: one
+batched eigen solve of the partial transposes, and one call each of the
+closed forms under test, ``xform_pt_eigenvalues_stack`` and
+``xform_equivalence_stack``.
 
 Deterministic for a fixed seed.  On the first violation the offending
 state is serialized for reproduction.
@@ -39,13 +40,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariants as invariants_mod
-from .qmat import hermitian_eigenvalues, su2_from_normals
-from .sampling import hilbert_schmidt_states, random_xform
+from .qmat import float_pow, hermitian_eigenvalues, su2_from_normals
+from .sampling import _xform_draw, hilbert_schmidt_states
 from .separability import (
-    _ball_points, _criteria_columns, _ensemble_draw, partial_transpose, separable_mixtures,
-    xform_equivalence_check, xform_pt_eigenvalues,
+    _abs, _ball_points, _criteria_columns, _ensemble_draw, partial_transpose, separable_mixtures,
+    xform_equivalence_stack, xform_pt_eigenvalues_stack,
 )
-from .states import apply_local_unitary, bloch_decompose, bloch_decompose_stack, xform_matrices
+from .states import (
+    _raise_first, _xform_gates, apply_local_unitary, bloch_decompose, bloch_decompose_stack,
+    xform_matrices,
+)
 from .stateio import write_state_file
 from .tolerances import INVARIANCE_ABS, INVARIANCE_REL, SIGN_ZERO_BAND
 
@@ -169,27 +173,32 @@ def _suite_positivity(count, rng, writer) -> SuiteResult:
     return SuiteResult("separable_positivity", int(cases.sum()), int(failed.size), max_dev)
 
 
+def _xform_draws(count, rng) -> tuple:
+    """The X-form suite's draws as ``(count,)`` arrays a, b, c and d, on the
+    stream of ``random_xform`` called draw by draw, gated once by ``XForm``'s
+    rule: the first refused draw raises the error its ``XForm`` raises."""
+    table = np.array([_xform_draw(rng) for _ in range(count)], dtype=complex).reshape(count, 4)
+    a, b, c, d = table[:, 0].real, table[:, 1], table[:, 2].real, table[:, 3].real
+    _raise_first(_xform_gates(a, b, c, d))
+    return a, b, c, d
+
+
 def _suite_xform_equivalence(count, rng, writer) -> SuiteResult:
-    xs = []
-    for _ in range(count):
-        x = random_xform(rng)
-        # The floor lies above SIGN_ZERO_BAND, so xform_equivalence_check
-        # never meets the degenerate (a - d)^2 it raises on.
-        if (x.a - x.d) ** 2 > _I4_FLOOR and x.c + abs(x.b) > _I4_FLOOR:
-            xs.append(x)
-    states = xform_matrices(*(np.array([getattr(x, f) for x in xs]) for f in "abcd"))
+    a, b, c, d = _xform_draws(count, rng)
+    # The floor lies above SIGN_ZERO_BAND, so no case has the degenerate
+    # (a - d)^2 on which xform_equivalence_check raises.
+    cases = (float_pow(a - d, 2) > _I4_FLOOR) & (c + _abs(b) > _I4_FLOOR)
+    a, b, c, d = (column[cases] for column in (a, b, c, d))
+    states = xform_matrices(a, b, c, d)
     # One PT solve for every case, through the two functions ppt_check calls.
-    numeric = hermitian_eigenvalues(partial_transpose(states))[:, 0].tolist()
-    failures = 0
-    max_dev = 0.0
-    for x, rho, pt_min in zip(xs, states, numeric):
-        closed = np.sort(xform_pt_eigenvalues(x))
-        spectrum_dev = abs(float(closed[0]) - pt_min)
-        max_dev = max(max_dev, spectrum_dev)
-        if not xform_equivalence_check(x) or spectrum_dev > SIGN_ZERO_BAND:
-            failures += 1
-            writer.record(rho)
-    return SuiteResult("xform_pt_equivalence", len(xs), failures, max_dev)
+    numeric = hermitian_eigenvalues(partial_transpose(states))[:, 0]
+    closed = np.sort(xform_pt_eigenvalues_stack(a, b, c, d), axis=1)[:, 0]
+    dev = np.abs(closed - numeric)
+    failed = np.flatnonzero(~xform_equivalence_stack(a, b, c, d) | (dev > SIGN_ZERO_BAND))
+    if failed.size:
+        writer.record(states[failed[0]])
+    return SuiteResult("xform_pt_equivalence", int(cases.sum()), int(failed.size),
+                       float(dev.max(initial=0.0)))
 
 
 def run_selftest(seed: int, count: int, out_dir: str = ".") -> SelfTestReport:

@@ -12,7 +12,11 @@ and returns its numbers as arrays (``EvidenceStack``); it refuses a stack
 by the error of its first bad state.  ``evidence`` of one ``(4, 4)``
 state is its one-row case.  The criteria rule is written once, on
 columns of I4, I12 and I14: ``evidence_stack``, the self-test's
-positivity suite and ``invariant_criteria`` (one row) all read it.
+positivity suite and ``invariant_criteria`` (one row) all read it.  The
+special pattern's closed forms take ``(k,)`` parameter arrays as well:
+``xform_pt_eigenvalues`` and ``xform_equivalence_check`` are the one-row
+cases of ``xform_pt_eigenvalues_stack`` and ``xform_equivalence_stack``,
+which the self-test's X-form suite calls once for all of its draws.
 """
 
 from __future__ import annotations
@@ -23,14 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .errors import (
-    DegenerateHypothesis,
-    I4Zero,
-    InconsistentClassification,
-    NotSymmetricState,
-)
+from .errors import DegenerateHypothesis, InconsistentClassification, NotSymmetricState
 from .invariants import (
-    InvariantSet, SymmetricSix, _exchange_gate, makhlin_stack, xform_invariants,
+    InvariantSet, SymmetricSix, _exchange_gate, _i4_zero_gate, _xform_criteria_invariants,
+    makhlin_stack,
 )
 from .states import (
     XForm,
@@ -201,23 +201,34 @@ def ppt_check(rho: np.ndarray) -> PptResult:
 
 
 def xform_pt_eigenvalues(x: XForm) -> np.ndarray:
-    """Closed-form PT spectrum of a special-pattern state.
+    """Closed-form PT spectrum of a special-pattern state: the one-row case
+    of :func:`xform_pt_eigenvalues_stack`.
 
     lambda_{1,2} = ((a + d) -/+ sqrt((a - d)^2 + 4 c^2)) / 2 and
     lambda_{3,4} = c -/+ |b|; only lambda_1 and lambda_3 can go negative.
     Returned in that order; as a multiset it equals the numeric PT
     spectrum.
     """
-    root = np.sqrt((x.a - x.d) ** 2 + 4.0 * x.c * x.c)
-    ab = abs(x.b)
-    return np.array(
-        [
-            0.5 * ((x.a + x.d) - root),
-            0.5 * ((x.a + x.d) + root),
-            x.c - ab,
-            x.c + ab,
-        ]
-    )
+    return xform_pt_eigenvalues_stack(*x._columns())[0]
+
+
+def _abs(b: np.ndarray) -> np.ndarray:
+    """|b| of a ``(k,)`` array as Python's ``abs`` gives it for each entry
+    (``np.abs`` of a complex array rounds otherwise on about a third of
+    the ``random_xform`` draws)."""
+    return np.hypot(b.real, b.imag)
+
+
+def xform_pt_eigenvalues_stack(
+        a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The closed-form PT spectra of k special-pattern states, from their
+    ``(k,)`` parameter arrays, as a ``(k, 4)`` array: each row is
+    (lambda_1, lambda_2, lambda_3, lambda_4) of :func:`xform_pt_eigenvalues`,
+    equal to its one-state value bit for bit.  The parameters are not checked.
+    """
+    root = np.sqrt(qmat.float_pow(a - d, 2) + 4.0 * c * c)
+    ab = _abs(b)
+    return np.stack([0.5 * ((a + d) - root), 0.5 * ((a + d) + root), c - ab, c + ab], axis=1)
 
 
 def invariant_criteria(six: SymmetricSix) -> frozenset:
@@ -232,9 +243,8 @@ def invariant_criteria(six: SymmetricSix) -> frozenset:
     uninformative and the caller must rely on the PT spectrum.
     """
     columns = np.array([[six.i4], [six.i12], [six.i14]], dtype=float)
-    _, fired, fallback = _criteria_columns(*columns)
-    if fallback[0]:
-        raise I4Zero(f"I4 = {six.i4:.3e} is inside the zero band {SIGN_ZERO_BAND:.1e}")
+    _raise_first([_i4_zero_gate(columns[0])])
+    _, fired, _ = _criteria_columns(*columns)
     return frozenset(itertools.compress(CRITERIA, fired[0].tolist()))
 
 
@@ -264,12 +274,11 @@ def _criteria_columns(i4: np.ndarray, i12: np.ndarray, i14: np.ndarray) -> tuple
     Returns the ``(k, 3)`` criterion values I12, I14 and I12 - I4^2 (columns
     in ``CRITERIA`` order), the ``(k, 3)`` mask of the criteria that fire
     (value below -SIGN_ZERO_BAND) and the ``(k,)`` I4-zero fallback
-    (|I4| <= SIGN_ZERO_BAND), on whose rows no criterion fires.
+    (``invariants._i4_zero_gate``), on whose rows no criterion fires.
     """
-    # Python's float ** 2 (C pow) and numpy's square differ in the last bit
-    # on about 1 value in 1000; the sweep's I12 - I4^2 column is pinned to the former.
-    values = np.stack([i12, i14, i12 - np.array([v ** 2 for v in i4.tolist()])], axis=1)
-    fallback = np.abs(i4) <= SIGN_ZERO_BAND
+    # I4^2 as Python's float ** 2: the sweep's I12 - I4^2 column is pinned to it.
+    values = np.stack([i12, i14, i12 - qmat.float_pow(i4, 2)], axis=1)
+    fallback, _ = _i4_zero_gate(i4)
     return values, (values < -SIGN_ZERO_BAND) & ~fallback[:, None], fallback
 
 
@@ -363,7 +372,8 @@ def _ball_points(normals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def xform_equivalence_check(x: XForm) -> bool:
-    """Sign equivalence between the PT spectrum and the invariant criteria.
+    """Sign equivalence between the PT spectrum and the invariant criteria:
+    the one-row case of :func:`xform_equivalence_stack`.
 
     For the special pattern, I12 - I4^2 = (a-d)^2 ((1-4c) - (a-d)^2) and
     I14 = 8 (a-d)^2 (c+|b|) lambda_3, so each criterion sign must agree
@@ -379,25 +389,33 @@ def xform_equivalence_check(x: XForm) -> bool:
     ad_sq = (x.a - x.d) ** 2
     if ad_sq <= SIGN_ZERO_BAND:
         raise DegenerateHypothesis(f"(a - d)^2 = {ad_sq:.3e} is inside the zero band")
-    six = xform_invariants(x)
+    return bool(xform_equivalence_stack(*x._columns())[0])
 
-    def band_sign(v: float) -> int:
-        if v > SIGN_ZERO_BAND:
-            return 1
-        if v < -SIGN_ZERO_BAND:
-            return -1
-        return 0
 
-    lhs12 = (six.i12 - six.i4 ** 2) / ad_sq
-    rhs12 = (1.0 - 4.0 * x.c) - ad_sq
-    ok12 = band_sign(lhs12) == band_sign(rhs12)
+def _band_signs_agree(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether u and v fall on the same side of the zero band, or both in it."""
+    return (((u > SIGN_ZERO_BAND) == (v > SIGN_ZERO_BAND))
+            & ((u < -SIGN_ZERO_BAND) == (v < -SIGN_ZERO_BAND)))
 
-    c_plus_b = x.c + abs(x.b)
-    if c_plus_b <= SIGN_ZERO_BAND:
-        # Both I14 and lambda_3 are confined to the zero band.
-        ok14 = True
-    else:
-        lhs14 = six.i14 / (8.0 * ad_sq * c_plus_b)
-        lam3 = x.c - abs(x.b)
-        ok14 = band_sign(lhs14) == band_sign(lam3)
-    return ok12 and ok14
+
+def xform_equivalence_stack(
+        a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """:func:`xform_equivalence_check` of k special-pattern states, from their
+    ``(k,)`` parameter arrays, as a ``(k,)`` mask.
+
+    The parameters are not checked.  A row whose (a-d)^2 is inside the zero
+    band, where the one-state check raises DegenerateHypothesis, carries
+    no information; its entry is meaningless.
+    """
+    ad = a - d
+    ad_sq = qmat.float_pow(ad, 2)
+    ab = _abs(b)
+    i4, i12, i14 = _xform_criteria_invariants(ad, ab, c)
+    c_plus_b = c + ab
+    with np.errstate(divide="ignore", invalid="ignore"):  # the rows that carry no information
+        lhs12 = (i12 - qmat.float_pow(i4, 2)) / ad_sq
+        lhs14 = i14 / (8.0 * ad_sq * c_plus_b)
+    ok12 = _band_signs_agree(lhs12, (1.0 - 4.0 * c) - ad_sq)
+    # Where c + |b| is inside the band, I14 and lambda_3 both are.
+    ok14 = (c_plus_b <= SIGN_ZERO_BAND) | _band_signs_agree(lhs14, c - ab)
+    return ok12 & ok14

@@ -16,17 +16,18 @@ on T holds only for triplet support.
 There is one Pauli decomposition, ``bloch_decompose_stack``: a ``(k, 4,
 4)`` stack to ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)``.  It refuses
 a stack by the error of its first bad state, so ``bloch_decompose`` (one
-``(4, 4)`` matrix to a ``BlochForm``) is its one-row case.  ``BlochForm``
-and the stack share one entry rule.  ``symmetric_form_stack`` holds the
-exchange constraints of a triplet-supported state's Bloch form.
+``(4, 4)`` matrix to a ``BlochForm``) is its one-row case: it builds the
+form from the row the stack has gated, without a copy or a second check.
+``BlochForm`` and the stack share one entry rule.  ``symmetric_form_stack``
+holds the exchange constraints of a triplet-supported state's Bloch form.
+``XForm``'s rule is one function on Python floats, which ``_xform_gates``
+runs on k parameter sets.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _refused(gates) -> np.ndarray:
     """The ``(k,)`` mask of the rows that any of ``_raise_first``'s gates refuses."""
-    return functools.reduce(operator.or_, (mask for mask, _ in gates))
+    return np.logical_or.reduce([mask for mask, _ in gates])
 
 
 def _raise_first(gates) -> None:
@@ -92,10 +93,10 @@ def _raise_first(gates) -> None:
         raise next(error(j) for mask, error in gates if mask[j])
 
 
-def _entry_gates(entries: np.ndarray) -> list:
-    """The entry rule of a Bloch form on the ``(k, 15)`` entries of k forms:
-    finite, then within [-1, 1] (``compose`` checks the rest of physicality)."""
-    largest = np.abs(entries).max(axis=1)  # NaN or inf if any entry is
+def _entry_gates(largest: np.ndarray) -> list:
+    """The entry rule of a Bloch form on the ``(k,)`` largest absolute entry
+    of k forms (NaN or inf if any entry is): finite, then within [-1, 1]
+    (``compose`` checks the rest of physicality)."""
     return [
         (~np.isfinite(largest), lambda j: ValueError("BlochForm entries must be finite")),
         (largest > _PAULI_BOUND, lambda j: ValueError("BlochForm components must lie in [-1, 1]")),
@@ -123,7 +124,18 @@ class BlochForm:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         if self.s.shape != (3,) or self.r.shape != (3,) or self.t.shape != (3, 3):
             raise ValueError("BlochForm needs s, r of shape (3,) and t of shape (3, 3)")
-        _raise_first(_entry_gates(np.concatenate((self.s, self.r, self.t.ravel()))[None]))
+        entries = np.concatenate((self.s, self.r, self.t.ravel()))
+        _raise_first(_entry_gates(np.abs(entries).max(keepdims=True)))
+
+    @classmethod
+    def _gated(cls, s: np.ndarray, r: np.ndarray, t: np.ndarray) -> "BlochForm":
+        """The form of float arrays of the right shapes that have passed the
+        entry rule, without a copy or a second check; they are made read-only."""
+        form = object.__new__(cls)
+        for name, a in zip(("s", "r", "t"), (s, r, t)):
+            a.setflags(write=False)
+            object.__setattr__(form, name, a)
+        return form
 
 
 @dataclass(frozen=True)
@@ -150,8 +162,13 @@ class XForm:
         """Build with d fixed by the unit-trace constraint."""
         return cls(a=a, b=b, c=c, d=1.0 - a - 2.0 * c)
 
+    def _columns(self) -> tuple:
+        """``(a, b, c, d)`` as 1-element arrays: the one-row stack of the
+        functions that take ``(k,)`` parameter arrays."""
+        return tuple(np.array([v]) for v in (self.a, self.b, self.c, self.d))
+
     def to_matrix(self) -> np.ndarray:
-        return xform_matrices(*(np.array([v]) for v in (self.a, self.b, self.c, self.d)))[0]
+        return xform_matrices(*self._columns())[0]
 
 
 def _xform_error(a: float, b: complex, c: float, d: float):
@@ -160,7 +177,8 @@ def _xform_error(a: float, b: complex, c: float, d: float):
     The checks, in order: finite, diagonal above -1e-12, unit trace within
     TRACE, corner block PSD within 1e-10.  One point is checked on Python
     floats: a stack of 1-element numpy arrays costs about five times as
-    much, and every ``random_xform`` draw of the self-test pays it.
+    much, and every ``XForm`` and every draw of the self-test's X-form
+    suite pays it.
     """
     if not all(map(math.isfinite, (a, c, d))) or not cmath.isfinite(b):
         return ValueError("XForm parameters must be finite")
@@ -221,7 +239,7 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
     Use :func:`assert_density_matrix` for the full (PSD) validation.
     """
     s, r, t = bloch_decompose_stack(_as_state(rho)[None])
-    return BlochForm(s=s[0], r=r[0], t=t[0])
+    return BlochForm._gated(s[0], r[0], t[0])
 
 
 def _decomposition(rhos: np.ndarray) -> tuple:
@@ -236,16 +254,17 @@ def _decomposition(rhos: np.ndarray) -> tuple:
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise InvalidDensityMatrix(f"expected shape (k, 4, 4), got {rhos.shape}")
     trace = rhos.trace(axis1=1, axis2=2)
-    c = np.einsum("...ij,mnji->...mn", rhos, _BASIS).reshape(-1, 16)
-    residue = np.abs(c.imag[:, 1:]).max(axis=1)  # c[:, 0] is the trace
-    c = c.real
+    c = np.einsum("...ij,mnji->...mn", rhos, _BASIS)
+    # The largest |real part| and |imaginary part| of the 15 Pauli traces
+    # after the trace c[:, 0, 0], read as (real, imaginary) float pairs.
+    largest, residue = np.abs(c.reshape(-1, 16)[:, 1:, None].view(float)).max(axis=1).T
     gates = [
         (np.abs(trace - 1.0) > TRACE, lambda j: InvalidDensityMatrix("trace invariant violated")),
         (residue > _IMAG_RESIDUE, lambda j: InvalidDensityMatrix(
             f"Pauli trace has imaginary residue {residue[j]:.3e}")),
-        *_entry_gates(c[:, 1:]),
+        *_entry_gates(largest),
     ]
-    c = c.reshape(-1, 4, 4)
+    c = c.real
     s, r, t = (np.ascontiguousarray(a) for a in (c[:, 1:, 0], c[:, 0, 1:], c[:, 1:, 1:]))
     return s, r, t, qmat.hermiticity_defect(rhos), gates
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from qubitpair import qmat
 from qubitpair.errors import I4Zero, NoRealSpectrum, NotSymmetricState
 from qubitpair.invariants import (
+    SymmetricSix,
     i10_diagonal_frame,
     makhlin_all,
     symmetric_six,
@@ -21,6 +23,7 @@ from qubitpair.sampling import (
     random_xform,
 )
 from qubitpair.states import BlochForm, apply_local_unitary, bloch_decompose
+from qubitpair.tolerances import SIGN_ZERO_BAND
 
 REL = 1e-9
 ABS = 1e-12
@@ -250,6 +253,25 @@ class TestXFormRelationCheck:
         six = xform_invariants(xform_extract(bell_symmetric))
         with pytest.raises(I4Zero):
             xform_relation_check(six)
+
+    @pytest.mark.parametrize("i4", [
+        0.0, -0.0, SIGN_ZERO_BAND, -SIGN_ZERO_BAND, np.nextafter(SIGN_ZERO_BAND, 1.0),
+        -np.nextafter(SIGN_ZERO_BAND, 1.0), 0.25, np.nan])
+    def test_reads_the_one_i4_zero_rule(self, i4):
+        # The relation check, invariant_criteria and the criteria columns the
+        # evidence reads refuse the same I4 with the same message.
+        from qubitpair.separability import _criteria_columns, invariant_criteria
+
+        six = SymmetricSix(i1=0.0, i2=1.0, i4=float(i4), i10=0.0, i12=0.0, i14=0.0)
+        fallback = _criteria_columns(np.array([i4]), np.zeros(1), np.zeros(1))[2][0]
+        assert fallback == (abs(i4) <= SIGN_ZERO_BAND)
+        for check in (xform_relation_check, invariant_criteria):
+            if fallback:
+                message = f"I4 = {i4:.3e} is inside the zero band 1.0e-10"
+                with pytest.raises(I4Zero, match=f"^{re.escape(message)}$"):
+                    check(six)
+            else:
+                check(six)
 
 
 class TestTEigenvaluesFromInvariants:

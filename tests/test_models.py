@@ -393,6 +393,16 @@ class TestModelSpec:
         with pytest.raises(InvalidDicke, match="^need at least two qubits$"):
             ModelSpec(family="dicke", n=1, m=0.5)
 
+    @pytest.mark.parametrize("family, foreign", [
+        ("dicke", "chi_t"), ("oat", "m"), ("ising", "m")])
+    @pytest.mark.parametrize("with_own", [True, False])
+    def test_refuses_a_parameter_the_family_does_not_take(self, family, foreign, with_own):
+        # Worded like the CLI's family check on a foreign flag.
+        own = {"dicke": {"m": 1.0}, "oat": {"chi_t": 0.5}, "ising": {"chi_t": 0.5}}[family]
+        kwargs = {foreign: 1.0, **(own if with_own else {})}
+        with pytest.raises(ValueError, match=f"^{family} does not take {foreign}$"):
+            ModelSpec(family, 4, **kwargs)
+
     @pytest.mark.parametrize("family", ["oat", "ising"])
     def test_takes_the_family_rule_on_chi_t(self, family):
         with pytest.raises(ValueError, match="^chi_t must be finite, got chi_t = inf$"):

@@ -22,7 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubitpair import cli, selftest
-from qubitpair.errors import I4Zero, InvalidDensityMatrix, NotHermitian, NotSymmetricState
+from qubitpair.errors import (
+    DegenerateHypothesis, I4Zero, InvalidDensityMatrix, NotHermitian, NotSymmetricState,
+)
 from qubitpair.invariants import (
     InvariantSet, SymmetricSix, makhlin_all, makhlin_stack, symmetric_six,
 )
@@ -40,7 +42,9 @@ from qubitpair.separability import (
     ppt_check,
     sample_separable_symmetric,
     xform_equivalence_check,
+    xform_equivalence_stack,
     xform_pt_eigenvalues,
+    xform_pt_eigenvalues_stack,
 )
 from qubitpair.qmat import haar_su2
 from qubitpair.states import (
@@ -346,7 +350,9 @@ class TestEvidenceStack:
 
 
 def _bad_rows(rng):
-    """One state per gate of ``evidence``, each refused by that gate only."""
+    """One state per gate of ``evidence``, each refused by that gate only, and
+    ``non_finite_entry``, whose overflowing Pauli trace the decomposition's
+    entry rule refuses."""
     clean = separable_symmetric_states(rng, 1)[0]
     non_hermitian = clean.copy()
     non_hermitian[0, 1] += 1e-6
@@ -356,6 +362,8 @@ def _bad_rows(rng):
     unbounded = np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex)  # <I (x) sigma_z> = 3
     non_finite = clean.copy()
     non_finite[2, 2] = np.nan
+    # Finite, Hermitian and of unit trace, but <I (x) sigma_z> = 3e308 overflows to inf.
+    overflow = np.diag([1.5e308, -1.5e308, 1.0, 0.0]).astype(complex)
     return {
         "hermiticity": non_hermitian,
         "trace": clean * 1.001,
@@ -363,6 +371,7 @@ def _bad_rows(rng):
         "bloch_bound": unbounded,
         "exchange": dense_states(rng, 1)[0],
         "non_finite": non_finite,
+        "non_finite_entry": overflow,
     }
 
 
@@ -390,6 +399,7 @@ DECOMPOSITION_ERRORS = {
     "bloch_bound": (ValueError, "BlochForm components must lie in [-1, 1]"),
     "exchange": None,  # the decomposition has no exchange gate
     "non_finite": (InvalidDensityMatrix, "not Hermitian: defect inf"),
+    "non_finite_entry": (ValueError, "BlochForm entries must be finite"),
 }
 GATES = list(EVIDENCE_ERRORS)
 
@@ -464,6 +474,32 @@ class TestStackedGates:
                 one_state(np.eye(4)[None] / 4)
 
 
+class TestBlochDecomposeForm:
+    """``bloch_decompose`` builds its form from the row the stack has gated,
+    without running ``BlochForm``'s checks a second time."""
+
+    def test_is_the_public_form_of_the_stack_row_read_only(self, rng):
+        for rho in np.concatenate([dense_states(rng, 40), separable_symmetric_states(rng, 40)]):
+            form = bloch_decompose(rho)
+            s, r, t = bloch_decompose_stack(rho[None])
+            public = BlochForm(s=s[0], r=r[0], t=t[0])
+            for name in ("s", "r", "t"):
+                got, want = getattr(form, name), getattr(public, name)
+                assert_bits_equal(got, want)
+                assert got.dtype == want.dtype == np.float64
+                assert not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got[...] = 0.0
+            assert_bits_equal(makhlin_all(form).as_array(), makhlin_all(public).as_array())
+
+    @pytest.mark.parametrize("gate", [g for g, error in DECOMPOSITION_ERRORS.items() if error])
+    def test_each_gate_raises_what_the_public_form_raised(self, gate, rng):
+        # Before, the decomposition's row went through BlochForm(...) too;
+        # the table pins the class and message each gate raised then.
+        with raises_exactly(DECOMPOSITION_ERRORS[gate]):
+            bloch_decompose(_bad_rows(rng)[gate])
+
+
 class TestInvariantCriteria:
     """``invariant_criteria`` reads the criteria from a symmetric six as the
     stack reads them from its invariant columns."""
@@ -501,8 +537,51 @@ def suite_draws(seed, count):
         invariance.append((rho, apply_local_unitary(rho, u1, u2)))
     separable = [sample_separable_symmetric(int(rng.integers(1, 7)), rng)[0]
                  for _ in range(count)]
-    xforms = [random_xform(rng) for _ in range(count)]
+    xforms = [reference_random_xform(rng) for _ in range(count)]
     return invariance, separable, xforms
+
+
+def reference_random_xform(rng):
+    """Frozen: ``random_xform`` as it drew before it became the ``XForm`` of
+    one ``sampling._xform_draw``; the X-form suite's stream is pinned to it."""
+    w = rng.exponential(size=3)
+    w /= np.sum(w)
+    a, d, c = float(w[0]), float(w[1]), float(w[2]) / 2.0
+    radius = np.sqrt(a * d) * np.sqrt(rng.uniform())
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    return XForm(a=a, b=radius * np.exp(1j * phase), c=c, d=d)
+
+
+def reference_xform_pt_eigenvalues(x):
+    """Frozen: the one-state closed-form PT spectrum before it became the
+    one-row case of ``xform_pt_eigenvalues_stack``."""
+    root = np.sqrt((x.a - x.d) ** 2 + 4.0 * x.c * x.c)
+    ab = abs(x.b)
+    return np.array([0.5 * ((x.a + x.d) - root), 0.5 * ((x.a + x.d) + root), x.c - ab, x.c + ab])
+
+
+def reference_xform_equivalence_check(x):
+    """Frozen: the one-state sign equivalence before it became the one-row
+    case of ``xform_equivalence_stack``, with ``xform_invariants``' closed
+    forms of I4, I12 and I14 inlined."""
+    ad_sq = (x.a - x.d) ** 2
+    if ad_sq <= SIGN_ZERO_BAND:
+        raise DegenerateHypothesis(f"(a - d)^2 = {ad_sq:.3e} is inside the zero band")
+    ab, c, ad = abs(x.b), x.c, x.a - x.d
+    i4, i12, i14 = ad * ad, ad * ad * (1.0 - 4.0 * c), 8.0 * ad * ad * (c * c - ab * ab)
+
+    def band_sign(v):
+        return 1 if v > SIGN_ZERO_BAND else -1 if v < -SIGN_ZERO_BAND else 0
+
+    ok12 = band_sign((i12 - i4 ** 2) / ad_sq) == band_sign((1.0 - 4.0 * c) - ad_sq)
+    c_plus_b = c + abs(x.b)
+    if c_plus_b <= SIGN_ZERO_BAND:
+        return ok12
+    return ok12 and band_sign(i14 / (8.0 * ad_sq * c_plus_b)) == band_sign(c - abs(x.b))
+
+
+def xform_hex(x):
+    return tuple(float.hex(v) for v in (x.a, x.b.real, x.b.imag, x.c, x.d))
 
 
 SUITE_RUNS = [(seed, 20) for seed in range(32)] + [(42, 500)]
@@ -539,7 +618,8 @@ class TestSuiteDraws:
         for got, want in zip(states, separable):
             assert_same_matrix(got, want)
         # The X-form suite draws on from where the stacks leave the stream.
-        assert [random_xform(rng) for _ in range(count)] == xforms
+        assert ([xform_hex(random_xform(rng)) for _ in range(count)]
+                == [xform_hex(x) for x in xforms])
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_ginibre_rows_are_the_one_draw_formula(self, rng, dim):
@@ -637,17 +717,18 @@ def is_xform_case(x):
 
 
 def xform_loop(xforms):
-    """The X-form suite as it ran draw by draw, one ``ppt_check`` per case:
-    (cases, failures, max deviation, index of the first failing draw or None)."""
+    """The X-form suite as it ran draw by draw, one ``ppt_check`` per case and
+    the frozen one-state closed forms: (cases, failures, max deviation,
+    index of the first failing draw or None)."""
     cases, failures, max_dev, first = 0, 0, 0.0, None
     for j, x in enumerate(xforms):
         if not is_xform_case(x):
             continue
         cases += 1
-        closed = np.sort(xform_pt_eigenvalues(x))
+        closed = np.sort(reference_xform_pt_eigenvalues(x))
         dev = abs(float(closed[0]) - ppt_check(x.to_matrix()).min_eig)
         max_dev = max(max_dev, dev)
-        if not xform_equivalence_check(x) or dev > SIGN_ZERO_BAND:
+        if not reference_xform_equivalence_check(x) or dev > SIGN_ZERO_BAND:
             failures += 1
             first = j if first is None else first
     return cases, failures, max_dev, first
@@ -764,11 +845,8 @@ class TestPositivitySuite:
 
 
 class TestXformSuite:
-    """The X-form suite solves the partial transposes of all its cases at once.
-
-    It has no refusal path to test: ``XForm`` validates its parameters when
-    it is built and ``to_matrix`` is Hermitian by construction.
-    """
+    """The X-form suite gates its draws once and evaluates them as arrays: one
+    PT solve and one call of each stacked closed form."""
 
     @pytest.mark.parametrize("seed, count", SUITE_RUNS)
     def test_equals_the_scalar_loop_bit_for_bit(self, seed, count, tmp_path):
@@ -776,6 +854,45 @@ class TestXformSuite:
         suite = selftest.run_selftest(seed, count, out_dir=str(tmp_path)).suites[2]
         assert (suite.name, suite.cases, suite.failures, float.hex(suite.max_deviation)) == (
             "xform_pt_equivalence", cases, failures, float.hex(max_dev))
+
+    def test_equals_the_frozen_loop_on_300_seeds(self, tmp_path):
+        for seed in range(300):
+            count = (0, 7, 20, 60)[seed % 4]
+            rng = np.random.default_rng(seed)
+            selftest._invariance_states(count, rng)
+            selftest._positivity_states(count, rng)
+            state = rng.bit_generator.state
+            writer = selftest._CounterexampleWriter(str(tmp_path))
+            suite = selftest._suite_xform_equivalence(count, rng, writer)
+            rng.bit_generator.state = state
+            cases, failures, max_dev, first = xform_loop(
+                [reference_random_xform(rng) for _ in range(count)])
+            assert (suite.cases, suite.failures, float.hex(suite.max_deviation)) == (
+                cases, failures, float.hex(max_dev)), seed
+            assert first is None and writer.path is None
+
+    def test_count_zero_is_a_zero_case_suite(self, tmp_path):
+        a, b, c, d = selftest._xform_draws(0, np.random.default_rng(5))
+        assert [v.shape for v in (a, b, c, d)] == [(0,)] * 4
+        assert b.dtype == complex and a.dtype == c.dtype == d.dtype == float
+        suite = selftest.run_selftest(5, 0, out_dir=str(tmp_path)).suites[2]
+        assert suite == selftest.SuiteResult("xform_pt_equivalence", 0, 0, 0.0)
+
+    @pytest.mark.parametrize("j", [0, 7, 19])
+    def test_a_refused_draw_raises_the_xform_error(self, j, tmp_path, monkeypatch):
+        real = selftest._xform_draw
+        calls = []
+
+        def draw(rng):
+            calls.append(None)
+            a, b, c, d = real(rng)
+            return (a, b, c, d + 0.5) if len(calls) - 1 == j else (a, b, c, d)
+
+        monkeypatch.setattr(selftest, "_xform_draw", draw)
+        with raises_exactly((InvalidDensityMatrix,
+                             "trace constraint a + d + 2c = 1 violated by 5.000e-01")):
+            selftest.run_selftest(5, 20, out_dir=str(tmp_path))
+        assert len(calls) == 20  # every draw is made before the one gate runs
 
     def test_biased_eigenvalues_fail_with_the_first_draw_as_counterexample(
             self, tmp_path, capsys, monkeypatch):
@@ -799,3 +916,56 @@ class TestXformSuite:
         assert failures == {"local_unitary_invariance": "0", "separable_positivity": "0",
                             "xform_pt_equivalence": str(len(biased))}
         assert_same_matrix(written_counterexample(tmp_path), xforms[biased[0]].to_matrix())
+
+
+def closed_form_draws():
+    """20,000 ``random_xform`` draws and the edge cases of the closed forms:
+    b = 0, |b| = c (lambda_3 = 0), c + |b| = 0 and inside the zero band,
+    and a = d (the degenerate (a - d)^2)."""
+    rng = np.random.default_rng(2024)
+    return [random_xform(rng) for _ in range(20000)] + [
+        XForm.from_abc(0.3, 0j, 0.2),
+        XForm.from_abc(0.5, 0.1 + 0j, 0.1),
+        XForm.from_abc(0.5, 0.1j, 0.1),
+        XForm.from_abc(0.6, 0j, 0.0),
+        XForm.from_abc(0.6, 2e-11 + 0j, 3e-11),
+        XForm.from_abc(0.4, 0.1 + 0.1j, 0.1),
+    ]
+
+
+class TestXformClosedFormStacks:
+    """The stacked closed forms equal the frozen one-state ones bit for bit,
+    and the public one-state functions are their one-row cases."""
+
+    def test_pt_spectra_are_the_one_state_spectra(self):
+        xs = closed_form_draws()
+        columns = (np.array([getattr(x, f) for x in xs]) for f in "abcd")
+        spectra = xform_pt_eigenvalues_stack(*columns)
+        assert spectra.shape == (len(xs), 4)
+        for x, row in zip(xs, spectra):
+            want = reference_xform_pt_eigenvalues(x)
+            assert_bits_equal(row, want)
+            assert_bits_equal(xform_pt_eigenvalues(x), want)
+
+    def test_equivalence_is_the_one_state_check(self):
+        xs = closed_form_draws()
+        columns = [np.array([getattr(x, f) for x in xs]) for f in "abcd"]
+        agree = xform_equivalence_stack(*columns)
+        degenerate = 0
+        for x, got in zip(xs, agree.tolist()):
+            try:
+                want = reference_xform_equivalence_check(x)
+            except DegenerateHypothesis as exc:
+                degenerate += 1
+                with raises_exactly((DegenerateHypothesis, str(exc))):
+                    xform_equivalence_check(x)
+                continue
+            assert got is want is xform_equivalence_check(x)
+        assert degenerate >= 1
+
+    def test_the_edge_cases_reach_each_branch(self):
+        edges = closed_form_draws()[20000:]
+        lam3 = [reference_xform_pt_eigenvalues(x)[2] for x in edges]
+        assert lam3[1] == lam3[2] == 0.0  # |b| = c
+        assert [x.c + abs(x.b) <= SIGN_ZERO_BAND for x in edges] == [
+            False, False, False, True, True, False]
