@@ -54,7 +54,7 @@ class TooLarge(QubitPairError):
 
 
 class InconsistentClassification(QubitPairError):
-    """A fired entanglement criterion contradicts a strictly positive PT spectrum."""
+    """A fired entanglement criterion contradicts a separable PT verdict."""
 
 
 class StateFileError(QubitPairError):

@@ -40,7 +40,7 @@ from .states import (
     assert_density_matrix,
     is_symmetric,
 )
-from .tolerances import HERMITICITY, SIGN_ZERO_BAND
+from .tolerances import SIGN_ZERO_BAND
 
 CRITERION_I12 = "I12_negative"
 CRITERION_I14 = "I14_negative"
@@ -287,18 +287,15 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     valid symmetric states, with one PT solve, one Pauli decomposition and
     one invariant contraction for the whole stack.
 
-    The gates, in the order a single state meets them: Hermiticity
-    (NotHermitian, as the PT solve raises it), the gates of
-    ``states.bloch_decompose_stack`` after its Hermiticity gate, and the
-    exchange constraints (NotSymmetricState).  For the first row that a
-    gate refuses, the first gate refusing it raises.
+    The gates, in the order a single state meets them: the gates of
+    ``states.bloch_decompose_stack`` (the density-matrix rule, then the
+    entry rule) and the exchange constraints (NotSymmetricState).  For the
+    first row that a gate refuses, the first gate refusing it raises.
     """
-    s, r, t, defect, gates = _decomposition(rhos)
-    _raise_first([
-        (defect > HERMITICITY, lambda j: qmat._not_hermitian(defect[j])),
-        *gates,
-        _exchange_gate(s, r, t),
-    ])
+    s, r, t, gates = _decomposition(rhos)
+    with np.errstate(invalid="ignore"):  # inf - inf on a row the entry rule refuses
+        exchange = _exchange_gate(s, r, t)
+    _raise_first([*gates, exchange])
     # The PT permutes the entries of rho - rho^dag, so its defect is the
     # state's: the solve's own Hermiticity gate cannot refuse it.
     pt_min = qmat.hermitian_eigenvalues(partial_transpose(rhos))[:, 0]
@@ -330,9 +327,11 @@ def _classify_valid(rho: np.ndarray) -> Classification:
 def classify(rho: np.ndarray) -> Classification:
     """Full verdict for a symmetric state: PT ground truth plus fired criteria.
 
-    Refuses non-symmetric inputs (the invariant criteria are defined only
-    on the triplet subspace).  If a criterion fires while the PT spectrum
-    is strictly positive beyond the tolerance band, the contradiction is
+    Validates ``rho`` with ``states.assert_density_matrix`` and refuses
+    non-symmetric inputs with NotSymmetricState (the invariant criteria are
+    defined only on the triplet subspace).  If a criterion fires while the
+    PT verdict is separable (minimum eigenvalue >= -SIGN_ZERO_BAND, so a
+    PT minimum inside the zero band counts too), the contradiction is
     surfaced as InconsistentClassification rather than silently resolved.
     """
     return _classify_valid(assert_density_matrix(rho))

@@ -79,7 +79,8 @@ def write_state_file(
 
 
 def parse_state_payload(payload: dict) -> np.ndarray:
-    """Decode a payload into a validated density matrix."""
+    """Decode a payload into a density matrix that has passed
+    ``assert_density_matrix`` once (a Bloch payload through ``bloch_compose``)."""
     if not isinstance(payload, dict):
         raise StateFileError("state file must contain a JSON object")
     version = payload.get("schema_version")
@@ -93,35 +94,30 @@ def parse_state_payload(payload: dict) -> np.ndarray:
             f"exactly one of {_REPRESENTATIONS} must be present, got {present or 'none'}"
         )
     try:
+        if present[0] == "bloch":
+            spec = payload["bloch"]
+            return bloch_compose(BlochForm(
+                s=np.asarray(spec["s"], dtype=float),
+                r=np.asarray(spec["r"], dtype=float),
+                t=np.asarray(spec["t"], dtype=float),
+            ))
         if present[0] == "matrix":
             raw = np.asarray(payload["matrix"], dtype=float)
             if raw.shape != (4, 4, 2):
                 raise StateFileError(f"matrix must be 4x4 [re, im] pairs, got {raw.shape}")
             rho = raw[..., 0] + 1j * raw[..., 1]
-        elif present[0] == "xform":
+        else:
             spec = payload["xform"]
             rho = XForm.from_abc(
                 a=float(spec["a"]),
                 b=complex(float(spec["b_re"]), float(spec["b_im"])),
                 c=float(spec["c"]),
             ).to_matrix()
-        else:
-            spec = payload["bloch"]
-            rho = bloch_compose(
-                BlochForm(
-                    s=np.asarray(spec["s"], dtype=float),
-                    r=np.asarray(spec["r"], dtype=float),
-                    t=np.asarray(spec["t"], dtype=float),
-                )
-            )
+        return assert_density_matrix(rho)
     except StateFileError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise StateFileError(f"malformed {present[0]} representation: {exc}") from exc
-    except QubitPairError as exc:
-        raise StateFileError(f"invalid state: {exc}") from exc
-    try:
-        return assert_density_matrix(rho)
     except QubitPairError as exc:
         raise StateFileError(f"invalid state: {exc}") from exc
 

@@ -13,6 +13,14 @@ Bloch decomposition
 population is reported non-symmetric, because the unit-trace constraint
 on T holds only for triplet support.
 
+The density-matrix rule is written once, as a stack rule
+(``_state_gates``): Hermiticity within HERMITICITY, then unit trace
+within TRACE.  ``assert_density_matrix`` is its one-row case followed by
+the PSD stage, ``bloch_compose`` ends in ``assert_density_matrix``, and
+the Pauli decomposition and ``separability.evidence_stack`` read the
+same gates.  A matrix inside the Hermiticity band is read as its
+Hermitian part throughout.
+
 There is one Pauli decomposition, ``bloch_decompose_stack``: a ``(k, 4,
 4)`` stack to ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)``.  It refuses
 a stack by the error of its first bad state, so ``bloch_decompose`` (one
@@ -35,7 +43,7 @@ import numpy as np
 from . import qmat
 from .errors import InvalidDensityMatrix, NotPositive, NotXForm
 from .tolerances import (
-    HERMITICITY, PSD_FLOOR, SYMMETRIC_CONSTRAINTS, SYMMETRY, TRACE, XFORM_PATTERN,
+    HERMITICITY, PSD_FLOOR, STATE_ENTRY, SYMMETRIC_CONSTRAINTS, SYMMETRY, TRACE, XFORM_PATTERN,
 )
 
 # Pauli tensor basis B[m, n] = sigma_m (x) sigma_n with sigma_0 = I, built once.
@@ -43,9 +51,7 @@ _SIGMA_0123 = np.array((qmat.IDENTITY_2,) + qmat.PAULIS)
 _BASIS = np.einsum("mab,ncd->mnacbd", _SIGMA_0123, _SIGMA_0123).reshape(4, 4, 4, 4)
 _BASIS.setflags(write=False)
 
-# Bands local to the Pauli traces: the imaginary residue a trace may carry,
-# and the bound on Pauli expectations (necessary, not sufficient, for a state).
-_IMAG_RESIDUE = 1e-12
+# The bound on Pauli expectations (necessary, not sufficient, for a state).
 _PAULI_BOUND = 1.0 + 1e-9
 
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
@@ -209,23 +215,44 @@ def xform_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -
     return rho
 
 
+def _state_gates(rhos: np.ndarray) -> list:
+    """The density-matrix rule on a complex ``(k, 4, 4)`` stack, in
+    ``_raise_first``'s form: Hermiticity within HERMITICITY (a non-finite
+    matrix has defect inf), then unit trace within TRACE.  Each gate
+    raises InvalidDensityMatrix naming its invariant and value.
+
+    The trace gate reads the real part, the trace of the Hermitian part
+    (rho + rho^dag) / 2 that the eigen solve and the Pauli decomposition
+    read: the imaginary part is the anti-Hermitian part's, at most twice
+    the defect the first gate has bounded.
+    """
+    defect = qmat.hermiticity_defect(rhos)
+    trace = rhos.trace(axis1=1, axis2=2).real
+    return [
+        (defect > HERMITICITY, lambda j: InvalidDensityMatrix(
+            f"not Hermitian: defect {defect[j]:.3e}")),
+        (np.abs(trace - 1.0) > TRACE, lambda j: InvalidDensityMatrix(
+            f"trace invariant violated: trace = {trace[j]:.12g}")),
+    ]
+
+
 def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; return as complex array.
 
-    The bands are HERMITICITY, TRACE and PSD_FLOOR from ``tolerances``.
+    The one-row case of the density-matrix rule (``_state_gates``), then
+    the PSD stage: an entry whose modulus exceeds STATE_ENTRY, which no
+    state that passes the rule reaches, is refused before the eigen
+    solve, and so is a minimum eigenvalue below PSD_FLOOR.
 
     Raises InvalidDensityMatrix (or NotPositive) with the violated
     invariant named in the message.
     """
     rho = _as_state(rho)
-    if not np.all(np.isfinite(rho)):
-        raise InvalidDensityMatrix("matrix contains non-finite entries")
-    defect = qmat.hermiticity_defect(rho)
-    if defect > HERMITICITY:
-        raise InvalidDensityMatrix(f"not Hermitian: defect {defect:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE:
-        raise InvalidDensityMatrix(f"trace invariant violated: trace = {tr.real:.12g}")
+    _raise_first(_state_gates(rho[None]))
+    largest = float(np.abs(rho).max())
+    if largest > STATE_ENTRY:
+        raise NotPositive(f"not positive semidefinite: entry modulus {largest:.3e} "
+                          f"exceeds {STATE_ENTRY:.12g}")
     min_eig = float(qmat.hermitian_eigenvalues(rho)[0])
     if min_eig < PSD_FLOOR:
         raise NotPositive(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
@@ -245,28 +272,21 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
 def _decomposition(rhos: np.ndarray) -> tuple:
     """The Pauli decomposition of a ``(k, 4, 4)`` stack before its gates run.
 
-    Returns ``(s, r, t, defect, gates)``: the Bloch arrays, the
-    Hermiticity defect of each state, and the gates that follow the
-    Hermiticity gate in ``_raise_first``'s form (trace, imaginary residue,
-    entry rule).  Each caller puts its own Hermiticity error first.
+    Returns ``(s, r, t, gates)``: the Bloch arrays and, in
+    ``_raise_first``'s form, the density-matrix rule followed by the
+    entry rule.  The traces' real parts are kept: they decompose the
+    Hermitian part (rho + rho^dag) / 2, whose traces are real.  The
+    imaginary parts need no gate of their own, since each is at most
+    twice the Hermiticity defect (every sigma_m (x) sigma_n has one
+    unit-modulus entry per row).
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise InvalidDensityMatrix(f"expected shape (k, 4, 4), got {rhos.shape}")
-    trace = rhos.trace(axis1=1, axis2=2)
-    c = np.einsum("...ij,mnji->...mn", rhos, _BASIS)
-    # The largest |real part| and |imaginary part| of the 15 Pauli traces
-    # after the trace c[:, 0, 0], read as (real, imaginary) float pairs.
-    largest, residue = np.abs(c.reshape(-1, 16)[:, 1:, None].view(float)).max(axis=1).T
-    gates = [
-        (np.abs(trace - 1.0) > TRACE, lambda j: InvalidDensityMatrix("trace invariant violated")),
-        (residue > _IMAG_RESIDUE, lambda j: InvalidDensityMatrix(
-            f"Pauli trace has imaginary residue {residue[j]:.3e}")),
-        *_entry_gates(largest),
-    ]
-    c = c.real
+    c = np.einsum("...ij,mnji->...mn", rhos, _BASIS).real
+    largest = np.abs(c.reshape(-1, 16)[:, 1:]).max(axis=1)  # of the 15 traces after c[:, 0, 0]
     s, r, t = (np.ascontiguousarray(a) for a in (c[:, 1:, 0], c[:, 0, 1:], c[:, 1:, 1:]))
-    return s, r, t, qmat.hermiticity_defect(rhos), gates
+    return s, r, t, [*_state_gates(rhos), *_entry_gates(largest)]
 
 
 def bloch_decompose_stack(rhos: np.ndarray) -> tuple:
@@ -274,15 +294,13 @@ def bloch_decompose_stack(rhos: np.ndarray) -> tuple:
 
     Returns ``(s, r, t)`` with ``s`` and ``r`` of shape ``(k, 3)`` and
     ``t`` of shape ``(k, 3, 3)``.  The gates, in the order a single state
-    meets them: Hermiticity (HERMITICITY), trace (TRACE), an imaginary
-    Pauli trace residue above 1e-12, and ``BlochForm``'s entry rule
-    (finite, within [-1, 1]).  For the first row that a gate refuses, the
-    first gate refusing it raises: InvalidDensityMatrix, or ValueError
-    from the entry rule.
+    meets them: the density-matrix rule (Hermiticity, then trace), and
+    ``BlochForm``'s entry rule (finite, within [-1, 1]).  For the first
+    row that a gate refuses, the first gate refusing it raises:
+    InvalidDensityMatrix, or ValueError from the entry rule.
     """
-    s, r, t, defect, gates = _decomposition(rhos)
-    _raise_first([(defect > HERMITICITY, lambda j: InvalidDensityMatrix(
-        f"not Hermitian: defect {defect[j]:.3e}")), *gates])
+    s, r, t, gates = _decomposition(rhos)
+    _raise_first(gates)
     return s, r, t
 
 
@@ -297,18 +315,12 @@ def symmetric_form_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndar
 def bloch_compose(form: BlochForm) -> np.ndarray:
     """Rebuild the density matrix from (s, r, T); inverse of bloch_decompose.
 
-    Hermitian and unit-trace by construction.  Raises NotPositive when the
-    parameters do not describe a physical state (min eigenvalue below the
-    PSD floor).
+    Hermitian and unit-trace by construction, and validated by
+    :func:`assert_density_matrix`, which raises NotPositive when the
+    parameters do not describe a physical state.
     """
     c = np.block([[np.ones((1, 1)), form.r[None, :]], [form.s[:, None], form.t]])
-    rho = 0.25 * np.einsum("mn,mnij->ij", c, _BASIS)
-    min_eig = float(qmat.hermitian_eigenvalues(rho)[0])
-    if min_eig < PSD_FLOOR:
-        raise NotPositive(
-            f"Bloch parameters are unphysical: min eigenvalue {min_eig:.3e}"
-        )
-    return rho
+    return assert_density_matrix(0.25 * np.einsum("mn,mnij->ij", c, _BASIS))
 
 
 def is_symmetric(rho: np.ndarray) -> bool:

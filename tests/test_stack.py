@@ -20,10 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from qubitpair import cli, selftest
 from qubitpair.errors import (
-    DegenerateHypothesis, I4Zero, InvalidDensityMatrix, NotHermitian, NotSymmetricState,
+    DegenerateHypothesis, I4Zero, InvalidDensityMatrix, NotSymmetricState, StateFileError,
 )
 from qubitpair.invariants import (
     InvariantSet, SymmetricSix, makhlin_all, makhlin_stack, symmetric_six,
@@ -35,6 +36,7 @@ from qubitpair.sampling import (
 from qubitpair.separability import (
     CRITERIA,
     SeparableEnsemble,
+    classify,
     evidence,
     evidence_stack,
     invariant_criteria,
@@ -48,10 +50,10 @@ from qubitpair.separability import (
 )
 from qubitpair.qmat import haar_su2
 from qubitpair.states import (
-    BlochForm, XForm, apply_local_unitary, bloch_decompose, bloch_decompose_stack,
-    symmetric_form_stack,
+    BlochForm, XForm, apply_local_unitary, assert_density_matrix, bloch_decompose,
+    bloch_decompose_stack, symmetric_form_stack,
 )
-from qubitpair.stateio import read_state_file
+from qubitpair.stateio import read_state_file, write_state_file
 from qubitpair.tolerances import INVARIANCE_ABS, INVARIANCE_REL, SIGN_ZERO_BAND
 
 STACK_SIZE = 600
@@ -356,9 +358,6 @@ def _bad_rows(rng):
     clean = separable_symmetric_states(rng, 1)[0]
     non_hermitian = clean.copy()
     non_hermitian[0, 1] += 1e-6
-    residue = clean.copy()  # Hermitian within 8e-11, but I (x) sigma_x gets Im 8e-11
-    residue[0, 1] += 4e-11j
-    residue[1, 0] += 4e-11j
     unbounded = np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex)  # <I (x) sigma_z> = 3
     non_finite = clean.copy()
     non_finite[2, 2] = np.nan
@@ -367,7 +366,6 @@ def _bad_rows(rng):
     return {
         "hermiticity": non_hermitian,
         "trace": clean * 1.001,
-        "imaginary_residue": residue,
         "bloch_bound": unbounded,
         "exchange": dense_states(rng, 1)[0],
         "non_finite": non_finite,
@@ -375,32 +373,21 @@ def _bad_rows(rng):
     }
 
 
-# Class and message of the error each gate's row of ``_bad_rows`` raised
-# before the decomposition and the evidence became one-row cases of the
-# stack (the evidence meets the Hermiticity gate in its PT solve first).
-# One entry changed on purpose, the non-finite row: a NaN Hermiticity
-# defect used to compare False against the band, so the evidence raised
-# numpy's LinAlgError("Eigenvalues did not converge") and the
-# decomposition ValueError("BlochForm entries must be finite").  A
-# non-finite matrix now has defect inf.
+# Class and message of the error each gate's row of ``_bad_rows`` raises.
+# The evidence and the decomposition read one density-matrix rule
+# (``states._state_gates``), so they raise alike on every row but the
+# exchange row, which only the evidence refuses.  A non-finite matrix has
+# Hermiticity defect inf.
 EVIDENCE_ERRORS = {
-    "hermiticity": (NotHermitian, "Hermiticity defect 1.000e-06 exceeds tol 1.0e-10"),
-    "trace": (InvalidDensityMatrix, "trace invariant violated"),
-    "imaginary_residue": (InvalidDensityMatrix, "Pauli trace has imaginary residue 8.000e-11"),
+    "hermiticity": (InvalidDensityMatrix, "not Hermitian: defect 1.000e-06"),
+    "trace": (InvalidDensityMatrix, "trace invariant violated: trace = 1.001"),
     "bloch_bound": (ValueError, "BlochForm components must lie in [-1, 1]"),
     "exchange": (NotSymmetricState,
                  "Bloch form violates the exchange constraints (r = s, T = T^T, tr T = 1)"),
-    "non_finite": (NotHermitian, "Hermiticity defect inf exceeds tol 1.0e-10"),
-}
-DECOMPOSITION_ERRORS = {
-    "hermiticity": (InvalidDensityMatrix, "not Hermitian: defect 1.000e-06"),
-    "trace": (InvalidDensityMatrix, "trace invariant violated"),
-    "imaginary_residue": (InvalidDensityMatrix, "Pauli trace has imaginary residue 8.000e-11"),
-    "bloch_bound": (ValueError, "BlochForm components must lie in [-1, 1]"),
-    "exchange": None,  # the decomposition has no exchange gate
     "non_finite": (InvalidDensityMatrix, "not Hermitian: defect inf"),
     "non_finite_entry": (ValueError, "BlochForm entries must be finite"),
 }
+DECOMPOSITION_ERRORS = {**EVIDENCE_ERRORS, "exchange": None}  # the decomposition has no exchange gate
 GATES = list(EVIDENCE_ERRORS)
 
 
@@ -438,6 +425,31 @@ class TestStackedGates:
                     bloch_decompose_stack(np.array(rhos))
             with raises_exactly(error):
                 bloch_decompose(bad[gate])
+
+    @pytest.mark.parametrize("gate", ["hermiticity", "trace", "non_finite"])
+    def test_every_path_raises_the_density_matrix_rules_error(self, gate, rng, tmp_path):
+        rho = _bad_rows(rng)[gate]
+        for check in (assert_density_matrix, classify, bloch_decompose, evidence):
+            with raises_exactly(EVIDENCE_ERRORS[gate]):
+                check(rho)
+        path = tmp_path / "state.json"
+        write_state_file(path, matrix=rho)
+        _, message = EVIDENCE_ERRORS[gate]
+        with raises_exactly((StateFileError, f"invalid state: {message}")):
+            read_state_file(path)
+
+    def test_a_state_inside_the_hermiticity_band_is_its_hermitian_part(self, rng):
+        clean = separable_symmetric_states(rng, 1)[0]
+        residue = clean.copy()  # Hermitian within 8e-11, but I (x) sigma_x gets Im 8e-11
+        residue[0, 1] += 4e-11j
+        residue[1, 0] += 4e-11j
+        assert_density_matrix(residue)
+        got, want = bloch_decompose(residue), bloch_decompose(clean)
+        for name in ("s", "r", "t"):
+            assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-15)
+        assert classify(residue).verdict == classify(clean).verdict
+        ev = evidence_stack(np.array([clean, residue]))
+        assert_allclose(ev.invariants[1], ev.invariants[0], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("entry, error", [
         (np.nan, (ValueError, "BlochForm entries must be finite")),

@@ -487,9 +487,10 @@ class TestInvariantsDecomposesOnce:
 
 
 class TestInvariantsValidatesOnce:
-    """``read_state_file`` validates the state, and ``invariants`` does not
-    validate it again: one eigen solve for the validation, one for the PT
-    spectrum, and one more to compose a Bloch file."""
+    """``read_state_file`` validates the state once, whatever its
+    representation (a Bloch file through ``bloch_compose``), and
+    ``invariants`` does not validate it again: one eigen solve for the
+    validation and one for the PT spectrum."""
 
     @staticmethod
     def _write(representation, path):
@@ -512,9 +513,44 @@ class TestInvariantsValidatesOnce:
             [states.assert_density_matrix, qmat.hermitian_eigenvalues, states.is_symmetric])
         assert counts == {
             "assert_density_matrix": 1,
-            "hermitian_eigenvalues": 2 + (representation == "bloch"),
+            "hermitian_eigenvalues": 2,
             "is_symmetric": 1,
         }
+
+
+class TestStateFileEdgeCases:
+    """State files at the edges of the density-matrix rule, through the
+    library and both commands that read one."""
+
+    @staticmethod
+    def _file(tmp_path, rho):
+        path = tmp_path / "state.json"
+        write_state_file(path, matrix=rho)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["classify", "invariants"])
+    def test_inside_the_hermiticity_band_exits_0(self, command, tmp_path, capsys):
+        rho = oat_pair(6, 0.7).to_matrix()
+        rho[0, 3] += 5e-11j  # Hermiticity defect 5e-11
+        path = self._file(tmp_path, rho)
+        read_state_file(path)
+        code, out, err = run_cli([command, path, "--json"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)
+
+    def test_overflowing_matrix_is_refused_by_the_library(self, tmp_path):
+        path = self._file(tmp_path, np.diag([1.5e308, -1.5e308, 1.0, 0.0]))
+        with pytest.raises(StateFileError, match=(
+                r"^invalid state: not positive semidefinite: entry modulus 1\.500e\+308")):
+            read_state_file(path)
+
+    @pytest.mark.parametrize("command", ["classify", "invariants"])
+    def test_overflowing_matrix_exits_2_without_a_warning(self, command, tmp_path, capsys):
+        path = self._file(tmp_path, np.diag([1.5e308, -1.5e308, 1.0, 0.0]))
+        code, _, err = run_cli([command, path], capsys)  # a RuntimeWarning is an error here
+        assert code == 2
+        assert err.startswith("error: invalid state: not positive semidefinite: entry modulus")
+        assert "did not converge" not in err
 
 
 def test_classify_still_validates_its_input(bell_symmetric):

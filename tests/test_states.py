@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qubitpair import qmat
 from qubitpair.errors import (
+    InconsistentClassification,
     InvalidDensityMatrix,
     NotPositive,
     NotUnitary,
     NotXForm,
 )
+from qubitpair.separability import classify
 from qubitpair.sampling import random_density_matrix, random_symmetric_density_matrix, random_xform
 from qubitpair.states import (
     BlochForm,
@@ -70,7 +74,7 @@ class TestBlochCompose:
             qmat.kron(p, p) for p in qmat.PAULIS
         ))
         assert np.linalg.eigvalsh(rho)[0] < -1e-9  # confirm it is unphysical
-        with pytest.raises(NotPositive):
+        with pytest.raises(NotPositive, match=r"^not positive semidefinite: min eigenvalue -5\.000e-01$"):
             bloch_compose(form)
 
 
@@ -222,3 +226,46 @@ class TestAssertDensityMatrix:
         rho = 1.2 * bell_symmetric - 0.2 * singlet_state
         with pytest.raises(NotPositive):
             assert_density_matrix(rho)
+
+    def test_entry_bound_refuses_no_state_the_psd_stage_accepts(self):
+        # lambda_max = 1 + 3e-9 with the other three eigenvalues on the PSD floor.
+        assert_density_matrix(np.diag([1.0 + 3e-9, -1e-9, -1e-9, -1e-9]))
+
+    def test_overflowing_entry_is_refused_before_the_solve(self):
+        # Finite, Hermitian and of unit trace; the eigen solve would overflow on it.
+        rho = np.diag([1.5e308, -1.5e308, 1.0, 0.0])
+        for check in (assert_density_matrix, classify):
+            with pytest.raises(NotPositive, match=(
+                    r"^not positive semidefinite: entry modulus 1\.500e\+308 exceeds 1\.0000000032$")):
+                check(rho)
+
+
+def perturbed_state(seed: int, symmetric: bool, defect: float) -> np.ndarray:
+    """A random state plus an anti-Hermitian perturbation of Hermiticity defect ``defect``."""
+    rng = np.random.default_rng(seed)
+    rho = (random_symmetric_density_matrix if symmetric else random_density_matrix)(rng)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    anti = g - g.conj().T
+    return rho + anti * (defect / qmat.hermiticity_defect(anti))
+
+
+class TestHermiticityBand:
+    """A state inside the Hermiticity band is read as its Hermitian part by
+    every path: validated, decomposed and classified without a refusal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.floats(0.0, 0.9e-10))
+    @example(0, True, 0.9e-10)
+    @example(1, False, 0.9e-10)
+    def test_anti_hermitian_perturbation_is_accepted(self, seed, symmetric, defect):
+        rho = perturbed_state(seed, symmetric, defect)
+        assert qmat.hermiticity_defect(rho) <= 0.9e-10 + 1e-15
+        assert_density_matrix(rho)
+        got, want = bloch_decompose(rho), bloch_decompose(0.5 * (rho + rho.conj().T))
+        for name in ("s", "r", "t"):
+            assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-15)
+        if symmetric:
+            try:
+                classify(rho)
+            except InconsistentClassification:  # a criterion firing inside the PT zero band
+                pass
