@@ -9,6 +9,10 @@ class NotHermitian(QubitPairError):
     """Matrix fails the Hermiticity gate."""
 
 
+class EntryOverflow(QubitPairError):
+    """Matrix entry beyond the range the eigen solve takes without overflow."""
+
+
 class NotUnitary(QubitPairError):
     """Matrix fails the unitarity gate."""
 

@@ -2,11 +2,11 @@
 
 Everything here is sized for 2x2 .. 4x4 matrices: Pauli basis, Kronecker
 products, Hermitian eigenvalues (numpy's LAPACK ``eigvalsh`` behind a
-Hermiticity gate, on one ``(n, n)`` matrix or a ``(..., n, n)`` stack),
-Haar-random SU(2) and the SU(2) -> SO(3) covering map, and the power
-``float_pow`` that the array closed forms take entry by entry.  All
-functions are pure; random sampling takes a caller-owned
-``numpy.random.Generator``.
+Hermiticity gate and an overflow bound, on one ``(n, n)`` matrix or a
+``(..., n, n)`` stack), Haar-random SU(2) and the SU(2) -> SO(3)
+covering map, and the power ``float_pow`` that the array closed forms
+take entry by entry.  All functions are pure; random sampling takes a
+caller-owned ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .errors import NotHermitian, NotSpecialUnitary, NotUnitary
+from .errors import EntryOverflow, NotHermitian, NotSpecialUnitary, NotUnitary
 from .tolerances import HERMITICITY, UNITARITY
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -28,6 +28,12 @@ _PAULI_STACK = np.array(PAULIS)
 
 for _m in PAULIS + (IDENTITY_2, _PAULI_STACK):
     _m.setflags(write=False)
+
+#: The largest real or imaginary part of an entry that
+#: :func:`hermitian_eigenvalues` takes.  For a matrix that has passed the
+#: Hermiticity gate, the Hermitian part (m + m^dag) / 2 overflows exactly
+#: when a part of an entry exceeds it.
+SOLVE_ENTRY = np.finfo(float).max / 2
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,11 +75,20 @@ def hermiticity_defect(m: np.ndarray):
     float or a ``(...)`` array.  A matrix with a non-finite entry has
     defect ``inf``: its deviation would be NaN, which compares False
     against every band, so each Hermiticity gate would let it through.
+    A deviation beyond the float range is ``inf`` as well.
     """
     m = np.asarray(m)
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal gives NaN, mapped below
+    # inf - inf on the diagonal gives NaN, mapped below; an overflow gives inf.
+    with np.errstate(invalid="ignore", over="ignore"):
         defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     return np.fmin(defect, np.inf)  # fmin passes over NaN: NaN -> inf, the rest as is
+
+
+def _first(refused: np.ndarray, ndim: int) -> tuple:
+    """The index of the first matrix a ``(...)`` mask refuses in a stack of
+    ``ndim`` axes, and the suffix that names it ("" for one matrix)."""
+    first = np.unravel_index(refused.argmax(), refused.shape)
+    return first, f" in matrix {', '.join(str(int(i)) for i in first)}" if ndim > 2 else ""
 
 
 def _not_hermitian(defect, where: str = "") -> NotHermitian:
@@ -118,6 +133,10 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         If :func:`hermiticity_defect` exceeds ``tolerances.HERMITICITY``
         for any matrix of the stack, a non-finite matrix included; the
         message names the first such matrix.
+    EntryOverflow
+        If the real or imaginary part of an entry exceeds
+        :data:`SOLVE_ENTRY`, where the Hermitian part overflows; the
+        message names the bound and the first such matrix.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -127,10 +146,18 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     defect = np.asarray(hermiticity_defect(m))
     bad = defect > HERMITICITY
     if bad.any():
-        first = np.unravel_index(bad.argmax(), bad.shape)
-        where = f" in matrix {', '.join(str(int(i)) for i in first)}" if m.ndim > 2 else ""
+        first, where = _first(bad, m.ndim)
         raise _not_hermitian(defect[first], where)
-    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    # An overflowing sum is inf, and inf times the complex 0.5 has a NaN
+    # part; both are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    if not np.isfinite(h).all():
+        first, where = _first(~np.isfinite(h).all(axis=(-2, -1)), m.ndim)
+        largest = max(np.abs(m[first].real).max(), np.abs(m[first].imag).max())
+        raise EntryOverflow(f"entry part {largest:.3e} exceeds the eigen solve's bound "
+                            f"{SOLVE_ENTRY:.3e}{where}")
+    return np.linalg.eigvalsh(h)
 
 
 def su2_to_so3(u: np.ndarray) -> np.ndarray:

@@ -18,14 +18,17 @@ them as stacks through the one Pauli decomposition
 so ``classify``, are their one-row cases).  The invariance suite draws
 all of its normals as one block and builds its states, references and
 rotations, as one ``(2 count, 4, 4)`` stack, which it decomposes at
-once.  The positivity suite makes its sampler calls per draw, builds all
-of its separable states at once, decomposes each with
-``bloch_decompose`` and contracts them as one stack.  Each stacked state
-equals the scalar sampler's state bit for bit.  The X-form suite draws
-its parameters one by one, on ``random_xform``'s stream, gates them once
-with ``XForm``'s rule and then evaluates them as ``(k,)`` arrays: one
-batched eigen solve of the partial transposes, and one call each of the
-closed forms under test, ``xform_pt_eigenvalues_stack`` and
+once.  The positivity suite makes its sampler calls per draw, then
+builds, decomposes and contracts all of its separable states as one
+stack.  Each stacked state equals the scalar sampler's state bit for
+bit.  Once per run the positivity suite also decomposes its first draw
+with ``bloch_decompose``: a form that differs from row 0 of the stack in
+any bit fails that draw, so every run checks that the scalar path is the
+stack's one-row case.  The X-form suite draws its parameters one by
+one, on ``random_xform``'s stream, gates them once with ``XForm``'s rule
+and then evaluates them as ``(k,)`` arrays: one batched eigen solve of
+the partial transposes, and one call each of the closed forms under
+test, ``xform_pt_eigenvalues_stack`` and
 ``xform_equivalence_stack``.
 
 Deterministic for a fixed seed.  On the first violation the offending
@@ -60,7 +63,7 @@ _I4_FLOOR = 1e-8
 _MAX_TERMS = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteResult:
     name: str
     cases: int
@@ -68,7 +71,7 @@ class SuiteResult:
     max_deviation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelfTestReport:
     seed: int
     count: int
@@ -148,24 +151,24 @@ def _suite_invariance(count, rng, writer) -> SuiteResult:
 
 
 def _suite_positivity(count, rng, writer) -> SuiteResult:
-    # Each draw is decomposed on its own, through the one-row case of the
-    # stack: the benchmark's selftest_suites binding test
-    # (perfbench/test_perfbench.py) plants its unwrapped site on this
-    # module's bloch_decompose and needs one call per draw.  The
-    # contraction is one stack.
+    # One decomposition and one contraction for all draws.  Mixed product
+    # factors carry singlet weight, so the full set is read without the
+    # exchange-constraint gate.
     states = _positivity_states(count, rng)
-    forms = [bloch_decompose(rho) for rho in states]
-    # Mixed product factors carry singlet weight, so the full set is read
-    # without the exchange-constraint gate.
-    inv = invariants_mod.makhlin_stack(
-        np.array([f.s for f in forms]).reshape(-1, 3),
-        np.array([f.r for f in forms]).reshape(-1, 3),
-        np.array([f.t for f in forms]).reshape(-1, 3, 3),
-    )
+    s, r, t = bloch_decompose_stack(states)
+    inv = invariants_mod.makhlin_stack(s, r, t)
     # The floor lies above SIGN_ZERO_BAND, so no case is an I4-zero fallback.
     cases = inv[:, 3] > _I4_FLOOR
     values, fired, _ = _criteria_columns(inv[:, 3], inv[:, 11], inv[:, 13])
-    failed = np.flatnonzero(cases & fired.any(axis=1))
+    failing = cases & fired.any(axis=1)
+    # The scalar path is the stack's one-row case: once per run, the first
+    # draw's bloch_decompose must equal row 0 bit for bit (the sign of zero
+    # included), or that draw fails.
+    if count:
+        form = bloch_decompose(states[0])
+        if any(a.tobytes() != b[0].tobytes() for a, b in zip((form.s, form.r, form.t), (s, r, t))):
+            failing[0] = True
+    failed = np.flatnonzero(failing)
     if failed.size:
         writer.record(states[failed[0]])
     # The largest max(0, -value) over the cases' criteria, 0 when there is none.

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qubitpair import qmat
-from qubitpair.errors import NotHermitian, NotSpecialUnitary, NotUnitary
+from qubitpair.errors import EntryOverflow, NotHermitian, NotSpecialUnitary, NotUnitary
+from qubitpair.separability import ppt_check
 
 
 def random_hermitian(rng, n):
@@ -163,6 +164,49 @@ class TestHermitianEigenvaluesStack:
     def test_shapes_rejected(self, shape):
         with pytest.raises(ValueError):
             qmat.hermitian_eigenvalues(np.zeros(shape))
+
+
+class TestSolveEntryBound:
+    """An entry whose real or imaginary part exceeds SOLVE_ENTRY, where the
+    Hermitian part would overflow, is refused with a library error that
+    names the bound; every matrix inside the bound is solved as before.
+    The test configuration turns a RuntimeWarning into an error."""
+
+    # Finite, Hermitian and of unit trace; (m + m^dag) / 2 overflows on it.
+    OVERFLOW = np.diag([1.5e308, -1.5e308, 1.0, 0.0])
+
+    def test_ppt_check_raises_entry_overflow(self):
+        with pytest.raises(EntryOverflow, match=r"^entry part 1\.500e\+308 exceeds the eigen "
+                                                r"solve's bound 8\.988e\+307$"):
+            ppt_check(self.OVERFLOW)
+
+    def test_the_first_overflowing_matrix_of_a_stack_is_named(self):
+        stack = np.zeros((2, 3, 4, 4), dtype=complex)
+        stack[1, 2] = stack[1, 0] = self.OVERFLOW
+        with pytest.raises(EntryOverflow, match=r"bound 8\.988e\+307 in matrix 1, 0$"):
+            qmat.hermitian_eigenvalues(stack)
+
+    @pytest.mark.parametrize("entry", [qmat.SOLVE_ENTRY, qmat.SOLVE_ENTRY * (1 + 1j), 5e307j])
+    def test_entries_up_to_the_bound_are_solved_as_before(self, entry):
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0], m[1, 1] = 0.5, -2.0
+        m[0, 3], m[3, 0] = entry, np.conj(entry)
+        got = qmat.hermitian_eigenvalues(m)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
+
+    def test_just_above_the_bound_is_refused(self):
+        m = np.zeros((4, 4))
+        m[1, 1] = np.nextafter(qmat.SOLVE_ENTRY, np.inf)
+        with pytest.raises(EntryOverflow):
+            qmat.hermitian_eigenvalues(m)
+
+    def test_an_overflowing_defect_is_infinite(self):
+        m = np.zeros((4, 4))
+        m[0, 1], m[1, 0] = 1e308, -1e308
+        assert qmat.hermiticity_defect(m) == np.inf
+        with pytest.raises(NotHermitian, match=r"^Hermiticity defect inf exceeds"):
+            ppt_check(m)
 
 
 class TestHermiticityDefect:

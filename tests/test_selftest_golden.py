@@ -12,10 +12,14 @@ are compared exactly and the deviations within ``NOISE``; the bit-for-bit
 claim, stacked invariants equal to the frozen scalar references, is
 checked on the running machine by ``test_stack.py::TestInvarianceSuite``.
 
+The report classes are slotted dataclasses: a report a caller keeps
+holds no per-instance ``__dict__``.
+
 Regenerate the file (only when a change to the reports is intended) with
 ``PYTHONPATH=src python tests/test_selftest_golden.py``.
 """
 
+import dataclasses
 import json
 import re
 import sys
@@ -76,6 +80,24 @@ def test_report_matches_golden(seed, count, tmp_path):
     assert got == want
     assert got_dev == pytest.approx(want_dev, rel=0, abs=NOISE)
     assert got_printed == pytest.approx(want_printed, rel=0, abs=NOISE)
+
+
+def test_report_classes_are_slotted_dataclasses(tmp_path):
+    report = run_selftest(5, 3, out_dir=str(tmp_path))
+    for obj in (report, *report.suites):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, dataclasses.fields(obj)[0].name, None)
+    assert dataclasses.asdict(report) == {
+        "seed": 5, "count": 3, "counterexample_path": None,
+        "suites": tuple(
+            {"name": s.name, "cases": s.cases, "failures": s.failures,
+             "max_deviation": s.max_deviation} for s in report.suites)}
+    failing = dataclasses.replace(
+        report, suites=(dataclasses.replace(report.suites[0], failures=2),) + report.suites[1:])
+    assert failing.failures == 2
+    assert format_report(failing).endswith("result: FAIL (2 violations)")
+    assert format_report(report).endswith("result: PASS")
 
 
 if __name__ == "__main__":

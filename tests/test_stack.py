@@ -13,7 +13,10 @@ of zero, and ``reference_evidence`` built from them.  Its refusals are
 pinned to a table of the class and message each gate raised.
 """
 
+import os
 import re
+import subprocess
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -753,8 +756,9 @@ def selftest_cli(seed, count, tmp_path, capsys):
 
 
 class TestPositivitySuite:
-    """The positivity suite decomposes each draw on its own, through the
-    one-row case of the stack, and contracts all of them as one stack."""
+    """The positivity suite decomposes and contracts its draws as one stack,
+    and checks once per run that the scalar decomposition of the first draw
+    is row 0 of the stack, bit for bit."""
 
     @pytest.mark.parametrize("seed, count", SUITE_RUNS)
     def test_equals_the_scalar_loop_bit_for_bit(self, seed, count, tmp_path):
@@ -763,10 +767,11 @@ class TestPositivitySuite:
         assert (suite.name, suite.cases, suite.failures, float.hex(suite.max_deviation)) == (
             "separable_positivity", cases, failures, float.hex(max_dev))
 
-    def test_each_draw_goes_through_the_scalar_decomposition(self, tmp_path, monkeypatch):
-        # One selftest.bloch_decompose call per draw is the site the
+    @pytest.mark.parametrize("count", [0, 1, 20])
+    def test_the_scalar_decomposition_runs_once_on_the_first_draw(
+            self, count, tmp_path, monkeypatch):
+        # The one selftest.bloch_decompose call per run is also the site the
         # benchmark's selftest_suites binding test leaves unwrapped.
-        seed, count = 5, 20
         seen = []
 
         def decompose(rho):
@@ -774,11 +779,57 @@ class TestPositivitySuite:
             return bloch_decompose(rho)
 
         monkeypatch.setattr(selftest, "bloch_decompose", decompose)
-        selftest.run_selftest(seed, count, out_dir=str(tmp_path))
-        states = suite_draws(seed, count)[1]
-        assert len(seen) == count
-        for rho, drawn in zip(seen, states):
+        selftest.run_selftest(5, count, out_dir=str(tmp_path))
+        assert len(seen) == min(count, 1)
+        for rho, drawn in zip(seen, suite_draws(5, count)[1]):
             assert_same_matrix(rho, drawn)
+
+    @staticmethod
+    def _plant_scalar_mismatch(monkeypatch, change):
+        """Make selftest's scalar decomposition return ``change(s)`` for s."""
+        def decompose(rho):
+            form = bloch_decompose(rho)
+            return BlochForm(change(form.s), form.r, form.t)
+
+        monkeypatch.setattr(selftest, "bloch_decompose", decompose)
+
+    def test_a_scalar_stack_mismatch_fails_the_first_draw(self, tmp_path, monkeypatch):
+        seed, count = 5, 20
+        clean = selftest.run_selftest(seed, count, out_dir=str(tmp_path / "clean"))
+        self._plant_scalar_mismatch(monkeypatch, lambda s: np.nextafter(s, np.inf))
+        report = selftest.run_selftest(seed, count, out_dir=str(tmp_path))
+        suite = report.suites[1]
+        assert (suite.cases, suite.failures, float.hex(suite.max_deviation)) == (
+            clean.suites[1].cases, 1, float.hex(clean.suites[1].max_deviation))
+        assert report.suites[0] == clean.suites[0] and report.suites[2] == clean.suites[2]
+        assert_same_matrix(written_counterexample(tmp_path), suite_draws(seed, count)[1][0])
+
+    def test_a_mismatch_in_the_sign_of_zero_fails_the_first_draw(self, tmp_path, monkeypatch):
+        # The maximally mixed state has s = 0, equal to -s in value, not in bits.
+        mixed = np.eye(4, dtype=complex) / 4.0
+        self._plant_scalar_mismatch(monkeypatch, np.negative)
+        suite, states = self._run_with_draws(
+            lambda j, rho: mixed if j == 0 else rho, monkeypatch, tmp_path)
+        cases, failures, max_dev, _ = positivity_loop(states)
+        assert (suite.cases, suite.failures, float.hex(suite.max_deviation)) == (
+            cases, failures + 1, float.hex(max_dev))
+        assert_same_matrix(written_counterexample(tmp_path), mixed)
+
+    def test_the_first_draw_check_runs_under_python_o(self, tmp_path):
+        script = (
+            "import sys, numpy as np\n"
+            "from qubitpair import selftest\n"
+            "from qubitpair.states import BlochForm, bloch_decompose\n"
+            "def decompose(rho):\n"
+            "    form = bloch_decompose(rho)\n"
+            "    return BlochForm(np.nextafter(form.s, np.inf), form.r, form.t)\n"
+            "selftest.bloch_decompose = decompose\n"
+            "print(selftest.run_selftest(5, 3, out_dir=sys.argv[1]).suites[1].failures)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "1\n"
 
     def test_biased_rows_fail_with_the_first_draw_as_counterexample(
             self, tmp_path, capsys, monkeypatch):
