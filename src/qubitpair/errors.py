@@ -53,10 +53,6 @@ class InvalidDicke(QubitPairError):
     """Invalid collective quantum numbers for a Dicke reduced state."""
 
 
-class TooLarge(QubitPairError):
-    """Brute-force oracle refused: system dimension too large."""
-
-
 class InconsistentClassification(QubitPairError):
     """A fired entanglement criterion contradicts a separable PT verdict."""
 

@@ -308,16 +308,24 @@ def t_eigenvalues_from_invariants(i1: float, i2: float) -> np.ndarray:
     ------
     NoRealSpectrum
         If the cubic discriminant is below -1e-10 (no unit-trace real
-        symmetric matrix realizes these values).
+        symmetric matrix realizes these values), or is not a number: an
+        input is not finite, or the discriminant's cube or square
+        overflows.
     """
+    # As Python floats, an overflowing power raises OverflowError and inf - inf
+    # is NaN without a numpy warning; the refusal below reads both as NaN.
+    i1, i2 = float(i1), float(i2)
     p = (1.0 - i2) / 2.0
     # Depressed cubic y^3 + P y + Q with lambda = y + 1/3.
     big_p = p - 1.0 / 3.0
     big_q = -2.0 / 27.0 + p / 3.0 - i1
-    disc = -4.0 * big_p ** 3 - 27.0 * big_q ** 2
-    if disc < -1e-10:
+    try:
+        disc = -4.0 * big_p ** 3 - 27.0 * big_q ** 2
+    except OverflowError:
+        disc = np.nan
+    if not disc >= -1e-10:
         raise NoRealSpectrum(
-            f"cubic discriminant {disc:.3e} < -1e-10; (I1, I2) = ({i1:.6g}, {i2:.6g})"
+            f"cubic discriminant {disc:.3e} is not >= -1e-10; (I1, I2) = ({i1:.6g}, {i2:.6g})"
         )
     if big_p >= 0.0:
         # Discriminant >= 0 forces P <= 0 up to roundoff: triple root.

@@ -15,52 +15,25 @@ pattern, together with analytic expressions for the invariants
   it is assembled from the chain's pair-averaged channels (see
   ``ising_pair``).
 
-A brute-force small-N evolution (`brute_force_pair_oracle`) builds the
-full 2^N state and traces down to qubits (1, 2); it exists for tests and
-deliberately shares no code with the closed forms.
+The closed forms are checked against exact oracles that share no code
+with them and scale to N = 1000: binomial counts for dicke, the evolution
+in the (N+1)-dimensional Dicke subspace for oat, and open chains of three
+to five sites for ising.  They live with the tests
+(``tests/family_oracles.py``), not in the library.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
-from math import comb
 
 import numpy as np
 
 from . import qmat
-from .errors import InvalidDicke, TooLarge
+from .errors import InvalidDicke
 from .states import XForm, _raise_first, _refused, _xform_gates
 
 FAMILIES = ("dicke", "oat", "ising")
-
-#: Largest qubit count accepted by the brute-force oracle (dimension 64).
-ORACLE_MAX_QUBITS = 6
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Family plus its parameters; ``m`` is Dicke-only, ``chi_t`` drives oat/ising.
-
-    A parameter the family does not take raises ValueError, as the CLI's
-    family check does for a foreign flag.
-    """
-
-    family: str
-    n: int
-    m: float | None = None
-    chi_t: float | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        parameter, foreign = ("m", "chi_t") if self.family == "dicke" else ("chi_t", "m")
-        if getattr(self, foreign) is not None:
-            raise ValueError(f"{self.family} does not take {foreign}")
-        if getattr(self, parameter) is None:
-            raise ValueError(f"{self.family} requires {parameter}")
-        _raise_first(_family_gates(self.family, [self.n], [self.m], [self.chi_t])[0])
 
 
 @dataclass(frozen=True)
@@ -271,75 +244,3 @@ def ising_invariants(n: int, chi_t: float) -> FamilyInvariants:
     i12 = i4 * (1.0 - s2 / (2.0 * (n - 1.0)))
     i14 = -2.0 * i4 * s2 / (n - 1.0) ** 2
     return FamilyInvariants(i4=float(i4), i12=float(i12), i14=float(i14))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle (tests only): exact construction in the 2^N space.
-# ---------------------------------------------------------------------------
-
-def _op_on(n: int, site: int, op: np.ndarray) -> np.ndarray:
-    mats = [qmat.IDENTITY_2] * n
-    mats[site] = op
-    return reduce(qmat.kron, mats)
-
-
-def _evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    w, v = np.linalg.eigh(hamiltonian)
-    return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
-
-
-def _pair_reduce(rho_full: np.ndarray, n: int) -> np.ndarray:
-    """Partial trace onto the first two tensor factors."""
-    d_rest = 2 ** (n - 2)
-    r = rho_full.reshape(4, d_rest, 4, d_rest)
-    return np.einsum("akbk->ab", r)
-
-
-def _dicke_vector(n: int, m: float) -> np.ndarray:
-    """Uniform superposition of bitstrings with N/2 + M zeros (|0> = up)."""
-    ups = int(round(n / 2.0 + m))
-    vec = np.zeros(2 ** n, dtype=complex)
-    for idx in range(2 ** n):
-        if idx.bit_count() == n - ups:
-            vec[idx] = 1.0
-    return vec / np.sqrt(comb(n, ups))
-
-
-def brute_force_pair_oracle(spec: ModelSpec, boundary: str = "periodic") -> np.ndarray:
-    """Exact reduced pair state built in the full 2^N space.
-
-    Independent of the closed forms above: the state vector is assembled
-    directly, evolved via an exact eigendecomposition and traced down to
-    qubits (1, 2).  The all-down reference state of each family is pinned
-    by its t = 0 limit (|1...1> for oat, |0...0> for ising).  For the
-    chain, ``boundary`` selects the periodic closure (site N+1 = site 1,
-    the default) or the open variant.
-
-    Raises TooLarge above ORACLE_MAX_QUBITS qubits.
-    """
-    if spec.n > ORACLE_MAX_QUBITS:
-        raise TooLarge(f"oracle handles at most {ORACLE_MAX_QUBITS} qubits, got {spec.n}")
-    n = int(spec.n)  # the family rule admits a whole float N such as 4.0
-    if spec.family == "dicke":
-        vec = _dicke_vector(n, spec.m)
-        return _pair_reduce(np.outer(vec, vec.conj()), n)
-    if spec.family == "oat":
-        sx_total = sum(_op_on(n, i, qmat.SIGMA_X) for i in range(n)) / 2.0
-        hamiltonian = sx_total @ sx_total
-        psi0 = np.zeros(2 ** n, dtype=complex)
-        psi0[-1] = 1.0  # all down = |1...1>
-        psi = _evolve(hamiltonian, psi0, spec.chi_t)
-        return _pair_reduce(np.outer(psi, psi.conj()), n)
-    if boundary == "periodic":
-        edges = [(i, (i + 1) % n) for i in range(n)]
-    elif boundary == "open":
-        edges = [(i, i + 1) for i in range(n - 1)]
-    else:
-        raise ValueError(f"boundary must be 'periodic' or 'open', got {boundary!r}")
-    hamiltonian = sum(
-        _op_on(n, i, qmat.SIGMA_X) @ _op_on(n, j, qmat.SIGMA_X) for i, j in edges
-    ) / 4.0
-    psi0 = np.zeros(2 ** n, dtype=complex)
-    psi0[0] = 1.0  # all down = |0...0>
-    psi = _evolve(hamiltonian, psi0, spec.chi_t)
-    return _pair_reduce(np.outer(psi, psi.conj()), n)

@@ -38,7 +38,7 @@ state is serialized for reproduction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -63,7 +63,21 @@ _I4_FLOOR = 1e-8
 _MAX_TERMS = 6
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen_slots(cls):
+    """``dataclass(frozen=True, slots=True)`` on which any assignment or
+    deletion raises FrozenInstanceError.  Before Python 3.12 the methods
+    that ``frozen`` generates name the class as it was before ``slots``
+    rebuilt it, so assigning a name that is not a field raised TypeError."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+
+    def refuse(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@_frozen_slots
 class SuiteResult:
     name: str
     cases: int
@@ -71,7 +85,7 @@ class SuiteResult:
     max_deviation: float
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_slots
 class SelfTestReport:
     seed: int
     count: int

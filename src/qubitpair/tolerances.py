@@ -10,9 +10,10 @@ it is the largest entry modulus a state that passes them can have.
 A few literals stay local to the code they bound: in ``states``,
 ``XForm``'s -1e-12 diagonal floor and 1e-10 corner-block slack, and
 ``BlochForm``'s 1e-9 bound on the Pauli expectations;
-``SeparableEnsemble``'s 1e-12 on the weights and Bloch-vector norms; ``dicke_pair``'s 1e-12 test that 2M is an integer;
-the -1e-10 discriminant floor of ``t_eigenvalues_from_invariants``; and
-the self-test's ``_I4_FLOOR``.
+``SeparableEnsemble``'s 1e-12 on the weights and Bloch-vector norms; in
+``models._family_gates``, the family rule's 1e-12 test that a Dicke 2M is
+an integer; the -1e-10 discriminant floor of
+``t_eigenvalues_from_invariants``; and the self-test's ``_I4_FLOOR``.
 """
 
 # Matrix-level gates

@@ -1,11 +1,5 @@
-from itertools import combinations
-
 import numpy as np
 import pytest
-
-from qubitpair import qmat
-from qubitpair.models import ModelSpec, _evolve, _op_on, brute_force_pair_oracle
-from qubitpair.states import SWAP
 
 
 @pytest.fixture
@@ -38,42 +32,3 @@ def ket00():
 def maximally_mixed():
     return np.eye(4, dtype=complex) / 4.0
 
-
-@pytest.fixture
-def ising_ring_average():
-    """Factory for the exact periodic-chain state averaged over all pairs.
-
-    ``build(n, chi_t)`` evolves the ring H = (1/4) sum_i sigma_ix
-    sigma_(i+1)x from all-down in the full 2^N space, with the oracle's
-    own ingredients, and returns the mean over all pairs (i, j) of the
-    pair state symmetrized under SWAP.  Its (0, 1) pair is checked
-    against ``brute_force_pair_oracle`` so the average follows the
-    oracle's dynamics.
-    """
-
-    def reduced_pair(rho_full, n, i, j):
-        perm = [i, j] + [k for k in range(n) if k not in (i, j)]
-        r = rho_full.reshape([2] * (2 * n))
-        r = np.transpose(r, perm + [n + p for p in perm])
-        d_rest = 2 ** (n - 2)
-        return np.einsum("akbk->ab", r.reshape(4, d_rest, 4, d_rest))
-
-    def build(n, chi_t):
-        ham = sum(
-            _op_on(n, i, qmat.SIGMA_X) @ _op_on(n, (i + 1) % n, qmat.SIGMA_X)
-            for i in range(n)
-        ) / 4.0
-        psi0 = np.zeros(2 ** n, dtype=complex)
-        psi0[0] = 1.0
-        psi = _evolve(ham, psi0, chi_t)
-        rho_full = np.outer(psi, psi.conj())
-        oracle = brute_force_pair_oracle(ModelSpec(family="ising", n=n, chi_t=chi_t))
-        assert np.max(np.abs(reduced_pair(rho_full, n, 0, 1) - oracle)) < 1e-12
-        acc = np.zeros((4, 4), dtype=complex)
-        pairs = list(combinations(range(n), 2))
-        for i, j in pairs:
-            r = reduced_pair(rho_full, n, i, j)
-            acc += r + SWAP @ r @ SWAP
-        return acc / (2 * len(pairs))
-
-    return build

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 from numpy.testing import assert_allclose
 
+import family_oracles as fo
 from qubitpair import qmat
 from qubitpair.errors import I4Zero
 from qubitpair.invariants import (
@@ -25,8 +26,6 @@ from qubitpair.invariants import (
     xform_relation_check,
 )
 from qubitpair.models import (
-    ModelSpec,
-    brute_force_pair_oracle,
     dicke_invariants,
     dicke_pair,
     ising_invariants,
@@ -209,26 +208,35 @@ def test_criterion_07_oat_reproduction():
             points += 1
     assert points >= 100
     assert grid_worst < 1e-12
-    # Oracle agreement for N = 2..6: entrywise on (a, c, d, Re b), |Im b|
-    # up to the coherence gauge, and invariant-level equality.
-    oracle_worst = 0.0
-    for n in range(2, 7):
-        for chi_t in (0.3, 0.9, np.pi / 3, np.pi / 2, 2.2):
-            rho = brute_force_pair_oracle(ModelSpec(family="oat", n=n, chi_t=chi_t))
+    # Oracle agreement up to N = 1000: the exact Dicke-subspace evolution
+    # is the closed form with b conjugated (the sign of Im b is a
+    # local-unitary gauge), entrywise within closed_form_tolerance(N) =
+    # (16 + N) eps, and its invariants are the closed form's.
+    oracle_worst = 0.0  # the entry gap over its tolerance
+    invariant_worst = 0.0
+    chi_ts = (0.3, 0.9, np.pi / 3, np.pi / 2, 2.2)
+    for n in (2, 3, 4, 5, 6, 10, 100, 1000):
+        for rho, chi_t in zip(fo.oat_pairs(n, chi_ts), chi_ts):
             x = oat_pair(n, chi_t)
-            oracle_worst = max(
-                oracle_worst,
-                abs(rho[0, 0].real - x.a),
-                abs(rho[1, 1].real - x.c),
-                abs(rho[3, 3].real - x.d),
-                abs(rho[0, 3].real - x.b.real),
-                abs(abs(rho[0, 3].imag) - abs(x.b.imag)),
-                float(np.max(np.abs(
-                    xform_invariants(xform_extract(rho)).as_array()
-                    - xform_invariants(x).as_array()
-                ))),
-            )
-    assert oracle_worst < 1e-10
+            gap = float(np.max(np.abs(rho - np.conj(x.to_matrix()))))
+            oracle_worst = max(oracle_worst, gap / fo.closed_form_tolerance(n))
+            invariant_worst = max(invariant_worst, float(np.max(np.abs(
+                xform_invariants(xform_extract(rho)).as_array() - xform_invariants(x).as_array()
+            ))))
+    assert oracle_worst <= 1.0
+    assert invariant_worst < 1e-10
+    # At N = 1000 the oracle tells the exponents apart on small chi t: the
+    # default stays within its tolerance, the printed N-1 does not.
+    chi_ts = np.linspace(0.01, 0.1, 10)
+    exact = fo.oat_pairs(1000, chi_ts)
+    n1000 = {
+        literal: max(float(np.max(np.abs(
+            rho - np.conj(oat_pair(1000, chi_t, paper_literal=literal).to_matrix()))))
+            for rho, chi_t in zip(exact, chi_ts))
+        for literal in (False, True)
+    }
+    assert n1000[False] <= fo.closed_form_tolerance(1000)
+    assert n1000[True] > 1e-8
     # The literal Im(b) exponent variant must be detectably inconsistent
     # with the family's own I14 expression.
     mismatch = 0.0
@@ -239,7 +247,9 @@ def test_criterion_07_oat_reproduction():
     assert mismatch > 1e-3
     report(
         f"7 oat reproduction: PASS (grid gap {grid_worst:.3e}, oracle gap "
-        f"{oracle_worst:.3e}, literal-exponent mismatch {mismatch:.3e} detected)"
+        f"{oracle_worst:.2f} of (16 + N) eps up to N = 1000, invariant gap "
+        f"{invariant_worst:.3e}, N = 1000 gap {n1000[False]:.3e} default vs "
+        f"{n1000[True]:.3e} literal, literal-exponent mismatch {mismatch:.3e} detected)"
     )
 
 
@@ -276,11 +286,13 @@ def test_criterion_08b_ising_entanglement_detection():
     assert confirmed > 80
 
 
-def test_criterion_08c_ising_oracle_agreement(ising_ring_average):
+def test_criterion_08c_ising_oracle_agreement():
     """Closed form against the exact periodic chain it is built from.
 
     The closed form is not the reduced state of any pair of the chain, so
-    the oracle is matched on what the closed form is built from:
+    the oracle (``family_oracles.ising_ring``: the 2^N reference for
+    N < 5, the distance-class oracles from N = 5 to N = 1000) is matched
+    on what the closed form is built from:
 
     * every N: the single-spin moment a - d of the exact
       nearest-neighbour pair;
@@ -289,46 +301,48 @@ def test_criterion_08c_ising_oracle_agreement(ising_ring_average):
       symmetrized under SWAP, averaged): c = Re avg[1,2],
       b = conj(avg[0,3]), the same a - d, unit trace.
 
-    The singlet weight of the exact pair records why the literal pair
-    cannot be matched for N >= 4: every X-pattern state is
-    triplet-supported.  At N = 3 the exact pair is itself an X-pattern
-    state with no singlet weight; the closed form still differs from it
-    in b and c, because its (N-1) pair counting assumes that a pair's
-    next-nearest neighbours are distinct sites, so only a - d is
-    compared there.  The finer relationships are pinned in
-    TestIsingOracleDiagnostics (test_models.py).
+    Both within closed_form_tolerance(N) = (16 + N) eps.  The singlet
+    weight of the exact pair records why the literal pair cannot be
+    matched for N >= 4: every X-pattern state is triplet-supported.  At
+    N = 3 the exact pair is itself an X-pattern state with no singlet
+    weight; the closed form still differs from it in b and c, because its
+    (N-1) pair counting assumes that a pair's next-nearest neighbours are
+    distinct sites, so only a - d is compared there.  The finer
+    relationships are pinned in TestIsingOracleDiagnostics
+    (test_models.py).
     """
-    identity_gap = 0.0
+    identity_gap = 0.0  # over the tolerance at each N
     nearest_gap = 0.0
     n3_weights, ring_weights = [], []
-    for n in range(3, 7):
+    for n in (3, 4, 5, 6, 10, 100, 1000):
         for chi_t in (0.7, np.pi / 2, 2.0):
-            rho = brute_force_pair_oracle(ModelSpec(family="ising", n=n, chi_t=chi_t))
+            rho, avg = fo.ising_ring(n, chi_t)
             x = ising_pair(n, chi_t)
             closed = x.to_matrix()
             moment = (rho[0, 0] - rho[3, 3]).real
-            identity_gap = max(identity_gap, abs(moment - (x.a - x.d)))
+            tolerance = fo.closed_form_tolerance(n)
+            identity_gap = max(identity_gap, abs(moment - (x.a - x.d)) / tolerance)
             nearest_gap = max(nearest_gap, float(np.max(np.abs(rho - closed))))
             weight = float(np.real(SINGLET.conj() @ rho @ SINGLET))
             if n == 3:
                 n3_weights.append(weight)
                 continue
             ring_weights.append(weight)
-            avg = ising_ring_average(n, chi_t)
             c = avg[1, 2].real
             a = (1.0 + (avg[0, 0] - avg[3, 3]).real) / 2.0 - c
             assembled = XForm.from_abc(a=a, b=np.conj(avg[0, 3]), c=c).to_matrix()
-            identity_gap = max(identity_gap, float(np.max(np.abs(closed - assembled))))
+            identity_gap = max(
+                identity_gap, float(np.max(np.abs(closed - assembled))) / tolerance)
     n3_weight = max(abs(w) for w in n3_weights)
     ring_weight = (min(ring_weights), max(ring_weights))
-    ok = identity_gap < 1e-10 and n3_weight < 1e-12 and ring_weight[0] > 1e-3
+    ok = identity_gap <= 1.0 and n3_weight < 1e-12 and ring_weight[0] > 1e-3
     evidence = (
-        f"identity gap {identity_gap:.3e}, oracle-pair singlet weight "
-        f"{ring_weight[0]:.3f}..{ring_weight[1]:.3f} for N >= 4 and "
-        f"{n3_weight:.1e} at N = 3, nearest-neighbour gap {nearest_gap:.3e}"
+        f"identity gap {identity_gap:.2f} of (16 + N) eps up to N = 1000, "
+        f"oracle-pair singlet weight {ring_weight[0]:.3f}..{ring_weight[1]:.3f} "
+        f"for N >= 4 and {n3_weight:.1e} at N = 3, nearest-neighbour gap {nearest_gap:.3e}"
     )
     report(f"8c ising oracle agreement: {'PASS' if ok else 'FAIL'} ({evidence})")
-    assert identity_gap < 1e-10, (
+    assert identity_gap <= 1.0, (
         f"closed form deviates from the exact ring channels: {evidence}"
     )
     assert ring_weight[0] > 1e-3, f"N >= 4 pair lost its singlet weight: {evidence}"

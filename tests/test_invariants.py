@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -305,3 +306,25 @@ class TestTEigenvaluesFromInvariants:
     def test_unrealizable_pair_raises(self):
         with pytest.raises(NoRealSpectrum):
             t_eigenvalues_from_invariants(1.0, 0.0)
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    @pytest.mark.parametrize("i1, i2", [
+        (np.nan, 0.5), (0.5, np.nan), (0.0, np.inf), (0.0, -np.inf), (np.inf, 1.0),
+        (-np.inf, -np.inf), (1e300, 1e300), (0.0, 1e300)])
+    def test_non_finite_or_overflowing_input_raises(self, i1, i2, cast):
+        # A NaN once passed the min/max clamp as -1, inf warned, and an
+        # overflowing cube raised a bare OverflowError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoRealSpectrum, match=r"^cubic discriminant (nan|-inf) is not >= -1e-10;"):
+                t_eigenvalues_from_invariants(cast(i1), cast(i2))
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_largest_spectra_keep_their_bits(self, cast):
+        # -4 P^3 overflows to inf in the multiply, not in the cube: the
+        # discriminant is +inf and the spectrum finite, for either float type.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = t_eigenvalues_from_invariants(cast(0.0), cast(8e102))
+        assert [float(v).hex() for v in roots] == [
+            "0x1.561d276ddfdc0p+170", "0x1.b3c0d880e45b3p+116", "-0x1.561d276ddfdc1p+170"]

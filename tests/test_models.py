@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubitpair.errors import InvalidDicke, TooLarge
+import family_oracles as fo
+from qubitpair.errors import InvalidDicke
 from qubitpair.invariants import xform_invariants
 from qubitpair.models import (
-    ModelSpec,
-    brute_force_pair_oracle,
     dicke_invariants,
     dicke_pair,
     ising_invariants,
@@ -22,6 +21,10 @@ from qubitpair.separability import classify, ppt_check
 from qubitpair.states import SINGLET, xform_extract
 
 SQRT3_OVER_8 = np.sqrt(3.0) / 8.0
+
+#: Where the closed forms meet the exact oracles of ``family_oracles``: the
+#: 2^N reference's old range, and far beyond it.
+ORACLE_NS = (2, 3, 4, 5, 6, 10, 100, 1000)
 
 
 class TestDickePair:
@@ -99,12 +102,12 @@ class TestDickeInvariants:
         for n, gap in zip((12, 100, 1000), gaps):
             assert abs(gap - 3.0 / (16.0 * (n - 1))) < 1e-15
 
-    def test_oracle_agreement(self):
-        for n in range(2, 7):
-            for two_m in range(-n, n + 1, 2):
-                m = two_m / 2.0
-                rho = brute_force_pair_oracle(ModelSpec(family="dicke", n=n, m=m))
-                assert_allclose(rho, dicke_pair(n, m).to_matrix(), atol=1e-12)
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_oracle_agreement(self, n):
+        for two_m in range(-n, n + 1, 2):
+            m = two_m / 2.0
+            assert_allclose(fo.dicke_pair(n, m), dicke_pair(n, m).to_matrix(),
+                            rtol=0, atol=fo.closed_form_tolerance(n))
 
 
 class TestOatPair:
@@ -185,43 +188,24 @@ class TestOatInvariants:
 
 
 class TestOatOracle:
-    def test_agreement_up_to_coherence_gauge(self):
-        # The exact evolution reproduces a, c, d and Re b entrywise and
-        # |Im b| up to the sign, which is a local-unitary gauge; all
-        # invariants agree.
-        for n in range(2, 7):
-            for chi_t in (0.3, np.pi / 3, 0.9, np.pi / 2):
-                rho = brute_force_pair_oracle(ModelSpec(family="oat", n=n, chi_t=chi_t))
-                x = oat_pair(n, chi_t)
-                assert abs(rho[0, 0].real - x.a) < 1e-10
-                assert abs(rho[1, 1].real - x.c) < 1e-10
-                assert abs(rho[3, 3].real - x.d) < 1e-10
-                assert abs(rho[0, 3].real - x.b.real) < 1e-10
-                assert abs(abs(rho[0, 3].imag) - abs(x.b.imag)) < 1e-10
-                oracle_six = xform_invariants(xform_extract(rho))
-                assert_allclose(
-                    oracle_six.as_array(),
-                    xform_invariants(x).as_array(),
-                    atol=1e-10,
-                )
-
-    def test_n2_state_vector(self):
-        # Hand derivation from Sx^2 = (1 + sigma_x sigma_x) / 2.
-        chi_t = 0.8
-        rho = brute_force_pair_oracle(ModelSpec(family="oat", n=2, chi_t=chi_t))
-        psi = np.zeros(4, dtype=complex)
-        psi[3] = np.cos(chi_t / 2.0)
-        psi[0] = -1j * np.sin(chi_t / 2.0)
-        assert_allclose(rho, np.outer(psi, psi.conj()), atol=1e-12)
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_agreement_up_to_coherence_gauge(self, n):
+        # The exact evolution is the closed form with b conjugated: the sign
+        # of Im b is a local-unitary gauge, and all invariants agree.
+        chi_ts = (0.3, np.pi / 3, 0.9, np.pi / 2)
+        for rho, chi_t in zip(fo.oat_pairs(n, chi_ts), chi_ts):
+            x = oat_pair(n, chi_t)
+            assert_allclose(rho, np.conj(x.to_matrix()), rtol=0, atol=fo.closed_form_tolerance(n))
+            assert_allclose(
+                xform_invariants(xform_extract(rho)).as_array(),
+                xform_invariants(x).as_array(),
+                atol=1e-10,
+            )
 
     def test_literal_variant_fails_against_oracle(self):
-        rho = brute_force_pair_oracle(ModelSpec(family="oat", n=4, chi_t=0.9))
+        rho = fo.oat_pairs(4, [0.9])[0]
         literal = oat_pair(4, 0.9, paper_literal=True)
         assert abs(abs(rho[0, 3].imag) - abs(literal.b.imag)) > 1e-3
-
-    def test_too_large(self):
-        with pytest.raises(TooLarge):
-            brute_force_pair_oracle(ModelSpec(family="oat", n=7, chi_t=0.1))
 
 
 class TestIsingPair:
@@ -330,8 +314,8 @@ class TestIsingOracleDiagnostics:
     The closed form reproduces the ring's exact single-spin moment
     (a - d = cos^2(chi t / 2)) at every N.  For N >= 4 it also reproduces
     the pair-averaged double-flip coherence (conjugated) and exchange
-    coherence of the ring average (the ``ising_ring_average`` fixture),
-    but reassembles them under a triplet-support assumption; the
+    coherence of the ring average (``family_oracles.ising_ring``), but
+    reassembles them under a triplet-support assumption; the
     nearest-neighbour pair there carries singlet weight, so no pair
     extraction reproduces the closed form.  At N = 3 the exact pair is
     itself an X-pattern state with no singlet weight, and the closed form
@@ -340,77 +324,46 @@ class TestIsingOracleDiagnostics:
     the exact relationships so any change in either side is caught.
     """
 
-    def test_single_spin_moment_matches_any_pair(self):
-        for n in (3, 4, 5, 6):
-            for chi_t in (0.7, np.pi / 2):
-                rho = brute_force_pair_oracle(ModelSpec(family="ising", n=n, chi_t=chi_t))
-                x = ising_pair(n, chi_t)
-                a_minus_d = (rho[0, 0] - rho[3, 3]).real
-                assert abs(a_minus_d - (x.a - x.d)) < 1e-10
-                assert abs((x.a - x.d) - np.cos(chi_t / 2.0) ** 2) < 1e-12
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 10, 100, 1000])
+    def test_single_spin_moment_matches_any_pair(self, n):
+        for chi_t in (0.7, np.pi / 2):
+            rho, _ = fo.ising_ring(n, chi_t)
+            x = ising_pair(n, chi_t)
+            a_minus_d = (rho[0, 0] - rho[3, 3]).real
+            assert abs(a_minus_d - (x.a - x.d)) <= fo.closed_form_tolerance(n)
+            assert abs((x.a - x.d) - np.cos(chi_t / 2.0) ** 2) < 1e-12
 
-    def test_ring_average_coherence_channels_match_exactly(self, ising_ring_average):
-        for n in (4, 5, 6):
-            for chi_t in (0.7, np.pi / 2):
-                avg = ising_ring_average(n, chi_t)
-                x = ising_pair(n, chi_t)
-                assert abs(avg[0, 3] - np.conj(x.b)) < 1e-12
-                assert abs(avg[1, 2] - x.c) < 1e-12
+    @pytest.mark.parametrize("n", [4, 5, 6, 10, 100, 1000])
+    def test_ring_average_coherence_channels_match_exactly(self, n):
+        for chi_t in (0.7, np.pi / 2):
+            _, avg = fo.ising_ring(n, chi_t)
+            x = ising_pair(n, chi_t)
+            assert abs(avg[0, 3] - np.conj(x.b)) <= fo.closed_form_tolerance(n)
+            assert abs(avg[1, 2] - x.c) <= fo.closed_form_tolerance(n)
 
-    def test_nearest_neighbour_pair_disagrees_with_closed_form(self, ising_ring_average):
+    def test_nearest_neighbour_pair_disagrees_with_closed_form(self):
         # Locked-in finding: the literal pair state differs at the 1e-2
-        # level for either boundary condition; the gap in the middle
-        # populations of the ring average equals its singlet weight.
+        # level for either boundary condition (a ring's pair, an open
+        # chain's end pair); the gap in the middle populations of the ring
+        # average equals its singlet weight.
         from qubitpair.states import SINGLET
 
         print("\nchain oracle vs closed form, max entry deviation by boundary:")
-        for boundary in ("periodic", "open"):
-            for n in (3, 4, 5, 6):
-                rho = brute_force_pair_oracle(
-                    ModelSpec(family="ising", n=n, chi_t=np.pi / 2), boundary=boundary
-                )
+        for n in (3, 4, 5, 6, 10, 100, 1000):
+            exact = {"periodic": fo.ising_ring(n, np.pi / 2)[0],
+                     "open": fo.ising_end_pair(np.pi / 2)}
+            for boundary, rho in exact.items():
                 dev = np.max(np.abs(rho - ising_pair(n, np.pi / 2).to_matrix()))
                 print(f"  {boundary:8s} N={n}: {dev:.6f}")
                 assert dev > 1e-2
-        avg = ising_ring_average(4, np.pi / 2)
+        _, avg = fo.ising_ring(4, np.pi / 2)
         x = ising_pair(4, np.pi / 2)
         singlet_weight = float(np.real(SINGLET.conj() @ avg @ SINGLET))
         assert abs((avg[1, 1].real - x.c) - singlet_weight) < 1e-12
 
 
-class TestModelSpec:
-    def test_requires_family_parameters(self):
-        with pytest.raises(ValueError):
-            ModelSpec(family="dicke", n=4)
-        with pytest.raises(ValueError):
-            ModelSpec(family="oat", n=4)
-        with pytest.raises(ValueError):
-            ModelSpec(family="nope", n=4, chi_t=0.1)
-
-    def test_dicke_validation_at_construction(self):
-        with pytest.raises(InvalidDicke):
-            ModelSpec(family="dicke", n=4, m=0.5)
-        with pytest.raises(InvalidDicke, match="^need at least two qubits$"):
-            ModelSpec(family="dicke", n=1, m=0.5)
-
-    @pytest.mark.parametrize("family, foreign", [
-        ("dicke", "chi_t"), ("oat", "m"), ("ising", "m")])
-    @pytest.mark.parametrize("with_own", [True, False])
-    def test_refuses_a_parameter_the_family_does_not_take(self, family, foreign, with_own):
-        # Worded like the CLI's family check on a foreign flag.
-        own = {"dicke": {"m": 1.0}, "oat": {"chi_t": 0.5}, "ising": {"chi_t": 0.5}}[family]
-        kwargs = {foreign: 1.0, **(own if with_own else {})}
-        with pytest.raises(ValueError, match=f"^{family} does not take {foreign}$"):
-            ModelSpec(family, 4, **kwargs)
-
-    @pytest.mark.parametrize("family", ["oat", "ising"])
-    def test_takes_the_family_rule_on_chi_t(self, family):
-        with pytest.raises(ValueError, match="^chi_t must be finite, got chi_t = inf$"):
-            ModelSpec(family=family, n=4, chi_t=np.inf)
-
-
 #: Every entry point of the family rule, taking N and a valid family
-#: parameter.  A ``ModelSpec`` is read through the oracle it feeds.
+#: parameter.
 FAMILY_ENTRY_POINTS = {
     "dicke_pair": lambda n: dicke_pair(n, 1.0),
     "oat_pair": lambda n: oat_pair(n, 0.7),
@@ -421,9 +374,6 @@ FAMILY_ENTRY_POINTS = {
     "pair_parameters[dicke]": lambda n: pair_parameters("dicke", [(4, 0.0, None), (n, 1.0, None)]),
     "pair_parameters[oat]": lambda n: pair_parameters("oat", [(4, None, 0.3), (n, None, 0.7)]),
     "pair_parameters[ising]": lambda n: pair_parameters("ising", [(4, None, 0.3), (n, None, 0.7)]),
-    "ModelSpec[dicke]": lambda n: brute_force_pair_oracle(ModelSpec("dicke", n, m=1.0)),
-    "ModelSpec[oat]": lambda n: brute_force_pair_oracle(ModelSpec("oat", n, chi_t=0.7)),
-    "ModelSpec[ising]": lambda n: brute_force_pair_oracle(ModelSpec("ising", n, chi_t=0.7)),
 }
 
 

@@ -13,14 +13,17 @@ claim, stacked invariants equal to the frozen scalar references, is
 checked on the running machine by ``test_stack.py::TestInvarianceSuite``.
 
 The report classes are slotted dataclasses: a report a caller keeps
-holds no per-instance ``__dict__``.
+holds no per-instance ``__dict__``, and every assignment to one raises
+``FrozenInstanceError``.
 
 Regenerate the file (only when a change to the reports is intended) with
 ``PYTHONPATH=src python tests/test_selftest_golden.py``.
 """
 
+import copy
 import dataclasses
 import json
+import pickle
 import re
 import sys
 import tempfile
@@ -86,8 +89,15 @@ def test_report_classes_are_slotted_dataclasses(tmp_path):
     report = run_selftest(5, 3, out_dir=str(tmp_path))
     for obj in (report, *report.suites):
         assert not hasattr(obj, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, dataclasses.fields(obj)[0].name, None)
+        # A field, a property and a name the class does not have: each
+        # assignment and deletion is refused the same way.
+        for name in (dataclasses.fields(obj)[0].name, "failures", "count", "unknown"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert copy.deepcopy(obj) == obj
     assert dataclasses.asdict(report) == {
         "seed": 5, "count": 3, "counterexample_path": None,
         "suites": tuple(
