@@ -16,15 +16,15 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import InconsistentClassification, NotSymmetricState, NotXForm, QubitPairError
+from .errors import NotSymmetricState, NotXForm, QubitPairError
 from .invariants import makhlin_all, xform_invariants
 from .models import FAMILIES, pair_parameters
 from .selftest import format_report, run_selftest
 from .separability import (
-    CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classify_valid, classify, evidence,
+    CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classification_error, classify, evidence,
     evidence_stack,
 )
-from .states import XForm, bloch_decompose, xform_extract, xform_matrices
+from .states import XForm, bloch_decompose, is_symmetric, xform_extract, xform_matrices
 from .stateio import read_state_file, state_payload, write_state_file
 from .tolerances import SIGN_ZERO_BAND
 
@@ -64,14 +64,12 @@ def _invariants_payload(rho: np.ndarray) -> dict:
     no classification; a criterion firing on a PT spectrum positive beyond
     the band contradicts the theorem and is raised as ``classify`` raises it.
     """
-    try:
-        ev = cls = _classify_valid(rho)
-    except NotSymmetricState:  # the triplet test: the exchange-constraint band is 100x wider
-        ev = cls = None
-    except InconsistentClassification:
-        ev, cls = evidence(rho), None
+    ev = cls = evidence(rho) if is_symmetric(rho) else None
+    error = _classification_error(ev) if ev else None
+    if error is not None:
         if ev.ppt_min_eigenvalue > SIGN_ZERO_BAND:
-            raise
+            raise error
+        cls = None
     inv = ev.invariants if ev else makhlin_all(bloch_decompose(rho))
     payload: dict = {
         "invariants": {f"i{k}": getattr(inv, f"i{k}") for k in range(1, 19)},

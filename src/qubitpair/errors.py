@@ -45,10 +45,6 @@ class NoRealSpectrum(QubitPairError):
     """(I1, I2) are not realizable by a unit-trace real symmetric matrix."""
 
 
-class DegenerateHypothesis(QubitPairError):
-    """Equivalence-check hypothesis fails (vanishing spin-length factor)."""
-
-
 class InvalidDicke(QubitPairError):
     """Invalid collective quantum numbers for a Dicke reduced state."""
 

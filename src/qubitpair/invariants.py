@@ -12,10 +12,13 @@ of them against such an einsum.
 
 ``makhlin_stack`` is the one contraction: it evaluates ``k`` Bloch forms
 at once, from ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)`` to a
-``(k, 18)`` array.  ``makhlin_all`` is its one-form case.  The exchange
-constraints of a symmetric form are one gate, ``states.symmetric_form_stack``
-raising NotSymmetricState: ``separability.evidence_stack`` runs it on a
-stack and ``symmetric_six`` on one form.
+``(k, 18)`` array.  ``makhlin_all`` is its one-form case.  A symmetric
+form is one whose matrix passes the triplet-support rule
+(``states._triplet_gate``, raising NotSymmetricState):
+``separability.evidence_stack`` runs it on a stack of states and
+``symmetric_six`` on the matrix of one form.  The I4-zero rule is one gate
+too, ``_i4_zero_gate``, raising I4Zero wherever the criteria or the
+X-pattern relations would divide by or read a vanishing I4.
 """
 
 from __future__ import annotations
@@ -24,12 +27,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import I4Zero, NoRealSpectrum, NotSymmetricState
-from .states import BlochForm, XForm, _raise_first, symmetric_form_stack
+from .errors import I4Zero, NoRealSpectrum
+from .states import BlochForm, XForm, _form_matrix, _raise_first, _triplet_gate
 from .tolerances import SIGN_ZERO_BAND, matches
-
-#: Message of the NotSymmetricState an exchange-constraint gate raises.
-_EXCHANGE_VIOLATION = "Bloch form violates the exchange constraints (r = s, T = T^T, tr T = 1)"
 
 # Levi-Civita tensor eps[i, j, k].
 _EPS = np.zeros((3, 3, 3))
@@ -78,7 +78,7 @@ class SymmetricSix:
 
     @classmethod
     def from_full(cls, inv: "InvariantSet") -> "SymmetricSix":
-        """Plain projection of the full set, without the exchange-constraint gate.
+        """Plain projection of the full set, without the triplet-support gate.
 
         Useful for SWAP-invariant states carrying singlet weight (e.g.
         separable mixtures with mixed single-qubit factors), where the
@@ -203,12 +203,6 @@ def makhlin_all(form: BlochForm) -> InvariantSet:
     return InvariantSet(*makhlin_stack(form.s[None], form.r[None], form.t[None])[0].tolist())
 
 
-def _exchange_gate(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple:
-    """The exchange constraints of k Bloch forms (``states.symmetric_form_stack``)
-    as a gate in ``_raise_first``'s form, raising NotSymmetricState."""
-    return ~symmetric_form_stack(s, r, t), lambda j: NotSymmetricState(_EXCHANGE_VIOLATION)
-
-
 def _i4_zero_gate(i4: np.ndarray) -> tuple:
     """The I4-zero rule on a ``(k,)`` column of I4 as a gate in
     ``_raise_first``'s form: |I4| <= SIGN_ZERO_BAND, where the sign
@@ -220,12 +214,12 @@ def _i4_zero_gate(i4: np.ndarray) -> tuple:
 def symmetric_six(form: BlochForm) -> SymmetricSix:
     """Project the full set onto (I1, I2, I4, I10, I12, I14).
 
-    Raises NotSymmetricState unless r = s, T = T^T and tr T = 1 hold
-    within SYMMETRIC_CONSTRAINTS: the exchange gate of
-    ``separability.evidence_stack``, on one row.  The returned entries
-    agree with :func:`makhlin_all` exactly.
+    Raises NotSymmetricState unless the form's matrix is supported on the
+    triplet subspace: the triplet gate of ``separability.evidence_stack``,
+    on one row.  The matrix is not checked for positivity.  The returned
+    entries agree with :func:`makhlin_all` exactly.
     """
-    _raise_first([_exchange_gate(form.s[None], form.r[None], form.t[None])])
+    _raise_first([_triplet_gate(_form_matrix(form)[None])])
     return SymmetricSix.from_full(makhlin_all(form))
 
 

@@ -167,7 +167,7 @@ def _suite_invariance(count, rng, writer) -> SuiteResult:
 def _suite_positivity(count, rng, writer) -> SuiteResult:
     # One decomposition and one contraction for all draws.  Mixed product
     # factors carry singlet weight, so the full set is read without the
-    # exchange-constraint gate.
+    # triplet-support gate.
     states = _positivity_states(count, rng)
     s, r, t = bloch_decompose_stack(states)
     inv = invariants_mod.makhlin_stack(s, r, t)

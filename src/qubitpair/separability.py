@@ -10,9 +10,17 @@ and this module exposes that equivalence as a checkable predicate.
 ``evidence_stack`` reads a ``(k, 4, 4)`` stack with one call per stage
 and returns its numbers as arrays (``EvidenceStack``); it refuses a stack
 by the error of its first bad state.  ``evidence`` of one ``(4, 4)``
-state is its one-row case.  The criteria rule is written once, on
-columns of I4, I12 and I14: ``evidence_stack``, the self-test's
-positivity suite and ``invariant_criteria`` (one row) all read it.  The
+state is its one-row case.  Each hypothesis of the criteria is one gate:
+triplet support is ``states._triplet_gate``, which ``evidence_stack``
+runs after the density-matrix and entry rules, and a vanishing I4 is
+``invariants._i4_zero_gate``, which raises I4Zero in
+``invariant_criteria``, ``xform_equivalence_check`` and
+``invariants.xform_relation_check`` alike.  The criteria rule is written
+once, on columns of I4, I12 and I14: ``evidence_stack``, the self-test's
+positivity suite and ``invariant_criteria`` (one row) all read it.
+``classify`` is ``assert_density_matrix``, ``evidence`` and one check
+(``_classification_error``) for criteria that fire on a PT-separable
+verdict; the ``invariants`` command reads the same check.  The
 special pattern's closed forms take ``(k,)`` parameter arrays as well:
 ``xform_pt_eigenvalues`` and ``xform_equivalence_check`` are the one-row
 cases of ``xform_pt_eigenvalues_stack`` and ``xform_equivalence_stack``,
@@ -27,18 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .errors import DegenerateHypothesis, InconsistentClassification, NotSymmetricState
+from .errors import InconsistentClassification
 from .invariants import (
-    InvariantSet, SymmetricSix, _exchange_gate, _i4_zero_gate, _xform_criteria_invariants,
-    makhlin_stack,
+    InvariantSet, SymmetricSix, _i4_zero_gate, _xform_criteria_invariants, makhlin_stack,
 )
 from .states import (
-    XForm,
-    _as_state,
-    _decomposition,
-    _raise_first,
-    assert_density_matrix,
-    is_symmetric,
+    XForm, _as_state, _decomposition, _raise_first, _triplet_gate, assert_density_matrix,
 )
 from .tolerances import SIGN_ZERO_BAND
 
@@ -255,8 +257,7 @@ def evidence(rho: np.ndarray) -> Classification:
     The verdict is the PT ground truth.  When I4 is inside the zero band
     no criterion is read and ``i4_zero_fallback_used`` is set.  A
     criterion that fires on a PT-positive state is returned as is;
-    :func:`classify` adds the density-matrix and triplet gates and that
-    check.
+    :func:`classify` adds the PSD stage and that check.
     """
     ev = evidence_stack(_as_state(rho)[None])
     return Classification(
@@ -289,13 +290,13 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
 
     The gates, in the order a single state meets them: the gates of
     ``states.bloch_decompose_stack`` (the density-matrix rule, then the
-    entry rule) and the exchange constraints (NotSymmetricState).  For the
-    first row that a gate refuses, the first gate refusing it raises.
+    entry rule) and triplet support (``states._triplet_gate``,
+    NotSymmetricState).  For the first row that a gate refuses, the first
+    gate refusing it raises.
     """
+    rhos = np.asarray(rhos, dtype=complex)
     s, r, t, gates = _decomposition(rhos)
-    with np.errstate(invalid="ignore"):  # inf - inf on a row the entry rule refuses
-        exchange = _exchange_gate(s, r, t)
-    _raise_first([*gates, exchange])
+    _raise_first([*gates, _triplet_gate(rhos)])
     # The PT permutes the entries of rho - rho^dag, so its defect is the
     # state's: the solve's own Hermiticity gate cannot refuse it.
     pt_min = qmat.hermitian_eigenvalues(partial_transpose(rhos))[:, 0]
@@ -310,31 +311,33 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     )
 
 
-def _classify_valid(rho: np.ndarray) -> Classification:
-    """:func:`classify` of a state that ``assert_density_matrix`` has
-    accepted, such as one ``stateio.read_state_file`` returns."""
-    if not is_symmetric(rho):
-        raise NotSymmetricState("state has singlet support; classify requires triplet support")
-    result = evidence(rho)
+def _classification_error(result: Classification) -> InconsistentClassification | None:
+    """The InconsistentClassification of a verdict whose fired criteria
+    contradict a PT-separable verdict, or None."""
     if result.criteria_fired and result.verdict == VERDICT_SEPARABLE:
-        raise InconsistentClassification(
+        return InconsistentClassification(
             f"criteria {sorted(result.criteria_fired)} fired but PT min eigenvalue is "
             f"{result.ppt_min_eigenvalue:.3e}; state sits inside the tolerance band"
         )
-    return result
+    return None
 
 
 def classify(rho: np.ndarray) -> Classification:
     """Full verdict for a symmetric state: PT ground truth plus fired criteria.
 
-    Validates ``rho`` with ``states.assert_density_matrix`` and refuses
-    non-symmetric inputs with NotSymmetricState (the invariant criteria are
-    defined only on the triplet subspace).  If a criterion fires while the
-    PT verdict is separable (minimum eigenvalue >= -SIGN_ZERO_BAND, so a
-    PT minimum inside the zero band counts too), the contradiction is
-    surfaced as InconsistentClassification rather than silently resolved.
+    Validates ``rho`` with ``states.assert_density_matrix`` and reads its
+    :func:`evidence`, which refuses non-symmetric inputs with
+    NotSymmetricState (the invariant criteria are defined only on the
+    triplet subspace).  If a criterion fires while the PT verdict is
+    separable (minimum eigenvalue >= -SIGN_ZERO_BAND, so a PT minimum
+    inside the zero band counts too), the contradiction is surfaced as
+    InconsistentClassification rather than silently resolved.
     """
-    return _classify_valid(assert_density_matrix(rho))
+    result = evidence(assert_density_matrix(rho))
+    error = _classification_error(result)
+    if error is not None:
+        raise error
+    return result
 
 
 def sample_separable_symmetric(
@@ -380,14 +383,13 @@ def xform_equivalence_check(x: XForm) -> bool:
     are divided out before the zero-band comparison so both sides are
     compared on the same scale, against SIGN_ZERO_BAND.
 
-    Raises DegenerateHypothesis when (a-d)^2 is inside that band: both
-    invariants then vanish identically and the comparison carries no
-    information.  A vanishing c + |b| is harmless (lambda_3 is inside the
-    band too).
+    Raises I4Zero when I4 = (a-d)^2 is inside that band
+    (``invariants._i4_zero_gate``): both invariants then vanish identically
+    and the comparison carries no information.  A vanishing c + |b| is
+    harmless (lambda_3 is inside the band too).
     """
-    ad_sq = (x.a - x.d) ** 2
-    if ad_sq <= SIGN_ZERO_BAND:
-        raise DegenerateHypothesis(f"(a - d)^2 = {ad_sq:.3e} is inside the zero band")
+    i4, _, _ = _xform_criteria_invariants(x.a - x.d, abs(x.b), x.c)
+    _raise_first([_i4_zero_gate(np.array([i4]))])
     return bool(xform_equivalence_stack(*x._columns())[0])
 
 
@@ -402,9 +404,9 @@ def xform_equivalence_stack(
     """:func:`xform_equivalence_check` of k special-pattern states, from their
     ``(k,)`` parameter arrays, as a ``(k,)`` mask.
 
-    The parameters are not checked.  A row whose (a-d)^2 is inside the zero
-    band, where the one-state check raises DegenerateHypothesis, carries
-    no information; its entry is meaningless.
+    The parameters are not checked.  A row whose I4 = (a-d)^2 is inside the
+    zero band, where the one-state check raises I4Zero, carries no
+    information; its entry is meaningless.
     """
     ad = a - d
     ad_sq = qmat.float_pow(ad, 2)

@@ -116,7 +116,7 @@ def parse_state_payload(payload: dict) -> np.ndarray:
         return assert_density_matrix(rho)
     except StateFileError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge int
         raise StateFileError(f"malformed {present[0]} representation: {exc}") from exc
     except QubitPairError as exc:
         raise StateFileError(f"invalid state: {exc}") from exc
@@ -128,6 +128,7 @@ def read_state_file(path: str | os.PathLike) -> np.ndarray:
             payload = json.load(fh)
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, UnicodeDecodeError (JSON is UTF-8), or nesting too deep to decode.
+    except (ValueError, RecursionError) as exc:
         raise StateFileError(f"{path} is not valid JSON: {exc}") from exc
     return parse_state_payload(payload)

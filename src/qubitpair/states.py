@@ -11,7 +11,12 @@ Bloch decomposition
 "Symmetric" throughout the library means supported on the triplet
 (exchange-symmetric) subspace; a SWAP-commuting state with singlet
 population is reported non-symmetric, because the unit-trace constraint
-on T holds only for triplet support.
+on T holds only for triplet support.  That rule is written once, as a
+stack gate on the matrix (``_triplet_gate``): the singlet population and
+every singlet-triplet coherence within SYMMETRY.  ``is_symmetric`` is its
+one-row mask, ``separability.evidence_stack`` runs it after the
+density-matrix and entry rules, and ``invariants.symmetric_six`` runs it
+on the matrix of a form.
 
 The density-matrix rule is written once, as a stack rule
 (``_state_gates``): Hermiticity within HERMITICITY, then unit trace
@@ -26,10 +31,9 @@ There is one Pauli decomposition, ``bloch_decompose_stack``: a ``(k, 4,
 a stack by the error of its first bad state, so ``bloch_decompose`` (one
 ``(4, 4)`` matrix to a ``BlochForm``) is its one-row case: it builds the
 form from the row the stack has gated, without a copy or a second check.
-``BlochForm`` and the stack share one entry rule.  ``symmetric_form_stack``
-holds the exchange constraints of a triplet-supported state's Bloch form.
-``XForm``'s rule is one function on Python floats, which ``_xform_gates``
-runs on k parameter sets.
+``BlochForm`` and the stack share one entry rule.  ``XForm``'s rule is
+one function on Python floats, which ``_xform_gates`` runs on k
+parameter sets.
 """
 
 from __future__ import annotations
@@ -41,10 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .errors import InvalidDensityMatrix, NotPositive, NotXForm
-from .tolerances import (
-    HERMITICITY, PSD_FLOOR, STATE_ENTRY, SYMMETRIC_CONSTRAINTS, SYMMETRY, TRACE, XFORM_PATTERN,
-)
+from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState, NotXForm
+from .tolerances import HERMITICITY, PSD_FLOOR, STATE_ENTRY, SYMMETRY, TRACE, XFORM_PATTERN
 
 # Pauli tensor basis B[m, n] = sigma_m (x) sigma_n with sigma_0 = I, built once.
 _SIGMA_0123 = np.array((qmat.IDENTITY_2,) + qmat.PAULIS)
@@ -71,6 +73,18 @@ TRIPLET_BASIS = np.array(
     dtype=complex,
 ).T  # columns |00>, (|01>+|10>)/sqrt2, |11>
 TRIPLET_BASIS.setflags(write=False)
+
+# Column 1 minus column 2 of rho is sqrt(2) rho |singlet>; times this matrix
+# it gives the components of rho |singlet> along |00>, (|01> + |10>)/sqrt2,
+# |11> and the singlet.  Each component is one product, or two exact ones
+# (by 1/2), so a row gets the same bits in any stack.
+_SINGLET_LEAK = np.array([
+    [1.0 / np.sqrt(2.0), 0.0, 0.0, 0.0],
+    [0.0, 0.5, 0.0, 0.5],
+    [0.0, 0.5, 0.0, -0.5],
+    [0.0, 0.0, 1.0 / np.sqrt(2.0), 0.0],
+])
+_SINGLET_LEAK.setflags(write=False)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -304,37 +318,45 @@ def bloch_decompose_stack(rhos: np.ndarray) -> tuple:
     return s, r, t
 
 
-def symmetric_form_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The exchange constraints r = s, T = T^T, tr T = 1 of each row of a
-    stack, within SYMMETRIC_CONSTRAINTS, as a ``(k,)`` mask."""
-    return ((np.abs(r - s).max(axis=1) <= SYMMETRIC_CONSTRAINTS)
-            & (np.abs(t - t.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRIC_CONSTRAINTS)
-            & (np.abs(t.trace(axis1=1, axis2=2) - 1.0) <= SYMMETRIC_CONSTRAINTS))
+def _form_matrix(form: BlochForm) -> np.ndarray:
+    """The ``(4, 4)`` matrix of a Bloch form, Hermitian and unit-trace by
+    construction and not checked further."""
+    c = np.block([[np.ones((1, 1)), form.r[None, :]], [form.s[:, None], form.t]])
+    return 0.25 * np.einsum("mn,mnij->ij", c, _BASIS)
 
 
 def bloch_compose(form: BlochForm) -> np.ndarray:
     """Rebuild the density matrix from (s, r, T); inverse of bloch_decompose.
 
-    Hermitian and unit-trace by construction, and validated by
-    :func:`assert_density_matrix`, which raises NotPositive when the
-    parameters do not describe a physical state.
+    ``_form_matrix`` validated by :func:`assert_density_matrix`, which
+    raises NotPositive when the parameters do not describe a physical state.
     """
-    c = np.block([[np.ones((1, 1)), form.r[None, :]], [form.s[:, None], form.t]])
-    return assert_density_matrix(0.25 * np.einsum("mn,mnij->ij", c, _BASIS))
+    return assert_density_matrix(_form_matrix(form))
+
+
+def _triplet_gate(rhos: np.ndarray) -> tuple:
+    """The triplet-support rule on a complex ``(k, 4, 4)`` stack as a gate
+    in ``_raise_first``'s form: the singlet population and every
+    singlet-triplet coherence within SYMMETRY, which amounts to
+    SWAP-invariance plus a vanishing singlet weight.  A NaN fails it.
+    The gate raises NotSymmetricState naming the population and the
+    largest coherence.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # rows an earlier gate refuses
+        components = (rhos[:, :, 1] - rhos[:, :, 2]) @ _SINGLET_LEAK
+    population = components[:, 3].real
+    coherence = np.abs(components[:, :3]).max(axis=1)
+    return ~((population <= SYMMETRY) & (coherence <= SYMMETRY)), lambda j: NotSymmetricState(
+        f"state has singlet support: singlet population {population[j]:.3e}, largest "
+        f"singlet-triplet coherence {coherence[j]:.3e}, band {SYMMETRY:.1e}; "
+        "the criteria require triplet support")
 
 
 def is_symmetric(rho: np.ndarray) -> bool:
-    """True iff the state is supported on the triplet subspace.
-
-    Checks the singlet population and every singlet-triplet coherence
-    against SYMMETRY; equivalent to SWAP-invariance plus vanishing singlet
-    weight.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    leak = rho @ SINGLET
-    population = float(np.real(np.vdot(SINGLET, leak)))
-    coherence = float(np.max(np.abs(TRIPLET_BASIS.conj().T @ leak)))
-    return population <= SYMMETRY and coherence <= SYMMETRY
+    """True iff the state is supported on the triplet subspace: the
+    one-row mask of the triplet-support rule."""
+    refused, _ = _triplet_gate(np.asarray(rho, dtype=complex)[None])
+    return not refused[0]
 
 
 def xform_extract(rho: np.ndarray) -> XForm:

@@ -1,6 +1,8 @@
 """Central tolerance table.
 
-The matrix, symmetry, pattern and sign gates read their bands from here,
+The matrix, symmetry, pattern and sign gates read their bands from here
+(one band per rule: triplet support is SYMMETRY wherever it is decided,
+and a vanishing I4 is SIGN_ZERO_BAND),
 and none of them takes a per-call override, so the tolerance policy can
 be audited (and tightened) in one place.
 
@@ -32,11 +34,10 @@ PSD_FLOOR = -1e-9
 # is refused before the eigen solve, which would overflow on it.
 STATE_ENTRY = 1.0 + TRACE - 3.0 * PSD_FLOOR + HERMITICITY
 
-# Triplet-support test (singlet population / coherence leakage).
+# Triplet support (states._triplet_gate): the singlet population and every
+# singlet-triplet coherence, on the matrix.  It is the one band of the
+# symmetry hypothesis on every path.
 SYMMETRY = 1e-10
-
-# Exchange constraints checked at the Bloch level (r = s, T = T^T, tr T = 1).
-SYMMETRIC_CONSTRAINTS = 1e-8
 
 # Off-pattern leakage allowed when reading off the special four-parameter form.
 XFORM_PATTERN = 1e-10

@@ -1,5 +1,18 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Hypothesis keeps its example database and constants cache under its home
+# directory, by default ./.hypothesis; a temporary one keeps the tests from
+# writing into the directory they run from.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="qubitpair-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
 
 
 @pytest.fixture

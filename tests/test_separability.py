@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from qubitpair import cli, qmat
 from qubitpair.errors import (
-    DegenerateHypothesis,
     I4Zero,
     InconsistentClassification,
     NotSymmetricState,
@@ -389,7 +388,7 @@ class TestXFormEquivalenceCheck:
         assert xform_equivalence_check(XForm(a=1.0, b=0j, c=0.0, d=0.0))
 
     def test_bell_symmetric_degenerate(self, bell_symmetric):
-        with pytest.raises(DegenerateHypothesis):
+        with pytest.raises(I4Zero):
             xform_equivalence_check(xform_extract(bell_symmetric))
 
     def test_random_xforms(self, rng):
@@ -453,3 +452,25 @@ class TestSoundness:
                 assert fired, f"PT-entangled state fired nothing: {x}"
             if fired:
                 assert min_eig < 1e-10, f"criterion fired on PPT state: {x}"
+
+
+class TestI4ZeroIsOneError:
+    """A vanishing I4 is one rule (``invariants._i4_zero_gate``): each check
+    whose hypothesis it breaks raises I4Zero with the same message."""
+
+    @pytest.mark.parametrize("x", [
+        XForm.from_abc(0.3, 0.1 + 0j, 0.2),  # d = 0.29999999999999993: I4 = 3.1e-33
+        XForm(a=0.25, b=0.1j, c=0.25, d=0.25),  # a = d exactly: I4 = 0
+    ], ids=["a_near_d", "a_equals_d"])
+    def test_every_check_raises_i4zero(self, x):
+        from qubitpair.invariants import xform_relation_check
+
+        six = xform_invariants(x)
+        assert abs(six.i4) <= 1e-10
+        messages = set()
+        for check in (lambda: xform_equivalence_check(x), lambda: invariant_criteria(six),
+                      lambda: xform_relation_check(six)):
+            with pytest.raises(I4Zero) as refused:
+                check()
+            messages.add(str(refused.value))
+        assert messages == {f"I4 = {six.i4:.3e} is inside the zero band 1.0e-10"}

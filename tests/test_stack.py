@@ -26,9 +26,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qubitpair import cli, selftest
-from qubitpair.errors import (
-    DegenerateHypothesis, I4Zero, InvalidDensityMatrix, NotSymmetricState, StateFileError,
-)
+from qubitpair.errors import I4Zero, InvalidDensityMatrix, NotSymmetricState, StateFileError
 from qubitpair.invariants import (
     InvariantSet, SymmetricSix, makhlin_all, makhlin_stack, symmetric_six,
 )
@@ -54,7 +52,7 @@ from qubitpair.separability import (
 from qubitpair.qmat import haar_su2
 from qubitpair.states import (
     BlochForm, XForm, apply_local_unitary, assert_density_matrix, bloch_decompose,
-    bloch_decompose_stack, symmetric_form_stack,
+    bloch_decompose_stack, is_symmetric,
 )
 from qubitpair.stateio import read_state_file, write_state_file
 from qubitpair.tolerances import INVARIANCE_ABS, INVARIANCE_REL, SIGN_ZERO_BAND
@@ -379,18 +377,20 @@ def _bad_rows(rng):
 # Class and message of the error each gate's row of ``_bad_rows`` raises.
 # The evidence and the decomposition read one density-matrix rule
 # (``states._state_gates``), so they raise alike on every row but the
-# exchange row, which only the evidence refuses.  A non-finite matrix has
-# Hermiticity defect inf.
+# exchange row, which only the evidence's triplet-support gate refuses.
+# A non-finite matrix has Hermiticity defect inf.
 EVIDENCE_ERRORS = {
     "hermiticity": (InvalidDensityMatrix, "not Hermitian: defect 1.000e-06"),
     "trace": (InvalidDensityMatrix, "trace invariant violated: trace = 1.001"),
     "bloch_bound": (ValueError, "BlochForm components must lie in [-1, 1]"),
     "exchange": (NotSymmetricState,
-                 "Bloch form violates the exchange constraints (r = s, T = T^T, tr T = 1)"),
+                 "state has singlet support: singlet population 2.586e-01, largest "
+                 "singlet-triplet coherence 1.615e-01, band 1.0e-10; "
+                 "the criteria require triplet support"),
     "non_finite": (InvalidDensityMatrix, "not Hermitian: defect inf"),
     "non_finite_entry": (ValueError, "BlochForm entries must be finite"),
 }
-DECOMPOSITION_ERRORS = {**EVIDENCE_ERRORS, "exchange": None}  # the decomposition has no exchange gate
+DECOMPOSITION_ERRORS = {**EVIDENCE_ERRORS, "exchange": None}  # the decomposition has no triplet gate
 GATES = list(EVIDENCE_ERRORS)
 
 
@@ -416,7 +416,7 @@ class TestStackedGates:
         bad = _bad_rows(rng)
         clean = separable_symmetric_states(rng, 2)
         for gate, error in DECOMPOSITION_ERRORS.items():
-            if error is None:  # refused by the exchange constraints, not here
+            if error is None:  # refused by the triplet gate, not here
                 s, r, t = bloch_decompose_stack(np.array([clean[0], bad[gate]]))
                 with raises_exactly(EVIDENCE_ERRORS[gate]):
                     symmetric_six(BlochForm(s[1], r[1], t[1]))
@@ -471,14 +471,16 @@ class TestStackedGates:
     def test_symmetric_six_refuses_the_rows_the_stack_mask_refuses(self, rng):
         rhos = np.concatenate([symmetric_states(rng, 100), dense_states(rng, 100)])
         s, r, t = bloch_decompose_stack(rhos)
-        mask = symmetric_form_stack(s, r, t)
+        mask = np.array([is_symmetric(rho) for rho in rhos])
         assert mask[:100].all() and not mask[100:].any()
-        for row, symmetric in zip(zip(s, r, t), mask):
+        for rho, row, symmetric in zip(rhos, zip(s, r, t), mask):
             if symmetric:
                 assert symmetric_six(BlochForm(*row)) == SymmetricSix.from_full(
                     makhlin_all(BlochForm(*row)))
             else:
-                with raises_exactly(EVIDENCE_ERRORS["exchange"]):
+                with pytest.raises(NotSymmetricState) as refused:
+                    evidence(rho)
+                with raises_exactly((NotSymmetricState, str(refused.value))):
                     symmetric_six(BlochForm(*row))
 
     def test_shape_is_checked(self):
@@ -581,7 +583,7 @@ def reference_xform_equivalence_check(x):
     forms of I4, I12 and I14 inlined."""
     ad_sq = (x.a - x.d) ** 2
     if ad_sq <= SIGN_ZERO_BAND:
-        raise DegenerateHypothesis(f"(a - d)^2 = {ad_sq:.3e} is inside the zero band")
+        raise I4Zero(f"I4 = {ad_sq:.3e} is inside the zero band 1.0e-10")
     ab, c, ad = abs(x.b), x.c, x.a - x.d
     i4, i12, i14 = ad * ad, ad * ad * (1.0 - 4.0 * c), 8.0 * ad * ad * (c * c - ab * ab)
 
@@ -1018,9 +1020,9 @@ class TestXformClosedFormStacks:
         for x, got in zip(xs, agree.tolist()):
             try:
                 want = reference_xform_equivalence_check(x)
-            except DegenerateHypothesis as exc:
+            except I4Zero as exc:
                 degenerate += 1
-                with raises_exactly((DegenerateHypothesis, str(exc))):
+                with raises_exactly((I4Zero, str(exc))):
                     xform_equivalence_check(x)
                 continue
             assert got is want is xform_equivalence_check(x)

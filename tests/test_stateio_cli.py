@@ -11,11 +11,13 @@ from numpy.testing import assert_allclose
 
 import qubitpair
 from qubitpair import cli
-from qubitpair.errors import StateFileError
+from qubitpair.errors import NotSymmetricState, StateFileError
+from qubitpair.invariants import symmetric_six
 from qubitpair.models import dicke_pair, ising_pair, oat_pair
-from qubitpair.separability import classify
+from qubitpair.separability import classify, evidence, evidence_stack
 from qubitpair.sampling import random_density_matrix, random_xform
-from qubitpair.states import bloch_decompose
+from qubitpair.states import bloch_decompose, is_symmetric
+from qubitpair.tolerances import SYMMETRY
 from qubitpair.stateio import read_state_file, state_payload, write_state_file
 
 
@@ -560,6 +562,94 @@ def test_classify_still_validates_its_input(bell_symmetric):
         classify(np.diag([1.2, -0.2, 0.0, 0.0]))
     with pytest.raises(InvalidDensityMatrix, match="trace invariant violated"):
         classify(2.0 * bell_symmetric)
+
+
+class TestMalformedStateFiles:
+    """A file that is not a state is a StateFileError, whatever makes it
+    unreadable, and both commands that read one exit 2 with no traceback."""
+
+    # An integer too large for a float: json reads it as a Python int.
+    HUGE = int("1" + "0" * 400)
+    PAYLOADS = {
+        "matrix": {"matrix": [[[HUGE, 0]] + [[0, 0]] * 3] + [[[0, 0]] * 4] * 3},
+        "xform": {"xform": {"a": HUGE, "b_re": 0, "b_im": 0, "c": 0}},
+        "bloch": {"bloch": {"s": [HUGE, 0, 0], "r": [0, 0, 0], "t": [[0, 0, 0]] * 3}},
+    }
+
+    @pytest.mark.parametrize("command", ["classify", "invariants"])
+    @pytest.mark.parametrize("representation", list(PAYLOADS))
+    def test_integer_beyond_a_float_exits_2(self, representation, command, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"schema_version": "1", **self.PAYLOADS[representation]}))
+        with pytest.raises(StateFileError, match=(
+                f"^malformed {representation} representation: int too large to convert")):
+            read_state_file(path)
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed {representation} representation")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["classify", "invariants"])
+    @pytest.mark.parametrize("content, reason", [
+        ('{"schema_version": "1", "note": "\u00e9"}'.encode("latin-1"), "'utf-8' codec"),
+        (b"[" * 200_000, "maximum recursion depth exceeded"),
+    ], ids=["not_utf8", "nested_too_deep"])
+    def test_file_that_is_not_json_exits_2(self, content, reason, command, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        with pytest.raises(StateFileError, match=f"is not valid JSON: {reason}"):
+            read_state_file(path)
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "is not valid JSON" in err and "Traceback" not in err
+
+
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+
+
+class TestTripletSupportIsOneRule:
+    """Triplet support is one gate with one band (``tolerances.SYMMETRY``) on
+    every path: ``dicke_pair(4, 1)`` mixed with singlet weight w is
+    symmetric everywhere when w is inside the band and refused everywhere,
+    with one message, when it is outside."""
+
+    @pytest.mark.parametrize("weight", [5e-11, 1e-9, 2e-9])
+    def test_every_path_agrees(self, weight, tmp_path, capsys):
+        dicke = dicke_pair(4, 1).to_matrix()
+        rho = (1.0 - weight) * dicke + weight * np.outer(_SINGLET, _SINGLET)
+        symmetric = weight <= SYMMETRY
+        paths = {
+            "evidence": lambda: evidence(rho),
+            "evidence_stack": lambda: evidence_stack(np.array([dicke, rho])),
+            "classify": lambda: classify(rho),
+            "symmetric_six": lambda: symmetric_six(bloch_decompose(rho)),
+        }
+        assert is_symmetric(rho) is symmetric
+        if symmetric:
+            for path in paths.values():
+                path()
+            assert_allclose(evidence_stack(np.array([dicke, rho])).invariants[1],
+                            evidence(rho).invariants.as_array(), rtol=0, atol=0)
+            refusal = ""
+        else:
+            messages = set()
+            for path in paths.values():
+                with pytest.raises(NotSymmetricState) as refused:
+                    path()
+                messages.add(str(refused.value))
+            message = (f"state has singlet support: singlet population {weight:.3e}, largest "
+                       "singlet-triplet coherence 0.000e+00, band 1.0e-10; "
+                       "the criteria require triplet support")
+            assert messages == {message}
+            refusal = f"error: {message}\n"
+
+        path = tmp_path / "state.json"
+        write_state_file(path, matrix=rho)
+        code, _, err = run_cli(["classify", str(path)], capsys)
+        assert (code, err) == (0 if symmetric else 3, refusal)
+        code, out, _ = run_cli(["invariants", str(path), "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["symmetric"] is symmetric
 
 
 class TestToleranceKnobsGone:
