@@ -31,8 +31,10 @@ the partial transposes, and one call each of the closed forms under
 test, ``xform_pt_eigenvalues_stack`` and
 ``xform_equivalence_stack``.
 
-Deterministic for a fixed seed.  On the first violation the offending
-state is serialized for reproduction.
+Deterministic for a fixed seed.  Each suite returns its ``SuiteResult``
+and its first failing state (none or one, as a stack);
+``run_selftest`` serializes the first of them in suite order for
+reproduction.
 """
 
 from __future__ import annotations
@@ -97,19 +99,6 @@ class SelfTestReport:
         return sum(s.failures for s in self.suites)
 
 
-class _CounterexampleWriter:
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.path: str | None = None
-
-    def record(self, rho: np.ndarray) -> None:
-        if self.path is not None:
-            return
-        path = os.path.join(self.out_dir, COUNTEREXAMPLE_FILENAME)
-        write_state_file(path, matrix=rho)
-        self.path = path
-
-
 def _invariance_states(count, rng) -> np.ndarray:
     """The invariance suite's draws as one ``(2 count, 4, 4)`` stack: each
     Hilbert-Schmidt state next to its copy rotated by two Haar SU(2)
@@ -146,7 +135,7 @@ def _positivity_states(count, rng) -> np.ndarray:
     return separable_mixtures(weights, vectors)
 
 
-def _suite_invariance(count, rng, writer) -> SuiteResult:
+def _suite_invariance(count, rng) -> tuple:
     # Each draw's reference and rotated state sit side by side in one
     # stack, so a refusal raises the error of the first refused state in
     # the order the draws were made.
@@ -158,13 +147,11 @@ def _suite_invariance(count, rng, writer) -> SuiteResult:
     floor = INVARIANCE_ABS / INVARIANCE_REL
     dev = np.max(np.abs(rotated - ref) / np.maximum(np.abs(ref), floor), axis=1)
     failed = np.flatnonzero(dev > INVARIANCE_REL)
-    if failed.size:
-        writer.record(states[2 * failed[0]])
     return SuiteResult("local_unitary_invariance", count, int(failed.size),
-                       float(dev.max(initial=0.0)))
+                       float(dev.max(initial=0.0))), states[2 * failed[:1]]
 
 
-def _suite_positivity(count, rng, writer) -> SuiteResult:
+def _suite_positivity(count, rng) -> tuple:
     # One decomposition and one contraction for all draws.  Mixed product
     # factors carry singlet weight, so the full set is read without the
     # triplet-support gate.
@@ -183,11 +170,10 @@ def _suite_positivity(count, rng, writer) -> SuiteResult:
         if any(a.tobytes() != b[0].tobytes() for a, b in zip((form.s, form.r, form.t), (s, r, t))):
             failing[0] = True
     failed = np.flatnonzero(failing)
-    if failed.size:
-        writer.record(states[failed[0]])
     # The largest max(0, -value) over the cases' criteria, 0 when there is none.
     max_dev = max(0.0, -float(values[cases].min(initial=np.inf)))
-    return SuiteResult("separable_positivity", int(cases.sum()), int(failed.size), max_dev)
+    return SuiteResult("separable_positivity", int(cases.sum()), int(failed.size),
+                       max_dev), states[failed[:1]]
 
 
 def _xform_draws(count, rng) -> tuple:
@@ -200,7 +186,7 @@ def _xform_draws(count, rng) -> tuple:
     return a, b, c, d
 
 
-def _suite_xform_equivalence(count, rng, writer) -> SuiteResult:
+def _suite_xform_equivalence(count, rng) -> tuple:
     a, b, c, d = _xform_draws(count, rng)
     # The floor lies above SIGN_ZERO_BAND, so no case has the degenerate
     # (a - d)^2 on which xform_equivalence_check raises.
@@ -212,10 +198,8 @@ def _suite_xform_equivalence(count, rng, writer) -> SuiteResult:
     closed = np.sort(xform_pt_eigenvalues_stack(a, b, c, d), axis=1)[:, 0]
     dev = np.abs(closed - numeric)
     failed = np.flatnonzero(~xform_equivalence_stack(a, b, c, d) | (dev > SIGN_ZERO_BAND))
-    if failed.size:
-        writer.record(states[failed[0]])
     return SuiteResult("xform_pt_equivalence", int(cases.sum()), int(failed.size),
-                       float(dev.max(initial=0.0)))
+                       float(dev.max(initial=0.0))), states[failed[:1]]
 
 
 def run_selftest(seed: int, count: int, out_dir: str = ".") -> SelfTestReport:
@@ -226,15 +210,15 @@ def run_selftest(seed: int, count: int, out_dir: str = ".") -> SelfTestReport:
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
-    writer = _CounterexampleWriter(out_dir)
-    suites = (
-        _suite_invariance(count, rng, writer),
-        _suite_positivity(count, rng, writer),
-        _suite_xform_equivalence(count, rng, writer),
-    )
-    return SelfTestReport(
-        seed=seed, count=count, suites=suites, counterexample_path=writer.path
-    )
+    runs = [suite(count, rng) for suite in (
+        _suite_invariance, _suite_positivity, _suite_xform_equivalence)]
+    counterexamples = [first for _, first in runs if len(first)]
+    path = None
+    if counterexamples:
+        path = os.path.join(out_dir, COUNTEREXAMPLE_FILENAME)
+        write_state_file(path, matrix=counterexamples[0][0])
+    return SelfTestReport(seed=seed, count=count, suites=tuple(result for result, _ in runs),
+                          counterexample_path=path)
 
 
 def format_report(report: SelfTestReport) -> str:

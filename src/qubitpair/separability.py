@@ -12,15 +12,17 @@ and returns its numbers as arrays (``EvidenceStack``); it refuses a stack
 by the error of its first bad state.  ``evidence`` of one ``(4, 4)``
 state is its one-row case.  Each hypothesis of the criteria is one gate:
 triplet support is ``states._triplet_gate``, which ``evidence_stack``
-runs after the density-matrix and entry rules, and a vanishing I4 is
+runs after the density-matrix rule, the entry rule and the positivity
+gate ``states._psd_gate`` (read on the same eigen solve as the partial
+transpose's spectrum), and a vanishing I4 is
 ``invariants._i4_zero_gate``, which raises I4Zero in
 ``invariant_criteria``, ``xform_equivalence_check`` and
 ``invariants.xform_relation_check`` alike.  The criteria rule is written
 once, on columns of I4, I12 and I14: ``evidence_stack``, the self-test's
 positivity suite and ``invariant_criteria`` (one row) all read it.
-``classify`` is ``assert_density_matrix``, ``evidence`` and one check
-(``_classification_error``) for criteria that fire on a PT-separable
-verdict; the ``invariants`` command reads the same check.  The
+``classify`` is ``evidence`` and one check (``_classification_error``)
+for criteria that fire on a PT-separable verdict, so it validates its
+input once; the ``invariants`` command reads the same check.  The
 special pattern's closed forms take ``(k,)`` parameter arrays as well:
 ``xform_pt_eigenvalues`` and ``xform_equivalence_check`` are the one-row
 cases of ``xform_pt_eigenvalues_stack`` and ``xform_equivalence_stack``,
@@ -40,7 +42,7 @@ from .invariants import (
     InvariantSet, SymmetricSix, _i4_zero_gate, _xform_criteria_invariants, makhlin_stack,
 )
 from .states import (
-    XForm, _as_state, _decomposition, _raise_first, _triplet_gate, assert_density_matrix,
+    XForm, _as_state, _decomposition, _psd_gate, _raise_first, _refused, _triplet_gate,
 )
 from .tolerances import SIGN_ZERO_BAND
 
@@ -257,7 +259,7 @@ def evidence(rho: np.ndarray) -> Classification:
     The verdict is the PT ground truth.  When I4 is inside the zero band
     no criterion is read and ``i4_zero_fallback_used`` is set.  A
     criterion that fires on a PT-positive state is returned as is;
-    :func:`classify` adds the PSD stage and that check.
+    :func:`classify` adds that check.
     """
     ev = evidence_stack(_as_state(rho)[None])
     return Classification(
@@ -285,21 +287,26 @@ def _criteria_columns(i4: np.ndarray, i12: np.ndarray, i14: np.ndarray) -> tuple
 
 def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     """PT verdicts, fired criteria and invariants of a ``(k, 4, 4)`` stack of
-    valid symmetric states, with one PT solve, one Pauli decomposition and
-    one invariant contraction for the whole stack.
+    valid symmetric states, with one eigen solve (of each state and its
+    partial transpose), one Pauli decomposition and one invariant
+    contraction for the whole stack.
 
     The gates, in the order a single state meets them: the gates of
     ``states.bloch_decompose_stack`` (the density-matrix rule, then the
-    entry rule) and triplet support (``states._triplet_gate``,
-    NotSymmetricState).  For the first row that a gate refuses, the first
-    gate refusing it raises.
+    entry rule), positivity (``states._psd_gate``, NotPositive) and
+    triplet support (``states._triplet_gate``, NotSymmetricState).  For
+    the first row that a gate refuses, the first gate refusing it raises.
     """
     rhos = np.asarray(rhos, dtype=complex)
     s, r, t, gates = _decomposition(rhos)
-    _raise_first([*gates, _triplet_gate(rhos)])
-    # The PT permutes the entries of rho - rho^dag, so its defect is the
-    # state's: the solve's own Hermiticity gate cannot refuse it.
-    pt_min = qmat.hermitian_eigenvalues(partial_transpose(rhos))[:, 0]
+    # A row that an earlier gate refuses is solved as I/4, so the solve's
+    # own gates never fire: the entry rule bounds every entry of the rest,
+    # and the PT permutes the entries of rho - rho^dag, so its Hermiticity
+    # defect is the state's.
+    solved = np.where(_refused(gates)[:, None, None], np.eye(4) / 4.0, rhos)
+    spectra = qmat.hermitian_eigenvalues(np.stack([solved, partial_transpose(solved)], axis=1))
+    _raise_first([*gates, _psd_gate(spectra[:, 0, 0]), _triplet_gate(rhos)])
+    pt_min = spectra[:, 1, 0]
     inv = makhlin_stack(s, r, t)
     values, fired, fallback = _criteria_columns(inv[:, 3], inv[:, 11], inv[:, 13])
     return EvidenceStack(
@@ -325,15 +332,15 @@ def _classification_error(result: Classification) -> InconsistentClassification 
 def classify(rho: np.ndarray) -> Classification:
     """Full verdict for a symmetric state: PT ground truth plus fired criteria.
 
-    Validates ``rho`` with ``states.assert_density_matrix`` and reads its
-    :func:`evidence`, which refuses non-symmetric inputs with
-    NotSymmetricState (the invariant criteria are defined only on the
-    triplet subspace).  If a criterion fires while the PT verdict is
-    separable (minimum eigenvalue >= -SIGN_ZERO_BAND, so a PT minimum
-    inside the zero band counts too), the contradiction is surfaced as
-    InconsistentClassification rather than silently resolved.
+    Reads the :func:`evidence` of ``rho``, whose gates validate it as a
+    state and refuse non-symmetric inputs with NotSymmetricState (the
+    invariant criteria are defined only on the triplet subspace).  If a
+    criterion fires while the PT verdict is separable (minimum eigenvalue
+    >= -SIGN_ZERO_BAND, so a PT minimum inside the zero band counts too),
+    the contradiction is surfaced as InconsistentClassification rather
+    than silently resolved.
     """
-    result = evidence(assert_density_matrix(rho))
+    result = evidence(rho)
     error = _classification_error(result)
     if error is not None:
         raise error

@@ -11,6 +11,8 @@ Exactly one representation is present per file:
 ``bloch``
     {"s": [3 floats], "r": [3 floats], "t": 3x3 floats}.
 
+Every value is a JSON number (an integer or a float): a string, a
+boolean or null where a number belongs makes the file malformed.
 Floats are serialized with Python's shortest exact-round-trip decimal
 representation (at most 17 significant digits), so write-then-read
 reproduces the state bit for bit.  ``schema_version`` is mandatory.
@@ -78,6 +80,21 @@ def write_state_file(
         fh.write("\n")
 
 
+def _numbers(value):
+    """``value``, a JSON number or nested lists of them; TypeError naming
+    the first leaf that is anything else (a string, a boolean, null or an
+    object).  The walk is iterative, so no nesting that json reads can
+    exhaust the stack."""
+    stack = [value]
+    while stack:
+        leaf = stack.pop()
+        if isinstance(leaf, list):
+            stack.extend(reversed(leaf))
+        elif type(leaf) not in (int, float):  # json reads true as a bool, not an int
+            raise TypeError(f"expected a number, got {leaf!r}")
+    return value
+
+
 def parse_state_payload(payload: dict) -> np.ndarray:
     """Decode a payload into a density matrix that has passed
     ``assert_density_matrix`` once (a Bloch payload through ``bloch_compose``)."""
@@ -97,22 +114,19 @@ def parse_state_payload(payload: dict) -> np.ndarray:
         if present[0] == "bloch":
             spec = payload["bloch"]
             return bloch_compose(BlochForm(
-                s=np.asarray(spec["s"], dtype=float),
-                r=np.asarray(spec["r"], dtype=float),
-                t=np.asarray(spec["t"], dtype=float),
+                s=np.asarray(_numbers(spec["s"]), dtype=float),
+                r=np.asarray(_numbers(spec["r"]), dtype=float),
+                t=np.asarray(_numbers(spec["t"]), dtype=float),
             ))
         if present[0] == "matrix":
-            raw = np.asarray(payload["matrix"], dtype=float)
+            raw = np.asarray(_numbers(payload["matrix"]), dtype=float)
             if raw.shape != (4, 4, 2):
                 raise StateFileError(f"matrix must be 4x4 [re, im] pairs, got {raw.shape}")
             rho = raw[..., 0] + 1j * raw[..., 1]
         else:
-            spec = payload["xform"]
-            rho = XForm.from_abc(
-                a=float(spec["a"]),
-                b=complex(float(spec["b_re"]), float(spec["b_im"])),
-                c=float(spec["c"]),
-            ).to_matrix()
+            a, b_re, b_im, c = (float(_numbers(payload["xform"][key]))
+                                for key in ("a", "b_re", "b_im", "c"))
+            rho = XForm.from_abc(a=a, b=complex(b_re, b_im), c=c).to_matrix()
         return assert_density_matrix(rho)
     except StateFileError:
         raise

@@ -20,10 +20,15 @@ on the matrix of a form.
 
 The density-matrix rule is written once, as a stack rule
 (``_state_gates``): Hermiticity within HERMITICITY, then unit trace
-within TRACE.  ``assert_density_matrix`` is its one-row case followed by
-the PSD stage, ``bloch_compose`` ends in ``assert_density_matrix``, and
-the Pauli decomposition and ``separability.evidence_stack`` read the
-same gates.  A matrix inside the Hermiticity band is read as its
+within TRACE.  Positivity is one gate on one band (``_psd_gate``: the
+minimum eigenvalue at least PSD_FLOOR).  ``assert_density_matrix`` is
+the rule's one-row case, one eigen solve and that gate;
+``bloch_compose`` ends in ``assert_density_matrix``; the Pauli
+decomposition reads the same rule, and ``separability.evidence_stack``
+the rule and the gate.  Every other positivity bound is derived from
+the floor: the entry rule bounds each Pauli expectation by PAULI_BOUND,
+and ``XForm`` compares its pattern's closed-form minimum eigenvalue with
+PSD_FLOOR.  A matrix inside the Hermiticity band is read as its
 Hermitian part throughout.
 
 There is one Pauli decomposition, ``bloch_decompose_stack``: a ``(k, 4,
@@ -46,15 +51,12 @@ import numpy as np
 
 from . import qmat
 from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState, NotXForm
-from .tolerances import HERMITICITY, PSD_FLOOR, STATE_ENTRY, SYMMETRY, TRACE, XFORM_PATTERN
+from .tolerances import HERMITICITY, PAULI_BOUND, PSD_FLOOR, SYMMETRY, TRACE, XFORM_PATTERN
 
 # Pauli tensor basis B[m, n] = sigma_m (x) sigma_n with sigma_0 = I, built once.
 _SIGMA_0123 = np.array((qmat.IDENTITY_2,) + qmat.PAULIS)
 _BASIS = np.einsum("mab,ncd->mnacbd", _SIGMA_0123, _SIGMA_0123).reshape(4, 4, 4, 4)
 _BASIS.setflags(write=False)
-
-# The bound on Pauli expectations (necessary, not sufficient, for a state).
-_PAULI_BOUND = 1.0 + 1e-9
 
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
 SWAP.setflags(write=False)
@@ -115,12 +117,27 @@ def _raise_first(gates) -> None:
 
 def _entry_gates(largest: np.ndarray) -> list:
     """The entry rule of a Bloch form on the ``(k,)`` largest absolute entry
-    of k forms (NaN or inf if any entry is): finite, then within [-1, 1]
-    (``compose`` checks the rest of physicality)."""
+    of k forms (NaN or inf if any entry is): finite (ValueError), then
+    within PAULI_BOUND, the largest Pauli expectation of a matrix that the
+    PSD floor accepts (NotPositive).  ``bloch_compose`` checks the rest of
+    positivity."""
     return [
         (~np.isfinite(largest), lambda j: ValueError("BlochForm entries must be finite")),
-        (largest > _PAULI_BOUND, lambda j: ValueError("BlochForm components must lie in [-1, 1]")),
+        (largest > PAULI_BOUND, lambda j: NotPositive(
+            f"not positive semidefinite: Pauli expectation {largest[j]:.12g} "
+            f"exceeds {PAULI_BOUND:.12g}")),
     ]
+
+
+def _not_positive(min_eig: float) -> NotPositive:
+    """The error of a matrix whose minimum eigenvalue is below PSD_FLOOR."""
+    return NotPositive(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+
+
+def _psd_gate(min_eig: np.ndarray) -> tuple:
+    """The positivity rule on the ``(k,)`` minimum eigenvalues of k matrices,
+    as a gate in ``_raise_first``'s form: each at least PSD_FLOOR."""
+    return min_eig < PSD_FLOOR, lambda j: _not_positive(float(min_eig[j]))
 
 
 def _as_state(rho: np.ndarray) -> np.ndarray:
@@ -163,8 +180,9 @@ class XForm:
     """Parameters of the special symmetric pattern.
 
     The density matrix reads ``[[a, 0, 0, b], [0, c, c, 0], [0, c, c, 0],
-    [b*, 0, 0, d]]`` with a + d + 2c = 1; positivity amounts to
-    a, c, d >= 0 and a d >= |b|^2.
+    [b*, 0, 0, d]]`` with a + d + 2c = 1.  Its eigenvalues are 0, 2c and
+    those of the corner block [[a, b], [b*, d]], so positivity amounts to
+    min(2c, ((a + d) - hypot(a - d, 2|b|)) / 2) >= 0, read on PSD_FLOOR.
     """
 
     a: float
@@ -194,22 +212,20 @@ class XForm:
 def _xform_error(a: float, b: complex, c: float, d: float):
     """The error ``XForm``'s rule raises for one parameter set, or None.
 
-    The checks, in order: finite, diagonal above -1e-12, unit trace within
-    TRACE, corner block PSD within 1e-10.  One point is checked on Python
-    floats: a stack of 1-element numpy arrays costs about five times as
-    much, and every ``XForm`` and every draw of the self-test's X-form
-    suite pays it.
+    The checks, in order: finite, unit trace within TRACE, and the
+    pattern's closed-form minimum eigenvalue against PSD_FLOOR, with the
+    message ``assert_density_matrix`` gives.  One point is checked on
+    Python floats: a stack of 1-element numpy arrays costs about five
+    times as much, and every ``XForm`` and every draw of the self-test's
+    X-form suite pays it.
     """
     if not all(map(math.isfinite, (a, c, d))) or not cmath.isfinite(b):
         return ValueError("XForm parameters must be finite")
-    if min(a, c, d) < -1e-12:
-        return NotPositive(f"negative diagonal parameter: a={a:.3e} c={c:.3e} d={d:.3e}")
     excess = a + d + 2.0 * c - 1.0
     if abs(excess) > TRACE:
         return InvalidDensityMatrix(f"trace constraint a + d + 2c = 1 violated by {excess:.3e}")
-    if a * d < abs(b) ** 2 - 1e-10:
-        return NotPositive(f"corner block not PSD: a*d = {a * d:.6e} < |b|^2 = {abs(b) ** 2:.6e}")
-    return None
+    min_eig = min(2.0 * c, 0.5 * ((a + d) - math.hypot(a - d, 2.0 * abs(b))))
+    return _not_positive(min_eig) if min_eig < PSD_FLOOR else None
 
 
 def _xform_gates(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> list:
@@ -254,22 +270,15 @@ def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; return as complex array.
 
     The one-row case of the density-matrix rule (``_state_gates``), then
-    the PSD stage: an entry whose modulus exceeds STATE_ENTRY, which no
-    state that passes the rule reaches, is refused before the eigen
-    solve, and so is a minimum eigenvalue below PSD_FLOOR.
+    one eigen solve and the positivity rule (``_psd_gate``).
 
     Raises InvalidDensityMatrix (or NotPositive) with the violated
-    invariant named in the message.
+    invariant named in the message, or EntryOverflow from the solve for an
+    entry beyond ``qmat.SOLVE_ENTRY``.
     """
     rho = _as_state(rho)
     _raise_first(_state_gates(rho[None]))
-    largest = float(np.abs(rho).max())
-    if largest > STATE_ENTRY:
-        raise NotPositive(f"not positive semidefinite: entry modulus {largest:.3e} "
-                          f"exceeds {STATE_ENTRY:.12g}")
-    min_eig = float(qmat.hermitian_eigenvalues(rho)[0])
-    if min_eig < PSD_FLOOR:
-        raise NotPositive(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+    _raise_first([_psd_gate(qmat.hermitian_eigenvalues(rho)[:1])])
     return rho
 
 
@@ -309,9 +318,9 @@ def bloch_decompose_stack(rhos: np.ndarray) -> tuple:
     Returns ``(s, r, t)`` with ``s`` and ``r`` of shape ``(k, 3)`` and
     ``t`` of shape ``(k, 3, 3)``.  The gates, in the order a single state
     meets them: the density-matrix rule (Hermiticity, then trace), and
-    ``BlochForm``'s entry rule (finite, within [-1, 1]).  For the first
+    ``BlochForm``'s entry rule (finite, within PAULI_BOUND).  For the first
     row that a gate refuses, the first gate refusing it raises:
-    InvalidDensityMatrix, or ValueError from the entry rule.
+    InvalidDensityMatrix, or ValueError or NotPositive from the entry rule.
     """
     s, r, t, gates = _decomposition(rhos)
     _raise_first(gates)
@@ -362,9 +371,10 @@ def is_symmetric(rho: np.ndarray) -> bool:
 def xform_extract(rho: np.ndarray) -> XForm:
     """Read off the special-pattern parameters (a, b, c, d).
 
-    Raises NotXForm with the largest off-pattern magnitude when any entry
-    outside the pattern, or the spread within the middle block, exceeds
-    XFORM_PATTERN.
+    c is the mean of the middle block's two diagonal entries, so the form
+    has the matrix's trace.  Raises NotXForm with the largest off-pattern
+    magnitude when any entry outside the pattern, or the spread within the
+    middle block, exceeds XFORM_PATTERN.
     """
     rho = _as_state(rho)
     off = [
@@ -378,7 +388,7 @@ def xform_extract(rho: np.ndarray) -> XForm:
     return XForm(
         a=float(np.real(rho[0, 0])),
         b=complex(rho[0, 3]),
-        c=float(np.real(rho[1, 1])),
+        c=0.5 * (float(np.real(rho[1, 1])) + float(np.real(rho[2, 2]))),
         d=float(np.real(rho[3, 3])),
     )
 

@@ -6,12 +6,13 @@ and a vanishing I4 is SIGN_ZERO_BAND),
 and none of them takes a per-call override, so the tolerance policy can
 be audited (and tightened) in one place.
 
-``STATE_ENTRY`` is derived from the matrix-level bands rather than set:
-it is the largest entry modulus a state that passes them can have.
+Positivity has one band, PSD_FLOOR, on every path: the eigen solve of
+``assert_density_matrix`` and of ``evidence_stack``, and ``XForm``'s
+closed-form minimum eigenvalue.  ``PAULI_BOUND`` is derived from it rather
+than set: it is the largest Pauli expectation a matrix that passes the
+matrix-level bands can have.
 
-A few literals stay local to the code they bound: in ``states``,
-``XForm``'s -1e-12 diagonal floor and 1e-10 corner-block slack, and
-``BlochForm``'s 1e-9 bound on the Pauli expectations;
+A few literals stay local to the code they bound:
 ``SeparableEnsemble``'s 1e-12 on the weights and Bloch-vector norms; in
 ``models._family_gates``, the family rule's 1e-12 test that a Dicke 2M is
 an integer; the -1e-10 discriminant floor of
@@ -27,12 +28,13 @@ TRACE = 1e-10
 # model states), so the floor is looser than the Hermiticity gate.
 PSD_FLOOR = -1e-9
 
-# Largest entry modulus of a state: |rho_ij| <= lambda_max + HERMITICITY
-# (the anti-Hermitian part adds at most half the defect), and
-# lambda_max <= 1 + TRACE - 3 PSD_FLOOR, since the four eigenvalues sum to
-# the trace and the other three are at least PSD_FLOOR.  An entry above it
-# is refused before the eigen solve, which would overflow on it.
-STATE_ENTRY = 1.0 + TRACE - 3.0 * PSD_FLOOR + HERMITICITY
+# Largest Pauli expectation of a matrix that passes the gates above: for
+# the Hermitian part H and a Pauli product sigma (eigenvalues +-1),
+# |tr(H sigma)| <= tr|H| = tr H + 2 (sum of |negative eigenvalues|)
+# <= 1 + TRACE + 2 * 3 * |PSD_FLOOR|, since at most three eigenvalues are
+# negative and each is at least PSD_FLOOR.  An expectation above it shows
+# that the matrix is not positive semidefinite.
+PAULI_BOUND = 1.0 + TRACE - 6.0 * PSD_FLOOR
 
 # Triplet support (states._triplet_gate): the singlet population and every
 # singlet-triplet coherence, on the matrix.  It is the one band of the

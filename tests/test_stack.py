@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qubitpair import cli, selftest
-from qubitpair.errors import I4Zero, InvalidDensityMatrix, NotSymmetricState, StateFileError
+from qubitpair.errors import (
+    I4Zero, InvalidDensityMatrix, NotPositive, NotSymmetricState, StateFileError,
+)
 from qubitpair.invariants import (
     InvariantSet, SymmetricSix, makhlin_all, makhlin_stack, symmetric_six,
 )
@@ -55,7 +57,7 @@ from qubitpair.states import (
     bloch_decompose_stack, is_symmetric,
 )
 from qubitpair.stateio import read_state_file, write_state_file
-from qubitpair.tolerances import INVARIANCE_ABS, INVARIANCE_REL, SIGN_ZERO_BAND
+from qubitpair.tolerances import INVARIANCE_ABS, INVARIANCE_REL, PAULI_BOUND, SIGN_ZERO_BAND
 
 STACK_SIZE = 600
 
@@ -382,7 +384,8 @@ def _bad_rows(rng):
 EVIDENCE_ERRORS = {
     "hermiticity": (InvalidDensityMatrix, "not Hermitian: defect 1.000e-06"),
     "trace": (InvalidDensityMatrix, "trace invariant violated: trace = 1.001"),
-    "bloch_bound": (ValueError, "BlochForm components must lie in [-1, 1]"),
+    "bloch_bound": (NotPositive,
+                    "not positive semidefinite: Pauli expectation 3 exceeds 1.0000000061"),
     "exchange": (NotSymmetricState,
                  "state has singlet support: singlet population 2.586e-01, largest "
                  "singlet-triplet coherence 1.615e-01, band 1.0e-10; "
@@ -457,7 +460,8 @@ class TestStackedGates:
     @pytest.mark.parametrize("entry, error", [
         (np.nan, (ValueError, "BlochForm entries must be finite")),
         (-np.inf, (ValueError, "BlochForm entries must be finite")),
-        (1.0 + 2e-9, (ValueError, "BlochForm components must lie in [-1, 1]")),
+        (1.0 + 7e-9, (NotPositive, "not positive semidefinite: Pauli expectation "
+                                   "1.000000007 exceeds 1.0000000061")),
     ])
     def test_blochform_takes_the_stacks_entry_rule(self, entry, error):
         for slot in range(15):
@@ -465,7 +469,7 @@ class TestStackedGates:
             entries[slot] = entry
             with raises_exactly(error):
                 BlochForm(s=entries[:3], r=entries[3:6], t=entries[6:].reshape(3, 3))
-        on_the_bound = np.full(15, 1.0 + 1e-9)
+        on_the_bound = np.full(15, PAULI_BOUND)
         BlochForm(s=on_the_bound[:3], r=-on_the_bound[3:6], t=on_the_bound[6:].reshape(3, 3))
 
     def test_symmetric_six_refuses_the_rows_the_stack_mask_refuses(self, rng):
@@ -920,21 +924,20 @@ class TestXformSuite:
         assert (suite.name, suite.cases, suite.failures, float.hex(suite.max_deviation)) == (
             "xform_pt_equivalence", cases, failures, float.hex(max_dev))
 
-    def test_equals_the_frozen_loop_on_300_seeds(self, tmp_path):
+    def test_equals_the_frozen_loop_on_300_seeds(self):
         for seed in range(300):
             count = (0, 7, 20, 60)[seed % 4]
             rng = np.random.default_rng(seed)
             selftest._invariance_states(count, rng)
             selftest._positivity_states(count, rng)
             state = rng.bit_generator.state
-            writer = selftest._CounterexampleWriter(str(tmp_path))
-            suite = selftest._suite_xform_equivalence(count, rng, writer)
+            suite, counterexample = selftest._suite_xform_equivalence(count, rng)
             rng.bit_generator.state = state
             cases, failures, max_dev, first = xform_loop(
                 [reference_random_xform(rng) for _ in range(count)])
             assert (suite.cases, suite.failures, float.hex(suite.max_deviation)) == (
                 cases, failures, float.hex(max_dev)), seed
-            assert first is None and writer.path is None
+            assert first is None and len(counterexample) == 0
 
     def test_count_zero_is_a_zero_case_suite(self, tmp_path):
         a, b, c, d = selftest._xform_draws(0, np.random.default_rng(5))

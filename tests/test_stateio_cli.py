@@ -1,5 +1,7 @@
+import functools
 import inspect
 import json
+import operator
 import os
 import re
 import subprocess
@@ -16,7 +18,7 @@ from qubitpair.invariants import symmetric_six
 from qubitpair.models import dicke_pair, ising_pair, oat_pair
 from qubitpair.separability import classify, evidence, evidence_stack
 from qubitpair.sampling import random_density_matrix, random_xform
-from qubitpair.states import bloch_decompose, is_symmetric
+from qubitpair.states import BlochForm, XForm, bloch_decompose, is_symmetric
 from qubitpair.tolerances import SYMMETRY
 from qubitpair.stateio import read_state_file, state_payload, write_state_file
 
@@ -543,7 +545,7 @@ class TestStateFileEdgeCases:
     def test_overflowing_matrix_is_refused_by_the_library(self, tmp_path):
         path = self._file(tmp_path, np.diag([1.5e308, -1.5e308, 1.0, 0.0]))
         with pytest.raises(StateFileError, match=(
-                r"^invalid state: not positive semidefinite: entry modulus 1\.500e\+308")):
+                r"^invalid state: entry part 1\.500e\+308 exceeds the eigen solve's bound")):
             read_state_file(path)
 
     @pytest.mark.parametrize("command", ["classify", "invariants"])
@@ -551,7 +553,7 @@ class TestStateFileEdgeCases:
         path = self._file(tmp_path, np.diag([1.5e308, -1.5e308, 1.0, 0.0]))
         code, _, err = run_cli([command, path], capsys)  # a RuntimeWarning is an error here
         assert code == 2
-        assert err.startswith("error: invalid state: not positive semidefinite: entry modulus")
+        assert err.startswith("error: invalid state: entry part 1.500e+308 exceeds the eigen")
         assert "did not converge" not in err
 
 
@@ -602,6 +604,33 @@ class TestMalformedStateFiles:
         code, out, err = run_cli([command, str(path)], capsys)
         assert (code, out) == (2, "")
         assert "is not valid JSON" in err and "Traceback" not in err
+
+    # The maximally mixed state in each representation, and the keys of one
+    # of its values.
+    SLOTS = {
+        "matrix": (dict(matrix=np.eye(4) / 4.0), ("matrix", 1, 1, 0)),
+        "xform": (dict(xform=XForm.from_abc(0.25, 0j, 0.25)), ("xform", "c")),
+        "bloch": (dict(bloch=BlochForm(np.zeros(3), np.zeros(3), np.zeros((3, 3)))),
+                  ("bloch", "t", 2, 2)),
+    }
+
+    @pytest.mark.parametrize("command", ["classify", "invariants"])
+    @pytest.mark.parametrize("representation", list(SLOTS))
+    @pytest.mark.parametrize("value", ["0.25", True, False, None],
+                             ids=["string", "true", "false", "null"])
+    def test_a_value_that_is_not_a_number_exits_2(
+            self, representation, value, command, tmp_path, capsys):
+        state, (*keys, last) = self.SLOTS[representation]
+        payload = state_payload(**state)
+        functools.reduce(operator.getitem, keys, payload)[last] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        message = f"malformed {representation} representation: expected a number, got {value!r}"
+        with pytest.raises(StateFileError, match=f"^{re.escape(message)}$"):
+            read_state_file(path)
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from qubitpair import qmat
 from qubitpair.errors import (
+    EntryOverflow,
     InconsistentClassification,
     InvalidDensityMatrix,
     NotPositive,
@@ -232,12 +233,15 @@ class TestAssertDensityMatrix:
         assert_density_matrix(np.diag([1.0 + 3e-9, -1e-9, -1e-9, -1e-9]))
 
     def test_overflowing_entry_is_refused_before_the_solve(self):
-        # Finite, Hermitian and of unit trace; the eigen solve would overflow on it.
+        # Finite, Hermitian and of unit trace; the eigen solve would overflow
+        # on it, and its own bound refuses it.  The evidence's entry rule
+        # refuses it first: its Pauli trace <I (x) sigma_z> overflows to inf.
         rho = np.diag([1.5e308, -1.5e308, 1.0, 0.0])
-        for check in (assert_density_matrix, classify):
-            with pytest.raises(NotPositive, match=(
-                    r"^not positive semidefinite: entry modulus 1\.500e\+308 exceeds 1\.0000000032$")):
-                check(rho)
+        with pytest.raises(EntryOverflow, match=(
+                r"^entry part 1\.500e\+308 exceeds the eigen solve's bound 8\.988e\+307$")):
+            assert_density_matrix(rho)
+        with pytest.raises(ValueError, match=r"^BlochForm entries must be finite$"):
+            classify(rho)
 
 
 def perturbed_state(seed: int, symmetric: bool, defect: float) -> np.ndarray:

@@ -26,24 +26,23 @@ from qubitpair.separability import CRITERIA, EvidenceStack
 from qubitpair.states import xform_matrices
 
 # ---------------------------------------------------------------------------
-# Frozen: the per-point closed forms and XForm as they were written before
-# grids became arrays.  Each returns (a, b, c, d) or raises.
+# Frozen: the per-point closed forms as they were written before grids
+# became arrays, and XForm's rule (the positivity rule reads the pattern's
+# closed-form minimum eigenvalue on the PSD floor).  Each returns
+# (a, b, c, d) or raises.
 # ---------------------------------------------------------------------------
 
 
 def reference_xform(a, b, c, d):
     if not all(np.isfinite([a, c, d])) or not np.isfinite(complex(b)):
         raise ValueError("XForm parameters must be finite")
-    if min(a, c, d) < -1e-12:
-        raise NotPositive(f"negative diagonal parameter: a={a:.3e} c={c:.3e} d={d:.3e}")
     if abs(a + d + 2.0 * c - 1.0) > 1e-10:
         raise InvalidDensityMatrix(
             f"trace constraint a + d + 2c = 1 violated by {a + d + 2 * c - 1:.3e}"
         )
-    if a * d < abs(b) ** 2 - 1e-10:
-        raise NotPositive(
-            f"corner block not PSD: a*d = {a * d:.6e} < |b|^2 = {abs(b) ** 2:.6e}"
-        )
+    min_eig = min(2.0 * c, ((a + d) - np.hypot(a - d, 2.0 * abs(b))) / 2.0)
+    if min_eig < -1e-9:
+        raise NotPositive(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
     return a, b, c, d
 
 
@@ -290,7 +289,7 @@ class TestCli:
                              "--format", "json", "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
         assert (bad, good) == (2, 0)
-        assert err.startswith("error: corner block not PSD")
+        assert err.startswith("error: not positive semidefinite: min eigenvalue")
 
     def test_generate_is_the_one_point_pair(self, tmp_path, capsys):
         code = cli.main(["generate", "oat", "--n", "7", "--chit", "0.3", "--paper-literal"])
