@@ -4,13 +4,16 @@ Subcommands: ``invariants``, ``classify``, ``generate``, ``sweep`` and
 ``selftest``.  ``generate`` is the one-point case of ``sweep``: both take a
 model family and the same family flags.  Exit codes: 0 ok, 1
 self-test/property failure, 2 input validation or an unwritable output
-path, 3 domain precondition (e.g. non-symmetric input to classify).
+path, 3 domain precondition (e.g. non-symmetric input to classify).  A
+reader that closes standard output early (``| head``) ends the command
+with exit 0 and nothing on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -323,13 +326,25 @@ def main(argv=None) -> int:
     except NotSymmetricState as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # a closed standard output, handled by entry()
+        raise
     except (QubitPairError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # Flush here, so that a reader who closed the pipe is seen in this try
+        # and not at interpreter shutdown.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at shutdown writes
+        # nowhere instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

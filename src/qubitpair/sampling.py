@@ -1,14 +1,14 @@
 """Random state generators used by the self-test and property suites.
 
 All samplers take a caller-owned ``numpy.random.Generator`` and are
-deterministic for a fixed generator state.  ``random_xform`` is the
-checked ``XForm`` of one ``_xform_draw``, which the self-test calls
-draw by draw and gates once.
+deterministic for a fixed generator state.  ``_xform_draws`` draws k
+special-pattern states as ``(k,)`` parameter arrays with one generator
+call per kind of variate; the self-test calls it once and gates its
+draws once.  ``random_xform`` is the checked ``XForm`` of its one-row
+case, which is the stream ``random_xform`` has always taken.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -45,21 +45,26 @@ def random_symmetric_density_matrix(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_xform(rng: np.random.Generator) -> XForm:
-    """Random valid special-pattern state: the :class:`XForm` of one
-    :func:`_xform_draw`.
+    """Random valid special-pattern state: the :class:`XForm` of the one
+    row of :func:`_xform_draws` at k = 1.
 
     (a, 2c, d) is uniform on the probability simplex and b is uniform in
     the disc of radius sqrt(a d), which is exactly the PSD region.
     """
-    return XForm(*_xform_draw(rng))
+    a, b, c, d = (column[0] for column in _xform_draws(1, rng))
+    return XForm(float(a), b, float(c), float(d))
 
 
-def _xform_draw(rng: np.random.Generator) -> tuple:
-    """The parameters ``(a, b, c, d)`` of one :func:`random_xform` draw, on
-    its stream, unchecked: a, c and d Python floats, b a numpy complex."""
-    w = rng.exponential(size=3)
-    a, d, two_c = (w / w.sum()).tolist()
-    # math.sqrt and np.sqrt both round the square root correctly.
-    radius = math.sqrt(a * d) * math.sqrt(rng.uniform())
-    phase = rng.uniform(0.0, 2.0 * np.pi)
+def _xform_draws(count: int, rng: np.random.Generator) -> tuple:
+    """The parameters of ``count`` :func:`random_xform` draws as ``(count,)``
+    arrays a, b, c and d, unchecked.
+
+    The generator calls, in order: ``(count, 3)`` exponentials, each row
+    normalized to (a, d, 2c); ``count`` uniforms for the radius; ``count``
+    uniforms in [0, 2 pi) for the phase of b.
+    """
+    w = rng.exponential(size=(count, 3))
+    a, d, two_c = (w / w.sum(axis=1, keepdims=True)).T
+    radius = np.sqrt(a * d) * np.sqrt(rng.uniform(size=count))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=count)
     return a, radius * np.exp(1j * phase), two_c / 2.0, d

@@ -10,26 +10,27 @@ Three suites mirror the library's central guarantees:
   criteria signs agree with the partial-transpose signs and the
   closed-form PT spectrum matches the numeric one.
 
-The suites take their draws from one generator in a fixed order, on the
-stream the public scalar samplers would take draw by draw, and evaluate
-them as stacks through the one Pauli decomposition
-``states.bloch_decompose_stack`` and the one contraction
-``invariants.makhlin_stack`` (``bloch_decompose`` and ``makhlin_all``, and
-so ``classify``, are their one-row cases).  The invariance suite draws
-all of its normals as one block and builds its states, references and
-rotations, as one ``(2 count, 4, 4)`` stack, which it decomposes at
-once.  The positivity suite makes its sampler calls per draw, then
-builds, decomposes and contracts all of its separable states as one
-stack.  Each stacked state equals the scalar sampler's state bit for
-bit.  Once per run the positivity suite also decomposes its first draw
-with ``bloch_decompose``: a form that differs from row 0 of the stack in
-any bit fails that draw, so every run checks that the scalar path is the
-stack's one-row case.  The X-form suite draws its parameters one by
-one, on ``random_xform``'s stream, gates them once with ``XForm``'s rule
-and then evaluates them as ``(k,)`` arrays: one batched eigen solve of
-the partial transposes, and one call each of the closed forms under
-test, ``xform_pt_eigenvalues_stack`` and
-``xform_equivalence_stack``.
+The suites take their draws from one generator in a fixed order, one
+generator call per kind of variate, and evaluate them as stacks through
+the one Pauli decomposition ``states.bloch_decompose_stack`` and the one
+contraction ``invariants.makhlin_stack`` (``bloch_decompose`` and
+``makhlin_all``, and so ``classify``, are their one-row cases).  The
+invariance suite draws all of its normals as one block, on the stream
+the scalar samplers take draw by draw, and builds its states, references
+and rotations, as one ``(2 count, 4, 4)`` stack, which it decomposes at
+once.  The positivity suite draws its term counts in one call and its
+ensembles with ``separability._ensemble_draws``, then builds,
+decomposes and contracts all of its separable states as one stack.
+Once per run it also decomposes its first draw with ``bloch_decompose``:
+a form that differs from row 0 of the stack in any bit fails that draw,
+so every run checks that the scalar path is the stack's one-row case.
+The X-form suite draws its parameters as ``(count,)`` arrays with
+``sampling._xform_draws``, gates them once with ``XForm``'s rule and
+evaluates them at once: one batched eigen solve of the partial
+transposes, and one call each of the closed forms under test,
+``xform_pt_eigenvalues_stack`` and ``xform_equivalence_stack``.  The
+public samplers ``sample_separable_symmetric`` and ``random_xform`` are
+the one-row cases of those two draw functions.
 
 Deterministic for a fixed seed.  Each suite returns its ``SuiteResult``
 and its first failing state (none or one, as a stack);
@@ -46,9 +47,9 @@ import numpy as np
 
 from . import invariants as invariants_mod
 from .qmat import float_pow, hermitian_eigenvalues, su2_from_normals
-from .sampling import _xform_draw, hilbert_schmidt_states
+from .sampling import _xform_draws, hilbert_schmidt_states
 from .separability import (
-    _abs, _ball_points, _criteria_columns, _ensemble_draw, partial_transpose, separable_mixtures,
+    _abs, _criteria_columns, _ensemble_draws, partial_transpose, separable_mixtures,
     xform_equivalence_stack, xform_pt_eigenvalues_stack,
 )
 from .states import (
@@ -115,24 +116,11 @@ def _invariance_states(count, rng) -> np.ndarray:
 
 
 def _positivity_states(count, rng) -> np.ndarray:
-    """The positivity suite's draws as one ``(count, 4, 4)`` stack, equal bit
-    for bit to ``sample_separable_symmetric`` called draw by draw.
-
-    Each draw makes that sampler's calls on the generator, in its order
-    and sizes; the Bloch vectors and the states are then built for all
-    draws at once, each ensemble padded with zeros to _MAX_TERMS terms.
-    """
-    lengths = np.zeros(count, dtype=int)
-    weights = np.zeros((count, _MAX_TERMS))
-    normals = np.zeros((count, _MAX_TERMS, 3))
-    uniforms = np.zeros((count, _MAX_TERMS))
-    for j in range(count):
-        n = lengths[j] = int(rng.integers(1, _MAX_TERMS + 1))
-        weights[j, :n], normals[j, :n], uniforms[j, :n] = _ensemble_draw(n, rng)
-    terms = np.arange(_MAX_TERMS) < lengths[:, None]
-    vectors = np.zeros((count, _MAX_TERMS, 3))
-    vectors[terms] = _ball_points(normals[terms], uniforms[terms])
-    return separable_mixtures(weights, vectors)
+    """The positivity suite's draws as one ``(count, 4, 4)`` stack: ``count``
+    term counts, 1 to _MAX_TERMS, in one generator call, then the ensembles
+    of ``separability._ensemble_draws``, built as one stack."""
+    lengths = rng.integers(1, _MAX_TERMS + 1, size=count)
+    return separable_mixtures(*_ensemble_draws(lengths, rng))
 
 
 def _suite_invariance(count, rng) -> tuple:
@@ -176,18 +164,11 @@ def _suite_positivity(count, rng) -> tuple:
                        max_dev), states[failed[:1]]
 
 
-def _xform_draws(count, rng) -> tuple:
-    """The X-form suite's draws as ``(count,)`` arrays a, b, c and d, on the
-    stream of ``random_xform`` called draw by draw, gated once by ``XForm``'s
-    rule: the first refused draw raises the error its ``XForm`` raises."""
-    table = np.array([_xform_draw(rng) for _ in range(count)], dtype=complex).reshape(count, 4)
-    a, b, c, d = table[:, 0].real, table[:, 1], table[:, 2].real, table[:, 3].real
-    _raise_first(_xform_gates(a, b, c, d))
-    return a, b, c, d
-
-
 def _suite_xform_equivalence(count, rng) -> tuple:
+    # All draws are made before the one gate: the first refused draw
+    # raises the error its XForm raises.
     a, b, c, d = _xform_draws(count, rng)
+    _raise_first(_xform_gates(a, b, c, d))
     # The floor lies above SIGN_ZERO_BAND, so no case has the degenerate
     # (a - d)^2 on which xform_equivalence_check raises.
     cases = (float_pow(a - d, 2) > _I4_FLOOR) & (c + _abs(b) > _I4_FLOOR)

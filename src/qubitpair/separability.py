@@ -355,22 +355,36 @@ def sample_separable_symmetric(
     Weights come from a flat simplex (normalized exponentials); Bloch
     vectors are uniform in the unit ball (uniform direction, cube-root
     radius).  The returned state satisfies s = sum_w p_w s_w and
-    t_ij = sum_w p_w s_wi s_wj by construction.
+    t_ij = sum_w p_w s_wi s_wj by construction.  The ensemble is the one
+    row of :func:`_ensemble_draws` for ``[n_terms]``.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    w, normals, uniforms = _ensemble_draw(n_terms, rng)
-    ensemble = SeparableEnsemble(weights=w, bloch_vectors=_ball_points(normals, uniforms))
+    weights, vectors = _ensemble_draws([n_terms], rng)
+    ensemble = SeparableEnsemble(weights=weights[0], bloch_vectors=vectors[0])
     return ensemble.to_state(), ensemble
 
 
-def _ensemble_draw(n_terms: int, rng: np.random.Generator) -> tuple:
-    """The sampler calls of one ensemble, in stream order: the weights,
-    normalized, and the normals and uniforms of :func:`_ball_points`."""
-    w = rng.exponential(size=n_terms)
-    normals = rng.normal(size=(n_terms, 3))
-    uniforms = rng.uniform(size=n_terms)
-    return w / np.sum(w), normals, uniforms
+def _ensemble_draws(lengths, rng: np.random.Generator) -> tuple:
+    """The ensembles of ``lengths`` (k,) :func:`sample_separable_symmetric`
+    draws, unchecked: ``(k, n)`` weights and ``(k, n, 3)`` Bloch vectors,
+    each row padded with zeros to n = max(lengths) terms.
+
+    Every term of every ensemble is drawn at once, in this order: the
+    exponentials of the weights, the normals and then the uniforms of
+    :func:`_ball_points`.  Each row's weights are normalized by their sum.
+    """
+    lengths = np.asarray(lengths)
+    total = lengths.sum()
+    exponentials = rng.exponential(size=total)
+    normals = rng.normal(size=(total, 3))
+    uniforms = rng.uniform(size=total)
+    terms = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    weights = np.zeros(terms.shape)
+    weights[terms] = exponentials
+    vectors = np.zeros(terms.shape + (3,))
+    vectors[terms] = _ball_points(normals, uniforms)
+    return weights / weights.sum(axis=1, keepdims=True), vectors
 
 
 def _ball_points(normals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

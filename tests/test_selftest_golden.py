@@ -1,9 +1,14 @@
-"""Self-test reports against the ones recorded before the stacked suite.
+"""Self-test reports against the recorded ones.
 
 ``data/selftest_golden.json`` holds, for seeds 0-31 at count 20 and seed
 42 at count 500, each suite's case and failure counts, its maximum
-deviation as ``float.hex`` and the ``format_report`` text, as written
-before the invariance suite was evaluated as one stack.
+deviation as ``float.hex``, the ``format_report`` text and a pin of the
+random stream the suites read.  The file was regenerated when the
+positivity and X-form suites began to draw as arrays (one generator call
+per kind of variate instead of one sampler call per draw): they read
+another part of the stream since, so their draws and deviations for a
+seed changed.  The invariance suite draws first, and its entries did not
+change.
 
 The deviations are rounding noise of matrix products and eigen solves,
 whose last bits depend on the BLAS/LAPACK build and the CPU kernels it
@@ -12,12 +17,19 @@ are compared exactly and the deviations within ``NOISE``; the bit-for-bit
 claim, stacked invariants equal to the frozen scalar references, is
 checked on the running machine by ``test_stack.py::TestInvarianceSuite``.
 
+Counts and deviations within ``NOISE`` cannot tell one stream from
+another: the case counts almost always equal ``count``, and the
+deviations are about 1e-16.  So each entry also pins the stream, in
+numbers that do not depend on the machine: the positivity suite's term
+count of each draw, and (a, |b|, c) of the X-form suite's first and last
+draw to 12 significant digits.
+
 The report classes are slotted dataclasses: a report a caller keeps
 holds no per-instance ``__dict__``, and every assignment to one raises
 ``FrozenInstanceError``.
 
-Regenerate the file (only when a change to the reports is intended) with
-``PYTHONPATH=src python tests/test_selftest_golden.py``.
+Regenerate the file (only when a change to the reports or to the stream
+is intended) with ``PYTHONPATH=src python tests/test_selftest_golden.py``.
 """
 
 import copy
@@ -28,9 +40,12 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from qubitpair import selftest
 from qubitpair.selftest import format_report, run_selftest
 
 GOLDEN = Path(__file__).parent / "data" / "selftest_golden.json"
@@ -45,7 +60,21 @@ _DEVIATION = re.compile(r"max_deviation=(\S+)")
 
 
 def report_entry(seed: int, count: int, out_dir: str) -> dict:
-    report = run_selftest(seed, count, out_dir=out_dir)
+    terms, xforms = [], []
+    real_mixtures, real_gates = selftest.separable_mixtures, selftest._xform_gates
+
+    def mixtures(weights, vectors):
+        terms.extend(np.count_nonzero(weights, axis=1).tolist())
+        return real_mixtures(weights, vectors)
+
+    def gates(a, b, c, d):
+        xforms.extend([float(f"{v:.12g}") for v in (a[j], abs(b[j]), c[j])]
+                      for j in (0, -1) if len(a))
+        return real_gates(a, b, c, d)
+
+    with mock.patch.object(selftest, "separable_mixtures", mixtures), \
+            mock.patch.object(selftest, "_xform_gates", gates):
+        report = run_selftest(seed, count, out_dir=out_dir)
     return {
         "seed": seed,
         "count": count,
@@ -55,6 +84,7 @@ def report_entry(seed: int, count: int, out_dir: str) -> dict:
             for s in report.suites
         ],
         "report": format_report(report),
+        "stream": {"positivity_terms": terms, "xform_first_last": xforms},
     }
 
 

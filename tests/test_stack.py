@@ -546,31 +546,88 @@ class TestInvariantCriteria:
 
 
 def suite_draws(seed, count):
-    """The self-test's draws for ``seed``, replayed with the suites' sampler
-    calls in their order on one generator: the invariance suite's (rho,
-    rotated rho) pairs, the positivity suite's separable states and the
-    X-form suite's forms before its case filter."""
+    """The self-test's draws for ``seed``, replayed draw by draw with the
+    suites' generator calls in their order on one generator: the invariance
+    suite's (rho, rotated rho) pairs, the positivity suite's separable
+    states and the X-form suite's forms before its case filter.  The
+    positivity and X-form draws are built one by one with the frozen
+    per-draw formulas from the blocks their samplers draw at once."""
     rng = np.random.default_rng(seed)
-    invariance = []
+    invariance = invariance_draws(count, rng)
+    lengths = rng.integers(1, 7, size=count)
+    total = int(lengths.sum())
+    exponentials, normals, uniforms = (
+        rng.exponential(size=total), rng.normal(size=(total, 3)), rng.uniform(size=total))
+    separable = [reference_ensemble(exponentials[end - n:end], normals[end - n:end],
+                                    uniforms[end - n:end]).to_state()
+                 for n, end in zip(lengths, np.cumsum(lengths))]
+    return invariance, separable, xform_draws(count, rng)
+
+
+def invariance_draws(count, rng):
+    pairs = []
     for _ in range(count):
         rho = random_density_matrix(rng)
         u1, u2 = haar_su2(rng), haar_su2(rng)
-        invariance.append((rho, apply_local_unitary(rho, u1, u2)))
-    separable = [sample_separable_symmetric(int(rng.integers(1, 7)), rng)[0]
-                 for _ in range(count)]
-    xforms = [reference_random_xform(rng) for _ in range(count)]
-    return invariance, separable, xforms
+        pairs.append((rho, apply_local_unitary(rho, u1, u2)))
+    return pairs
+
+
+def reference_ensemble(exponentials, normals, uniforms):
+    """Frozen: the ``SeparableEnsemble`` of one ``sample_separable_symmetric``
+    draw from its variates, as it was built before the sampler drew as
+    arrays: the weights normalized by their sum, and the normals'
+    directions times the cube roots of the uniforms."""
+    directions = normals / np.linalg.norm(normals, axis=-1)[..., None]
+    return SeparableEnsemble(exponentials / np.sum(exponentials),
+                             directions * (uniforms ** (1.0 / 3.0))[..., None])
+
+
+def reference_sample_separable_symmetric(n, rng):
+    """Frozen: the ensemble of ``sample_separable_symmetric(n, rng)``, with the
+    generator calls it made before it became a row of ``_ensemble_draws``."""
+    return reference_ensemble(rng.exponential(size=n), rng.normal(size=(n, 3)),
+                              rng.uniform(size=n))
+
+
+def reference_xform(weights, radius_uniform, phase):
+    """Frozen: one special-pattern draw from its three exponentials, its
+    radius uniform and its phase, as ``random_xform`` built it draw by draw."""
+    w = weights / np.sum(weights)
+    a, d, c = float(w[0]), float(w[1]), float(w[2]) / 2.0
+    radius = np.sqrt(a * d) * np.sqrt(radius_uniform)
+    return XForm(a=a, b=radius * np.exp(1j * phase), c=c, d=d)
+
+
+def xform_draws(count, rng):
+    """The X-form suite's ``count`` draws, each built with the frozen
+    per-draw formula from the blocks ``sampling._xform_draws`` draws."""
+    weights, radii = rng.exponential(size=(count, 3)), rng.uniform(size=count)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return [reference_xform(*draw) for draw in zip(weights, radii, phases)]
 
 
 def reference_random_xform(rng):
-    """Frozen: ``random_xform`` as it drew before it became the ``XForm`` of
-    one ``sampling._xform_draw``; the X-form suite's stream is pinned to it."""
-    w = rng.exponential(size=3)
-    w /= np.sum(w)
-    a, d, c = float(w[0]), float(w[1]), float(w[2]) / 2.0
-    radius = np.sqrt(a * d) * np.sqrt(rng.uniform())
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    return XForm(a=a, b=radius * np.exp(1j * phase), c=c, d=d)
+    """Frozen: ``random_xform`` as it drew before it became the one-row case
+    of ``sampling._xform_draws``."""
+    return reference_xform(rng.exponential(size=3), rng.uniform(), rng.uniform(0.0, 2.0 * np.pi))
+
+
+def per_draw_positivity_states(count, rng):
+    """Frozen: the positivity suite's draws on the stream it read before its
+    sampler drew as arrays, one ``sample_separable_symmetric`` call per
+    draw after its term count."""
+    states = [reference_sample_separable_symmetric(int(rng.integers(1, 7)), rng).to_state()
+              for _ in range(count)]
+    return np.array(states).reshape(count, 4, 4)
+
+
+def per_draw_xform_draws(count, rng):
+    """Frozen: the X-form suite's draws on the stream it read before its
+    sampler drew as arrays, one ``random_xform`` call per draw."""
+    xforms = [reference_random_xform(rng) for _ in range(count)]
+    a, c, d = (np.array([getattr(x, name) for x in xforms], dtype=float) for name in "acd")
+    return a, np.array([x.b for x in xforms], dtype=complex), c, d
 
 
 def reference_xform_pt_eigenvalues(x):
@@ -621,8 +678,10 @@ def assert_same_matrix(got, want):
 
 
 class TestSuiteDraws:
-    """The invariance and positivity suites build their draws as stacks, on
-    the stream the scalar samplers take draw by draw."""
+    """The suites draw as arrays: the invariance suite on the stream the
+    scalar samplers take draw by draw, the positivity and X-form suites with
+    one generator call per kind of variate, of which the public samplers
+    are the one-row case."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 50))
@@ -639,8 +698,33 @@ class TestSuiteDraws:
         for got, want in zip(states, separable):
             assert_same_matrix(got, want)
         # The X-form suite draws on from where the stacks leave the stream.
-        assert ([xform_hex(random_xform(rng)) for _ in range(count)]
+        a, b, c, d = selftest._xform_draws(count, rng)
+        assert ([tuple(float.hex(float(v)) for v in row) for row in zip(a, b.real, b.imag, c, d)]
                 == [xform_hex(x) for x in xforms])
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_the_public_samplers_keep_their_per_call_stream(self, seed):
+        rng, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(500):
+            assert xform_hex(random_xform(rng)) == xform_hex(reference_random_xform(frozen))
+        for n in [*range(1, 13), 40]:
+            rho, ensemble = sample_separable_symmetric(n, rng)
+            want = reference_sample_separable_symmetric(n, frozen)
+            assert_same_matrix(ensemble.weights, want.weights)
+            assert_same_matrix(ensemble.bloch_vectors, want.bloch_vectors)
+            assert_same_matrix(rho, want.to_state())
+        assert rng.bit_generator.state == frozen.bit_generator.state
+
+    @pytest.mark.parametrize("stream", ["arrays", "per_draw"])
+    def test_both_streams_pass_on_1000_seeds(self, stream, tmp_path, monkeypatch):
+        # The per-draw stream is the one the suites read before their
+        # samplers drew as arrays; both must pass every claim.
+        if stream == "per_draw":
+            monkeypatch.setattr(selftest, "_positivity_states", per_draw_positivity_states)
+            monkeypatch.setattr(selftest, "_xform_draws", per_draw_xform_draws)
+        for seed in range(1000):
+            report = selftest.run_selftest(seed, 20, out_dir=str(tmp_path))
+            assert (report.failures, report.counterexample_path) == (0, None), seed
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_ginibre_rows_are_the_one_draw_formula(self, rng, dim):
@@ -933,8 +1017,7 @@ class TestXformSuite:
             state = rng.bit_generator.state
             suite, counterexample = selftest._suite_xform_equivalence(count, rng)
             rng.bit_generator.state = state
-            cases, failures, max_dev, first = xform_loop(
-                [reference_random_xform(rng) for _ in range(count)])
+            cases, failures, max_dev, first = xform_loop(xform_draws(count, rng))
             assert (suite.cases, suite.failures, float.hex(suite.max_deviation)) == (
                 cases, failures, float.hex(max_dev)), seed
             assert first is None and len(counterexample) == 0
@@ -948,19 +1031,20 @@ class TestXformSuite:
 
     @pytest.mark.parametrize("j", [0, 7, 19])
     def test_a_refused_draw_raises_the_xform_error(self, j, tmp_path, monkeypatch):
-        real = selftest._xform_draw
+        real = selftest._xform_draws
         calls = []
 
-        def draw(rng):
-            calls.append(None)
-            a, b, c, d = real(rng)
-            return (a, b, c, d + 0.5) if len(calls) - 1 == j else (a, b, c, d)
+        def draws(count, rng):
+            calls.append(count)
+            a, b, c, d = real(count, rng)
+            d[j] += 0.5
+            return a, b, c, d
 
-        monkeypatch.setattr(selftest, "_xform_draw", draw)
+        monkeypatch.setattr(selftest, "_xform_draws", draws)
         with raises_exactly((InvalidDensityMatrix,
                              "trace constraint a + d + 2c = 1 violated by 5.000e-01")):
             selftest.run_selftest(5, 20, out_dir=str(tmp_path))
-        assert len(calls) == 20  # every draw is made before the one gate runs
+        assert calls == [20]  # every draw is made, in one call, before the one gate runs
 
     def test_biased_eigenvalues_fail_with_the_first_draw_as_counterexample(
             self, tmp_path, capsys, monkeypatch):

@@ -781,3 +781,39 @@ class TestCliSelftest:
                           ("xform_pt_equivalence", "0", "0")]
         assert "result: PASS" in out
         assert not list(tmp_path.iterdir())
+
+
+class TestClosedStdout:
+    """A reader that closes standard output early (``| head``, ``| grep -q``)
+    ends the command with exit 0 and an empty stderr, buffered or not; an
+    unwritable ``--out`` still exits 2."""
+
+    @staticmethod
+    def run_console(argv, unbuffered, stdout):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        # `python -m qubitpair.cli` runs cli.entry(), as the console script does.
+        return subprocess.run([sys.executable, "-m", "qubitpair.cli", *argv], env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["invariants", "classify"])
+    def test_a_closed_stdout_exits_0_with_empty_stderr(self, command, unbuffered, tmp_path):
+        path = tmp_path / "dicke.json"
+        write_state_file(path, xform=dicke_pair(4, 1))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command writes
+        try:
+            done = self.run_console([command, str(path)], unbuffered, write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_an_unwritable_out_still_exits_2(self, tmp_path):
+        out_path = tmp_path / "missing" / "x.csv"
+        done = self.run_console(["sweep", "oat", "--n", "4", "--chit", "1", "--out",
+                                 str(out_path)], True, subprocess.PIPE)
+        assert done.returncode == 2 and done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr and not out_path.exists()
