@@ -24,10 +24,10 @@ from .invariants import makhlin_all, xform_invariants
 from .models import FAMILIES, pair_parameters
 from .selftest import format_report, run_selftest
 from .separability import (
-    CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classification_error, classify, evidence,
-    evidence_stack,
+    CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classification_error, _xform_evidence,
+    classify, evidence,
 )
-from .states import XForm, bloch_decompose, is_symmetric, xform_extract, xform_matrices
+from .states import XForm, bloch_decompose, is_symmetric, xform_extract
 from .stateio import read_state_file, state_payload, write_state_file
 from .tolerances import SIGN_ZERO_BAND
 
@@ -245,10 +245,11 @@ def cmd_sweep(args) -> int:
     points = _sweep_grid(args)
     if not points:
         raise ValueError("empty sweep grid")
-    # The model pairs are valid X-pattern states by construction, so the
-    # stack takes ``evidence_stack`` without ``classify``'s gates, and a
-    # criterion that fires inside the PT band is written out, not raised.
-    ev = evidence_stack(xform_matrices(*pair_parameters(args.family, points, args.paper_literal)))
+    # ``pair_parameters`` has checked every point with ``XForm``'s rule, the
+    # grid's one check: ``_xform_evidence`` runs no gate again and solves
+    # only the partial transposes.  A criterion that fires inside the PT
+    # band is written out, not raised.
+    ev = _xform_evidence(*pair_parameters(args.family, points, args.paper_literal))
     as_json = args.format == "json" or (
         args.format == "auto" and args.out.endswith(".json")
     )

@@ -3,7 +3,8 @@
 Everything here is sized for 2x2 .. 4x4 matrices: Pauli basis, Kronecker
 products, Hermitian eigenvalues (numpy's LAPACK ``eigvalsh`` behind a
 Hermiticity gate and an overflow bound, on one ``(n, n)`` matrix or a
-``(..., n, n)`` stack), Haar-random SU(2) and the SU(2) -> SO(3)
+``(..., n, n)`` stack; ``_solve`` is the solve without them, for stacks
+a caller's own gates have passed), Haar-random SU(2) and the SU(2) -> SO(3)
 covering map, and the power ``float_pow`` that the array closed forms
 take entry by entry.  All functions are pure; random sampling takes a
 caller-owned ``numpy.random.Generator``.
@@ -151,13 +152,28 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     # An overflowing sum is inf, and inf times the complex 0.5 has a NaN
     # part; both are refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+        h = _hermitian_part(m)
     if not np.isfinite(h).all():
         first, where = _first(~np.isfinite(h).all(axis=(-2, -1)), m.ndim)
         largest = max(np.abs(m[first].real).max(), np.abs(m[first].imag).max())
         raise EntryOverflow(f"entry part {largest:.3e} exceeds the eigen solve's bound "
                             f"{SOLVE_ENTRY:.3e}{where}")
     return np.linalg.eigvalsh(h)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 of each matrix of a ``(..., n, n)`` stack: the matrix
+    every solve hands to LAPACK."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def _solve(m: np.ndarray) -> np.ndarray:
+    """The solve of :func:`hermitian_eigenvalues` without its gates: the
+    ascending eigenvalues of the Hermitian part of each matrix of a
+    ``(..., n, n)`` stack, n at most 4, equal to that function's bit for
+    bit.  For a stack that a caller's own gates have passed, so that its
+    Hermitian part is finite."""
+    return np.linalg.eigvalsh(_hermitian_part(m))
 
 
 def su2_to_so3(u: np.ndarray) -> np.ndarray:

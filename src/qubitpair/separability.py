@@ -10,11 +10,15 @@ and this module exposes that equivalence as a checkable predicate.
 ``evidence_stack`` reads a ``(k, 4, 4)`` stack with one call per stage
 and returns its numbers as arrays (``EvidenceStack``); it refuses a stack
 by the error of its first bad state.  ``evidence`` of one ``(4, 4)``
-state is its one-row case.  Each hypothesis of the criteria is one gate:
-triplet support is ``states._triplet_gate``, which ``evidence_stack``
-runs after the density-matrix rule, the entry rule and the positivity
-gate ``states._psd_gate`` (read on the same eigen solve as the partial
-transpose's spectrum), and a vanishing I4 is
+state is its one-row case.  Its gates come before one shared core, the
+contraction and the criteria (``_evidence``).  The sweep's X-pattern
+grids, which ``XForm``'s rule has checked as parameters, take that core
+without the gates: ``_xform_evidence`` solves only their partial
+transposes and equals ``evidence_stack`` bit for bit.  Each hypothesis
+of the criteria is one gate: triplet support is ``states._triplet_gate``,
+which ``evidence_stack`` runs after the density-matrix rule, the entry
+rule and the positivity gate ``states._psd_gate`` (read on the same eigen
+solve as the partial transpose's spectrum), and a vanishing I4 is
 ``invariants._i4_zero_gate``, which raises I4Zero in
 ``invariant_criteria``, ``xform_equivalence_check`` and
 ``invariants.xform_relation_check`` alike.  The criteria rule is written
@@ -42,7 +46,8 @@ from .invariants import (
     InvariantSet, SymmetricSix, _i4_zero_gate, _xform_criteria_invariants, makhlin_stack,
 )
 from .states import (
-    XForm, _as_state, _decomposition, _psd_gate, _raise_first, _refused, _triplet_gate,
+    XForm, _as_state, _decomposition, _pauli_decomposition, _psd_gate, _raise_first, _refused,
+    _triplet_gate, xform_matrices,
 )
 from .tolerances import SIGN_ZERO_BAND
 
@@ -299,14 +304,36 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     """
     rhos = np.asarray(rhos, dtype=complex)
     s, r, t, gates = _decomposition(rhos)
-    # A row that an earlier gate refuses is solved as I/4, so the solve's
-    # own gates never fire: the entry rule bounds every entry of the rest,
-    # and the PT permutes the entries of rho - rho^dag, so its Hermiticity
-    # defect is the state's.
+    # A row that an earlier gate refuses is solved as I/4, so the solve
+    # needs no gates of its own: the density-matrix rule bounds the
+    # Hermiticity defect of the rest (the PT permutes the entries of
+    # rho - rho^dag, so its defect is the state's), and the entry rule
+    # bounds every entry far below the solve's overflow bound.
     solved = np.where(_refused(gates)[:, None, None], np.eye(4) / 4.0, rhos)
-    spectra = qmat.hermitian_eigenvalues(np.stack([solved, partial_transpose(solved)], axis=1))
+    spectra = qmat._solve(np.stack([solved, partial_transpose(solved)], axis=1))
     _raise_first([*gates, _psd_gate(spectra[:, 0, 0]), _triplet_gate(rhos)])
-    pt_min = spectra[:, 1, 0]
+    return _evidence(s, r, t, spectra[:, 1, 0])
+
+
+def _xform_evidence(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> EvidenceStack:
+    """:func:`evidence_stack` of the X-pattern states of k parameter sets
+    (``(k,)`` arrays), bit for bit, with no gate of its own: the caller
+    has passed every row through ``XForm``'s rule.
+
+    That rule is the pattern's form of the density-matrix and positivity
+    rules (unit trace within TRACE, the closed-form minimum eigenvalue at
+    least PSD_FLOOR), and ``xform_matrices`` builds Hermitian,
+    triplet-supported matrices whose entries are the parameters.  So the
+    states' own spectra are not solved, only their partial transposes.
+    """
+    rhos = xform_matrices(a, b, c, d)
+    pt_min = qmat.hermitian_eigenvalues(partial_transpose(rhos))[:, 0]
+    return _evidence(*_pauli_decomposition(rhos), pt_min)
+
+
+def _evidence(s: np.ndarray, r: np.ndarray, t: np.ndarray, pt_min: np.ndarray) -> EvidenceStack:
+    """The ``EvidenceStack`` of k states from their Bloch arrays and ``(k,)``
+    PT minimum eigenvalues: one invariant contraction and the criteria rule."""
     inv = makhlin_stack(s, r, t)
     values, fired, fallback = _criteria_columns(inv[:, 3], inv[:, 11], inv[:, 13])
     return EvidenceStack(

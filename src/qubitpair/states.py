@@ -36,9 +36,12 @@ There is one Pauli decomposition, ``bloch_decompose_stack``: a ``(k, 4,
 a stack by the error of its first bad state, so ``bloch_decompose`` (one
 ``(4, 4)`` matrix to a ``BlochForm``) is its one-row case: it builds the
 form from the row the stack has gated, without a copy or a second check.
-``BlochForm`` and the stack share one entry rule.  ``XForm``'s rule is
-one function on Python floats, which ``_xform_gates`` runs on k
-parameter sets.
+``BlochForm`` and the stack share one entry rule; the decomposition
+itself, without the gates, is ``_pauli_decomposition``.  ``XForm``'s
+rule is one function on Python floats (``_xform_error``).
+``_xform_gates`` reads it on k parameter sets as arrays and hands that
+function only the rows that are not strictly inside every bound, so it
+refuses the same rows with the same messages.
 """
 
 from __future__ import annotations
@@ -216,8 +219,7 @@ def _xform_error(a: float, b: complex, c: float, d: float):
     pattern's closed-form minimum eigenvalue against PSD_FLOOR, with the
     message ``assert_density_matrix`` gives.  One point is checked on
     Python floats: a stack of 1-element numpy arrays costs about five
-    times as much, and every ``XForm`` and every draw of the self-test's
-    X-form suite pays it.
+    times as much, and every ``XForm`` pays it.
     """
     if not all(map(math.isfinite, (a, c, d))) or not cmath.isfinite(b):
         return ValueError("XForm parameters must be finite")
@@ -231,9 +233,28 @@ def _xform_error(a: float, b: complex, c: float, d: float):
 def _xform_gates(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> list:
     """``XForm``'s rule on k parameter sets (``(k,)`` arrays) in
     ``_raise_first``'s form: one gate, whose error for a refused point is
-    the one ``XForm`` raises for it."""
-    errors = [_xform_error(*p) for p in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())]
-    return [(np.array([e is not None for e in errors]), errors.__getitem__)]
+    the one ``XForm`` raises for it.
+
+    The rule is read as arrays first, and a row strictly inside every bound
+    passes.  The trace excess is the scalar rule's to the bit; the minimum
+    eigenvalue must clear PSD_FLOOR by a few ulps of its terms, since
+    ``np.hypot`` and ``math.hypot`` differ by one ulp on about 0.6 % of
+    pairs.  Only the other rows meet ``_xform_error``, so the rule refuses
+    the rows it refuses, with its messages.
+    """
+    # A non-finite parameter makes the excess or the minimum NaN or infinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a + d
+        excess = total + 2.0 * c - 1.0
+        root = np.hypot(a - d, 2.0 * np.hypot(b.real, b.imag))
+        lowest = np.minimum(2.0 * c, 0.5 * (total - root))
+        margin = 4.0 * np.finfo(float).eps * (np.abs(total) + root)
+        inside = (np.abs(excess) < TRACE) & (lowest - margin > PSD_FLOOR)
+    errors = {j: _xform_error(a[j].item(), b[j].item(), c[j].item(), d[j].item())
+              for j in np.flatnonzero(~inside).tolist()}
+    refused = np.zeros(len(a), dtype=bool)
+    refused[[j for j, error in errors.items() if error is not None]] = True
+    return [(refused, errors.__getitem__)]
 
 
 def xform_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -292,23 +313,32 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
     return BlochForm._gated(s[0], r[0], t[0])
 
 
+def _pauli_decomposition(rhos: np.ndarray) -> tuple:
+    """The Pauli decomposition of a complex ``(k, 4, 4)`` stack without its
+    gates: ``(s, r, t)``.
+
+    The traces' real parts are kept: they decompose the Hermitian part
+    (rho + rho^dag) / 2, whose traces are real.  The imaginary parts need
+    no gate of their own, since each is at most twice the Hermiticity
+    defect (every sigma_m (x) sigma_n has one unit-modulus entry per row).
+    """
+    c = np.einsum("...ij,mnji->...mn", rhos, _BASIS).real
+    return tuple(np.ascontiguousarray(a) for a in (c[:, 1:, 0], c[:, 0, 1:], c[:, 1:, 1:]))
+
+
 def _decomposition(rhos: np.ndarray) -> tuple:
     """The Pauli decomposition of a ``(k, 4, 4)`` stack before its gates run.
 
-    Returns ``(s, r, t, gates)``: the Bloch arrays and, in
-    ``_raise_first``'s form, the density-matrix rule followed by the
-    entry rule.  The traces' real parts are kept: they decompose the
-    Hermitian part (rho + rho^dag) / 2, whose traces are real.  The
-    imaginary parts need no gate of their own, since each is at most
-    twice the Hermiticity defect (every sigma_m (x) sigma_n has one
-    unit-modulus entry per row).
+    Returns ``(s, r, t, gates)``: the Bloch arrays of
+    :func:`_pauli_decomposition` and, in ``_raise_first``'s form, the
+    density-matrix rule followed by the entry rule on the 15 traces after
+    the identity's.
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise InvalidDensityMatrix(f"expected shape (k, 4, 4), got {rhos.shape}")
-    c = np.einsum("...ij,mnji->...mn", rhos, _BASIS).real
-    largest = np.abs(c.reshape(-1, 16)[:, 1:]).max(axis=1)  # of the 15 traces after c[:, 0, 0]
-    s, r, t = (np.ascontiguousarray(a) for a in (c[:, 1:, 0], c[:, 0, 1:], c[:, 1:, 1:]))
+    s, r, t = _pauli_decomposition(rhos)
+    largest = np.abs(np.concatenate([s, r, t.reshape(-1, 9)], axis=1)).max(axis=1)
     return s, r, t, [*_state_gates(rhos), *_entry_gates(largest)]
 
 

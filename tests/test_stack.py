@@ -1,8 +1,11 @@
 """The stacked core: one Pauli decomposition, one contraction, one PT solve.
 
-``sweep`` evaluates its grid with ``evidence_stack`` (one PT solve, one
-Pauli decomposition and one invariant contraction per stack), and the
-self-test suites evaluate their draws with the same decomposition,
+``evidence_stack`` gates a stack and evaluates it with one eigen solve,
+one Pauli decomposition and one invariant contraction.  ``sweep``
+evaluates its grid with ``_xform_evidence``: the same decomposition,
+contraction and criteria without the gates, and one solve of the
+partial transposes only, since ``XForm``'s rule has checked the grid.
+The self-test suites evaluate their draws with the same decomposition,
 contraction and PT solve.  ``bloch_decompose``, ``makhlin_all`` and
 ``evidence`` are the one-row cases of ``bloch_decompose_stack``,
 ``makhlin_stack`` and ``evidence_stack``, so no scalar twin is left to
@@ -17,6 +20,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -32,13 +36,14 @@ from qubitpair.errors import (
 from qubitpair.invariants import (
     InvariantSet, SymmetricSix, makhlin_all, makhlin_stack, symmetric_six,
 )
-from qubitpair.models import dicke_pair, ising_pair, oat_pair
+from qubitpair.models import dicke_pair, ising_pair, oat_pair, pair_parameters
 from qubitpair.sampling import (
     hilbert_schmidt_states, random_density_matrix, random_symmetric_density_matrix, random_xform,
 )
 from qubitpair.separability import (
     CRITERIA,
     SeparableEnsemble,
+    _xform_evidence,
     classify,
     evidence,
     evidence_stack,
@@ -54,7 +59,7 @@ from qubitpair.separability import (
 from qubitpair.qmat import haar_su2
 from qubitpair.states import (
     BlochForm, XForm, apply_local_unitary, assert_density_matrix, bloch_decompose,
-    bloch_decompose_stack, is_symmetric,
+    bloch_decompose_stack, is_symmetric, xform_matrices,
 )
 from qubitpair.stateio import read_state_file, write_state_file
 from qubitpair.tolerances import INVARIANCE_ABS, INVARIANCE_REL, PAULI_BOUND, SIGN_ZERO_BAND
@@ -193,8 +198,9 @@ def reference_evidence(rho):
     return inv, pt_min, gap, fired, fallback
 
 
-def assert_stack_is_reference_evidence(rhos):
-    ev = evidence_stack(rhos)
+def assert_is_reference_evidence(ev, rhos):
+    """Each row of the EvidenceStack ``ev`` is ``reference_evidence`` of that
+    state, bit for bit; returns the fired criteria and fallbacks."""
     inv, pt_min, gap, fired, fallback = zip(*map(reference_evidence, rhos))
     assert_bits_equal(ev.invariants, inv)
     assert_bits_equal(ev.ppt_min_eigenvalue, pt_min)
@@ -202,6 +208,20 @@ def assert_stack_is_reference_evidence(rhos):
     assert ev.criteria.tolist() == list(fired)
     assert ev.i4_zero_fallback.tolist() == list(fallback)
     assert ev.separable.tolist() == [v >= -SIGN_ZERO_BAND for v in pt_min]
+    return fired, fallback
+
+
+def assert_evidence_equal(got, want):
+    """Two EvidenceStacks equal bit for bit, field by field."""
+    for field in ("invariants", "ppt_min_eigenvalue", "i12_minus_i4sq"):
+        assert_bits_equal(getattr(got, field), getattr(want, field))
+    for field in ("criteria", "i4_zero_fallback"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def assert_stack_is_reference_evidence(rhos):
+    ev = evidence_stack(rhos)
+    fired, fallback = assert_is_reference_evidence(ev, rhos)
     # evidence is the one-row case: each row alone gives the stack's row.
     for j, rho in enumerate(rhos):
         one = evidence(rho)
@@ -352,6 +372,65 @@ class TestEvidenceStack:
             rhos.append(XForm(a=a, b=b, c=c, d=1.0 - a - 2.0 * c).to_matrix())
         if rhos:
             assert_stack_is_reference_evidence(np.array(rhos))
+
+
+def family_grid(family):
+    """Grid points of ``family`` that ``XForm``'s rule accepts: OAT and Ising
+    from N = 2 (Ising at N = 2 only where its pair is a state), and every
+    valid M of the Dicke states to N = 30."""
+    if family == "dicke":
+        return [(n, two_m / 2.0, None) for n in range(2, 31) for two_m in range(-n, n + 1, 2)]
+    points = [(n, None, float(chi_t)) for n in range(2, 41, 3)
+              for chi_t in np.linspace(0.0, 2.0 * np.pi, 25)]
+    if family == "ising":
+        points = [p for p in points if p[0] > 2 or accepts_ising_pair(*p)]
+    return points
+
+
+def accepts_ising_pair(n, m, chi_t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # N = 2
+        try:
+            ising_pair(n, chi_t)
+        except NotPositive:
+            return False
+    return True
+
+
+class TestXformEvidence:
+    """The sweep's evaluation, ``_xform_evidence``, is ``evidence_stack`` of
+    the same matrices and the frozen scalar path, bit for bit, without a
+    gate of its own."""
+
+    @pytest.mark.parametrize("family, paper_literal", [
+        ("oat", False), ("oat", True), ("ising", False), ("dicke", False),
+    ])
+    def test_is_evidence_stack_and_the_reference(self, family, paper_literal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # ising at N = 2
+            abcd = pair_parameters(family, family_grid(family), paper_literal)
+        rhos = xform_matrices(*abcd)
+        ev = _xform_evidence(*abcd)
+        assert_evidence_equal(ev, evidence_stack(rhos))
+        assert_is_reference_evidence(ev, rhos)
+        # Every grid reaches the I4-zero fallback and both verdicts.
+        assert ev.i4_zero_fallback.any()
+        assert ev.separable.any() and not ev.separable.all()
+
+    def test_the_ising_grid_starts_at_n_2(self):
+        n_2 = [chi_t for n, _, chi_t in family_grid("ising") if n == 2]
+        # The pair is a state near chi t = 0 (mod pi) only.
+        assert {0.0, np.pi, 2.0 * np.pi} <= set(n_2) and len(n_2) < 25
+
+    def test_one_row_and_no_rows(self):
+        abcd = pair_parameters("dicke", [(4, 1.0, None)])
+        one = evidence(xform_matrices(*abcd)[0])
+        ev = _xform_evidence(*abcd)
+        assert_evidence_equal(ev, evidence_stack(xform_matrices(*abcd)))
+        assert_bits_equal(ev.invariants[0], one.invariants.as_array())
+        assert ev.ppt_min_eigenvalue[0] == one.ppt_min_eigenvalue
+        empty = _xform_evidence(*(np.zeros(0, dtype=t) for t in (float, complex, float, float)))
+        assert empty.invariants.shape == (0, 18) and empty.ppt_min_eigenvalue.shape == (0,)
 
 
 def _bad_rows(rng):

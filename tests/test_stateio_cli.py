@@ -493,8 +493,10 @@ class TestInvariantsDecomposesOnce:
 class TestInvariantsValidatesOnce:
     """``read_state_file`` validates the state once, whatever its
     representation (a Bloch file through ``bloch_compose``), and
-    ``invariants`` does not validate it again: one eigen solve for the
-    validation and one for the PT spectrum."""
+    ``invariants`` does not validate it again: one gated eigen solve for
+    the validation, and one solve of the state and its partial transpose
+    without the solve's gates (``qmat._solve``), since the evidence's own
+    gates have passed the state."""
 
     @staticmethod
     def _write(representation, path):
@@ -514,12 +516,51 @@ class TestInvariantsValidatesOnce:
         self._write(representation, path)
         counts = profiled_calls(
             ["invariants", str(path), "--json"], capsys,
-            [states.assert_density_matrix, qmat.hermitian_eigenvalues, states.is_symmetric])
+            [states.assert_density_matrix, qmat.hermitian_eigenvalues, qmat._solve,
+             states.is_symmetric])
         assert counts == {
             "assert_density_matrix": 1,
-            "hermitian_eigenvalues": 2,
+            "hermitian_eigenvalues": 1,
+            "_solve": 1,
             "is_symmetric": 1,
         }
+
+
+class TestSweepChecksOnce:
+    """``sweep`` checks its grid once, with ``XForm``'s rule in
+    ``pair_parameters``, and evaluates it once: one gated solve, of the
+    ``(k, 4, 4)`` partial transposes, one contraction, no gate of the
+    density-matrix, positivity or triplet rules, and on a valid grid no
+    row for the scalar X rule."""
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["oat", "--n", "2:13:1", "--chit", "0:3:4", "--paper-literal"], 48),
+        (["ising", "--n", "3:14:1", "--chit", "0:6.3:4", "--format", "json"], 48),
+        (["dicke", "--n", "4:40:4", "--m-ratio", "0.25"], 10),
+    ])
+    def test_one_solve_and_one_check(self, argv, rows, tmp_path, capsys, monkeypatch):
+        from qubitpair import invariants, qmat, states
+
+        solve, shapes = qmat.hermitian_eigenvalues, []
+
+        def recording(m):
+            shapes.append(np.shape(m))
+            return solve(m)
+
+        monkeypatch.setattr(qmat, "hermitian_eigenvalues", recording)
+        counts = profiled_calls(
+            ["sweep", *argv, "--out", str(tmp_path / "grid.out")], capsys,
+            [solve, invariants.makhlin_stack, states._psd_gate, states._triplet_gate,
+             states._state_gates, states._xform_error])
+        assert counts == {
+            "hermitian_eigenvalues": 1,
+            "makhlin_stack": 1,
+            "_psd_gate": 0,
+            "_triplet_gate": 0,
+            "_state_gates": 0,
+            "_xform_error": 0,
+        }
+        assert shapes == [(rows, 4, 4)]
 
 
 class TestStateFileEdgeCases:

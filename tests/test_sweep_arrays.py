@@ -10,6 +10,7 @@ error of its first bad point, as the per-point loop did.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +24,8 @@ from qubitpair.models import (
     dicke_pair, ising_invariants, ising_pair, oat_invariants, oat_pair, pair_parameters,
 )
 from qubitpair.separability import CRITERIA, EvidenceStack
-from qubitpair.states import xform_matrices
+from qubitpair.states import _raise_first, _xform_error, _xform_gates, xform_matrices
+from qubitpair.tolerances import PSD_FLOOR, TRACE
 
 # ---------------------------------------------------------------------------
 # Frozen: the per-point closed forms as they were written before grids
@@ -298,6 +300,133 @@ class TestCli:
         assert code == 0
         assert hexes(payload["a"], complex(payload["b_re"], payload["b_im"]), payload["c"],
                      1.0 - payload["a"] - 2.0 * payload["c"]) == hexes(*want)
+
+
+def neighbours(x, count):
+    """x and its ``count`` nearest floats on either side, in ascending order."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return [float(v) for v in below[:0:-1] + above]
+
+
+def trace_edge_rows():
+    """Rows whose trace excess a + d + 2c - 1 takes the nearest values on
+    either side of +TRACE and -TRACE, for a few (b, c, d)."""
+    rows = []
+    for b, c, d in ((0.0, 0.1, 0.3), (0.05 - 0.02j, 0.2, 0.15), (0.0, 0.0, 0.0)):
+        for target in (TRACE, -TRACE):
+            rows += [(a, b, c, d) for a in neighbours(1.0 - d - 2.0 * c + target, 4)]
+    return rows
+
+
+def floor_edge_rows():
+    """Rows whose closed-form minimum eigenvalue takes the nearest values on
+    either side of PSD_FLOOR: through 2c (PSD_FLOOR and its neighbours,
+    exactly), and through the corner block, with |b| stepped by ulps, at
+    several phases of b and with a != d."""
+    rows = [(0.5 - two_c / 2.0, 0.0, two_c / 2.0, 0.5 - two_c / 2.0)
+            for two_c in neighbours(PSD_FLOOR, 2)]
+    for a, d in ((0.4, 0.4), (0.6, 0.2), (0.05, 0.35)):
+        total, c = a + d, (1.0 - a - d) / 2.0
+        radius = 0.5 * np.sqrt((total - 2.0 * PSD_FLOOR) ** 2 - (a - d) ** 2)
+        for phase in (0.0, 1.0, np.pi / 2):
+            rows += [(a, r * np.exp(1j * phase), c, d) for r in neighbours(radius, 6)]
+    return rows
+
+
+def hypot_disagreements(count=3):
+    """Rows next to PSD_FLOOR on which ``np.hypot`` and ``math.hypot`` put the
+    corner block's minimum eigenvalue on opposite sides of the floor, in
+    both directions (``count`` each), found by a seeded search: about one
+    row in 8,000 near the floor is one."""
+    rng = np.random.default_rng(2021)
+    found = {True: [], False: []}  # keyed by whether numpy's value passes the floor
+    while min(map(len, found.values())) < count:
+        a, d = rng.uniform(0.05, 0.45, size=2).tolist()
+        radius = 0.5 * math.sqrt((a + d - 2.0 * PSD_FLOOR) ** 2 - (a - d) ** 2)
+        for r in neighbours(radius, 20):
+            numpy_passes = 0.5 * ((a + d) - float(np.hypot(a - d, 2.0 * r))) >= PSD_FLOOR
+            if numpy_passes != (0.5 * ((a + d) - math.hypot(a - d, 2.0 * r)) >= PSD_FLOOR):
+                found[numpy_passes].append((a, complex(r), (1.0 - a - d) / 2.0, d))
+    return found[True][:count] + found[False][:count]
+
+
+def non_finite_rows():
+    """A clean row with NaN, inf or -inf in each parameter in turn (both parts of b)."""
+    clean = (0.3, 0.1 + 0.05j, 0.2, 0.3)
+    rows = []
+    for slot in range(4):
+        for value in (np.nan, np.inf, -np.inf):
+            for part in ((value,) if slot != 1 else (complex(value, 0.0), complex(0.0, value))):
+                rows.append(clean[:slot] + (part,) + clean[slot + 1:])
+    return rows
+
+
+def assert_gate_is_the_scalar_rule(rows):
+    """``_xform_gates`` on ``rows`` refuses the rows ``_xform_error`` refuses,
+    each with its class and message, and ``_raise_first`` raises the first."""
+    a, b, c, d = (np.array(column) for column in zip(*rows))
+    b = b.astype(complex)
+    want = [_xform_error(*p) for p in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())]
+    [(refused, error)] = _xform_gates(a, b, c, d)
+    assert refused.tolist() == [e is not None for e in want]
+    for j in np.flatnonzero(refused).tolist():
+        assert (type(error(j)), str(error(j))) == (type(want[j]), str(want[j]))
+    first = next((e for e in want if e is not None), None)
+    if first is None:
+        _raise_first([(refused, error)])
+    else:
+        with pytest.raises(type(first)) as info:
+            _raise_first([(refused, error)])
+        assert str(info.value) == str(first)
+    return want
+
+
+class TestTheArrayXRuleIsTheScalarRule:
+    """``XForm``'s rule on k points as arrays (``states._xform_gates``): a
+    numpy screen passes the rows strictly inside every bound, and the rest
+    meet the scalar rule, so the mask and the messages are the scalar
+    rule's on the rows next to each bound."""
+
+    def test_non_finite_parameters(self):
+        want = assert_gate_is_the_scalar_rule(non_finite_rows())
+        assert {str(e) for e in want} == {"XForm parameters must be finite"}
+
+    def test_trace_excess_on_either_side_of_the_band(self):
+        want = assert_gate_is_the_scalar_rule(trace_edge_rows())
+        kinds = {type(e) for e in want}
+        assert kinds == {type(None), InvalidDensityMatrix}
+
+    def test_minimum_eigenvalue_on_either_side_of_the_floor(self):
+        rows = floor_edge_rows()
+        want = assert_gate_is_the_scalar_rule(rows)
+        assert {type(e) for e in want} == {type(None), NotPositive}
+        # The floor itself passes, and the float below it is refused.
+        assert want[2] is None and isinstance(want[1], NotPositive)
+        assert rows[2][2] * 2.0 == PSD_FLOOR
+
+    def test_rows_where_the_two_hypots_disagree(self):
+        """The first three rows pass the floor on ``np.hypot`` alone: a
+        screen without its margin would pass rows the scalar rule refuses."""
+        want = assert_gate_is_the_scalar_rule(hypot_disagreements())
+        assert [type(e) for e in want[:3]] == [NotPositive] * 3
+        assert want[3:] == [None] * 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(-0.1, 1.1), st.floats(0.0, 0.6), st.floats(0.0, 2 * np.pi),
+        st.floats(-1e-9, 0.5), st.integers(-3, 3), st.sampled_from([0.0, TRACE, -TRACE]),
+    ), min_size=1, max_size=20))
+    def test_random_rows_next_to_the_bounds(self, draws):
+        rows = []
+        for a, radius, phase, c, ulps, excess in draws:
+            d = 1.0 - a - 2.0 * c + excess
+            for _ in range(abs(ulps)):
+                d = float(np.nextafter(d, np.sign(ulps) * np.inf))
+            rows.append((a, radius * np.exp(1j * phase), c, d))
+        assert_gate_is_the_scalar_rule(rows)
 
 
 # ---------------------------------------------------------------------------
