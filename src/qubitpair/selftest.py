@@ -49,12 +49,12 @@ from . import invariants as invariants_mod
 from .qmat import float_pow, hermitian_eigenvalues, su2_from_normals
 from .sampling import _xform_draws, hilbert_schmidt_states
 from .separability import (
-    _abs, _criteria_columns, _ensemble_draws, partial_transpose, separable_mixtures,
+    _criteria_columns, _ensemble_draws, partial_transpose, separable_mixtures,
     xform_equivalence_stack, xform_pt_eigenvalues_stack,
 )
 from .states import (
-    _raise_first, _xform_gates, apply_local_unitary, bloch_decompose, bloch_decompose_stack,
-    xform_matrices,
+    _abs, _raise_first, _xform_gates, apply_local_unitary, bloch_decompose,
+    bloch_decompose_stack, xform_matrices,
 )
 from .stateio import write_state_file
 from .tolerances import INVARIANCE_ABS, INVARIANCE_REL, SIGN_ZERO_BAND

@@ -46,8 +46,8 @@ from .invariants import (
     InvariantSet, SymmetricSix, _i4_zero_gate, _xform_criteria_invariants, makhlin_stack,
 )
 from .states import (
-    XForm, _as_state, _decomposition, _pauli_decomposition, _psd_gate, _raise_first, _refused,
-    _triplet_gate, xform_matrices,
+    XForm, _abs, _as_state, _decomposition, _pauli_decomposition, _psd_gate, _raise_first,
+    _refused, _triplet_gate, xform_matrices,
 )
 from .tolerances import SIGN_ZERO_BAND
 
@@ -219,13 +219,6 @@ def xform_pt_eigenvalues(x: XForm) -> np.ndarray:
     spectrum.
     """
     return xform_pt_eigenvalues_stack(*x._columns())[0]
-
-
-def _abs(b: np.ndarray) -> np.ndarray:
-    """|b| of a ``(k,)`` array as Python's ``abs`` gives it for each entry
-    (``np.abs`` of a complex array rounds otherwise on about a third of
-    the ``random_xform`` draws)."""
-    return np.hypot(b.real, b.imag)
 
 
 def xform_pt_eigenvalues_stack(
@@ -436,9 +429,9 @@ def xform_equivalence_check(x: XForm) -> bool:
     and the comparison carries no information.  A vanishing c + |b| is
     harmless (lambda_3 is inside the band too).
     """
-    i4, _, _ = _xform_criteria_invariants(x.a - x.d, abs(x.b), x.c)
-    _raise_first([_i4_zero_gate(np.array([i4]))])
-    return bool(xform_equivalence_stack(*x._columns())[0])
+    a, b, c, d = x._columns()
+    _raise_first([_i4_zero_gate((a - d) * (a - d))])
+    return bool(xform_equivalence_stack(a, b, c, d)[0])
 
 
 def _band_signs_agree(u: np.ndarray, v: np.ndarray) -> np.ndarray:

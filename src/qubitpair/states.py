@@ -38,16 +38,14 @@ a stack by the error of its first bad state, so ``bloch_decompose`` (one
 form from the row the stack has gated, without a copy or a second check.
 ``BlochForm`` and the stack share one entry rule; the decomposition
 itself, without the gates, is ``_pauli_decomposition``.  ``XForm``'s
-rule is one function on Python floats (``_xform_error``).
-``_xform_gates`` reads it on k parameter sets as arrays and hands that
-function only the rows that are not strictly inside every bound, so it
-refuses the same rows with the same messages.
+rule is written once, as arrays (``_xform_gates``, on k parameter sets):
+``XForm`` is its one-row case, and ``models.pair_parameters`` and the
+self-test read it on whole grids and draws.  Its roots are libm's hypot
+(``np.hypot``), the one Python's ``abs`` of a complex number uses.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +184,8 @@ class XForm:
     [b*, 0, 0, d]]`` with a + d + 2c = 1.  Its eigenvalues are 0, 2c and
     those of the corner block [[a, b], [b*, d]], so positivity amounts to
     min(2c, ((a + d) - hypot(a - d, 2|b|)) / 2) >= 0, read on PSD_FLOOR.
+    Construction checks the parameters with the one-row case of
+    ``_xform_gates`` and raises the error of its first refusing gate.
     """
 
     a: float
@@ -194,9 +194,7 @@ class XForm:
     d: float
 
     def __post_init__(self):
-        error = _xform_error(self.a, self.b, self.c, self.d)
-        if error is not None:
-            raise error
+        _raise_first(_xform_gates(*self._columns()))
 
     @classmethod
     def from_abc(cls, a: float, b: complex, c: float) -> "XForm":
@@ -212,49 +210,33 @@ class XForm:
         return xform_matrices(*self._columns())[0]
 
 
-def _xform_error(a: float, b: complex, c: float, d: float):
-    """The error ``XForm``'s rule raises for one parameter set, or None.
-
-    The checks, in order: finite, unit trace within TRACE, and the
-    pattern's closed-form minimum eigenvalue against PSD_FLOOR, with the
-    message ``assert_density_matrix`` gives.  One point is checked on
-    Python floats: a stack of 1-element numpy arrays costs about five
-    times as much, and every ``XForm`` pays it.
-    """
-    if not all(map(math.isfinite, (a, c, d))) or not cmath.isfinite(b):
-        return ValueError("XForm parameters must be finite")
-    excess = a + d + 2.0 * c - 1.0
-    if abs(excess) > TRACE:
-        return InvalidDensityMatrix(f"trace constraint a + d + 2c = 1 violated by {excess:.3e}")
-    min_eig = min(2.0 * c, 0.5 * ((a + d) - math.hypot(a - d, 2.0 * abs(b))))
-    return _not_positive(min_eig) if min_eig < PSD_FLOOR else None
+def _abs(b: np.ndarray) -> np.ndarray:
+    """|b| of a ``(k,)`` array as Python's ``abs`` gives it for each entry,
+    libm's hypot of its parts (``np.abs`` of a complex array rounds
+    otherwise on about a third of the ``random_xform`` draws)."""
+    return np.hypot(b.real, b.imag)
 
 
 def _xform_gates(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> list:
     """``XForm``'s rule on k parameter sets (``(k,)`` arrays) in
-    ``_raise_first``'s form: one gate, whose error for a refused point is
-    the one ``XForm`` raises for it.
-
-    The rule is read as arrays first, and a row strictly inside every bound
-    passes.  The trace excess is the scalar rule's to the bit; the minimum
-    eigenvalue must clear PSD_FLOOR by a few ulps of its terms, since
-    ``np.hypot`` and ``math.hypot`` differ by one ulp on about 0.6 % of
-    pairs.  Only the other rows meet ``_xform_error``, so the rule refuses
-    the rows it refuses, with its messages.
+    ``_raise_first``'s form: finite (ValueError), then unit trace within
+    TRACE (InvalidDensityMatrix), then the pattern's closed-form minimum
+    eigenvalue at least PSD_FLOOR (NotPositive, with the message
+    ``assert_density_matrix`` gives).  ``XForm`` is its one-row case.
     """
-    # A non-finite parameter makes the excess or the minimum NaN or infinite.
+    # A non-finite parameter, which the first gate refuses, makes the
+    # excess or the minimum NaN or infinite.
     with np.errstate(over="ignore", invalid="ignore"):
-        total = a + d
-        excess = total + 2.0 * c - 1.0
-        root = np.hypot(a - d, 2.0 * np.hypot(b.real, b.imag))
-        lowest = np.minimum(2.0 * c, 0.5 * (total - root))
-        margin = 4.0 * np.finfo(float).eps * (np.abs(total) + root)
-        inside = (np.abs(excess) < TRACE) & (lowest - margin > PSD_FLOOR)
-    errors = {j: _xform_error(a[j].item(), b[j].item(), c[j].item(), d[j].item())
-              for j in np.flatnonzero(~inside).tolist()}
-    refused = np.zeros(len(a), dtype=bool)
-    refused[[j for j, error in errors.items() if error is not None]] = True
-    return [(refused, errors.__getitem__)]
+        total, two_c = a + d, 2.0 * c
+        excess = total + two_c - 1.0
+        lowest = np.minimum(two_c, 0.5 * (total - np.hypot(a - d, 2.0 * _abs(b))))
+        finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)
+        return [
+            (~finite, lambda j: ValueError("XForm parameters must be finite")),
+            (np.abs(excess) > TRACE, lambda j: InvalidDensityMatrix(
+                f"trace constraint a + d + 2c = 1 violated by {excess[j]:.3e}")),
+            (lowest < PSD_FLOOR, lambda j: _not_positive(float(lowest[j]))),
+        ]
 
 
 def xform_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:

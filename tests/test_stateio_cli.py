@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -530,8 +531,8 @@ class TestSweepChecksOnce:
     """``sweep`` checks its grid once, with ``XForm``'s rule in
     ``pair_parameters``, and evaluates it once: one gated solve, of the
     ``(k, 4, 4)`` partial transposes, one contraction, no gate of the
-    density-matrix, positivity or triplet rules, and on a valid grid no
-    row for the scalar X rule."""
+    density-matrix, positivity or triplet rules, and one call of the X
+    rule for the whole grid."""
 
     @pytest.mark.parametrize("argv, rows", [
         (["oat", "--n", "2:13:1", "--chit", "0:3:4", "--paper-literal"], 48),
@@ -551,14 +552,14 @@ class TestSweepChecksOnce:
         counts = profiled_calls(
             ["sweep", *argv, "--out", str(tmp_path / "grid.out")], capsys,
             [solve, invariants.makhlin_stack, states._psd_gate, states._triplet_gate,
-             states._state_gates, states._xform_error])
+             states._state_gates, states._xform_gates])
         assert counts == {
             "hermitian_eigenvalues": 1,
             "makhlin_stack": 1,
             "_psd_gate": 0,
             "_triplet_gate": 0,
             "_state_gates": 0,
-            "_xform_error": 0,
+            "_xform_gates": 1,
         }
         assert shapes == [(rows, 4, 4)]
 
@@ -672,6 +673,27 @@ class TestMalformedStateFiles:
         code, out, err = run_cli([command, str(path)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+class TestRefusedXFormFiles:
+    """An xform file that ``XForm``'s rule refuses, read through its one-row
+    case: both commands that read one exit 2 with the rule's message, no
+    traceback and no warning."""
+
+    @pytest.mark.parametrize("command", ["classify", "invariants"])
+    @pytest.mark.parametrize("xform, message", [
+        ('"a": 0.5, "b_re": 0.0, "b_im": 0.0, "c": -6e-10',
+         "invalid state: not positive semidefinite: min eigenvalue -1.200e-09"),
+        ('"a": Infinity, "b_re": 0.0, "b_im": 0.0, "c": 0.25',
+         "malformed xform representation: XForm parameters must be finite"),
+    ], ids=["below_the_floor", "infinite"])
+    def test_exits_2_with_the_rule_message(self, xform, message, command, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text('{"schema_version": "1", "xform": {' + xform + "}}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)

@@ -24,7 +24,7 @@ from qubitpair.models import (
     dicke_pair, ising_invariants, ising_pair, oat_invariants, oat_pair, pair_parameters,
 )
 from qubitpair.separability import CRITERIA, EvidenceStack
-from qubitpair.states import _raise_first, _xform_error, _xform_gates, xform_matrices
+from qubitpair.states import XForm, _raise_first, _refused, _xform_gates, xform_matrices
 from qubitpair.tolerances import PSD_FLOOR, TRACE
 
 # ---------------------------------------------------------------------------
@@ -364,55 +364,78 @@ def non_finite_rows():
     return rows
 
 
-def assert_gate_is_the_scalar_rule(rows):
-    """``_xform_gates`` on ``rows`` refuses the rows ``_xform_error`` refuses,
-    each with its class and message, and ``_raise_first`` raises the first."""
+def reference_error(a, b, c, d):
+    """The error ``reference_xform`` raises for one row, or None."""
+    try:
+        reference_xform(a, b, c, d)
+    except (ValueError, InvalidDensityMatrix, NotPositive) as error:
+        return error
+    return None
+
+
+def assert_gates_are_the_frozen_rule(rows):
+    """``_xform_gates`` on ``rows`` refuses the rows ``reference_xform``
+    refuses, each with its class and message; ``XForm`` of each row raises
+    exactly that row's error, or nothing; and ``_raise_first`` raises the
+    first.  No step warns."""
     a, b, c, d = (np.array(column) for column in zip(*rows))
     b = b.astype(complex)
-    want = [_xform_error(*p) for p in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())]
-    [(refused, error)] = _xform_gates(a, b, c, d)
-    assert refused.tolist() == [e is not None for e in want]
-    for j in np.flatnonzero(refused).tolist():
-        assert (type(error(j)), str(error(j))) == (type(want[j]), str(want[j]))
-    first = next((e for e in want if e is not None), None)
-    if first is None:
-        _raise_first([(refused, error)])
-    else:
-        with pytest.raises(type(first)) as info:
-            _raise_first([(refused, error)])
-        assert str(info.value) == str(first)
+    points = list(zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()))
+    want = [reference_error(*p) for p in points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gates = _xform_gates(a, b, c, d)
+        refused = _refused(gates)
+        assert refused.tolist() == [e is not None for e in want]
+        for j, (point, e) in enumerate(zip(points, want)):
+            if e is None:
+                XForm(*point)
+                continue
+            got = next(error(j) for mask, error in gates if mask[j])
+            assert (type(got), str(got)) == (type(e), str(e))
+            with pytest.raises(type(e)) as info:
+                XForm(*point)
+            assert str(info.value) == str(e)
+        first = next((e for e in want if e is not None), None)
+        if first is None:
+            _raise_first(gates)
+        else:
+            with pytest.raises(type(first)) as info:
+                _raise_first(gates)
+            assert str(info.value) == str(first)
     return want
 
 
 class TestTheArrayXRuleIsTheScalarRule:
-    """``XForm``'s rule on k points as arrays (``states._xform_gates``): a
-    numpy screen passes the rows strictly inside every bound, and the rest
-    meet the scalar rule, so the mask and the messages are the scalar
-    rule's on the rows next to each bound."""
+    """``XForm``'s rule, written once as arrays (``states._xform_gates``),
+    refuses the rows the frozen per-point rule (``reference_xform``)
+    refuses, with its messages, on the rows next to each bound; ``XForm``
+    is its one-row case."""
 
     def test_non_finite_parameters(self):
-        want = assert_gate_is_the_scalar_rule(non_finite_rows())
+        want = assert_gates_are_the_frozen_rule(non_finite_rows())
         assert {str(e) for e in want} == {"XForm parameters must be finite"}
 
     def test_trace_excess_on_either_side_of_the_band(self):
-        want = assert_gate_is_the_scalar_rule(trace_edge_rows())
+        want = assert_gates_are_the_frozen_rule(trace_edge_rows())
         kinds = {type(e) for e in want}
         assert kinds == {type(None), InvalidDensityMatrix}
 
     def test_minimum_eigenvalue_on_either_side_of_the_floor(self):
         rows = floor_edge_rows()
-        want = assert_gate_is_the_scalar_rule(rows)
+        want = assert_gates_are_the_frozen_rule(rows)
         assert {type(e) for e in want} == {type(None), NotPositive}
         # The floor itself passes, and the float below it is refused.
         assert want[2] is None and isinstance(want[1], NotPositive)
         assert rows[2][2] * 2.0 == PSD_FLOOR
 
     def test_rows_where_the_two_hypots_disagree(self):
-        """The first three rows pass the floor on ``np.hypot`` alone: a
-        screen without its margin would pass rows the scalar rule refuses."""
-        want = assert_gate_is_the_scalar_rule(hypot_disagreements())
-        assert [type(e) for e in want[:3]] == [NotPositive] * 3
-        assert want[3:] == [None] * 3
+        """The root is libm's hypot (``np.hypot``), not ``math.hypot``: the
+        first three rows pass the floor on it and are accepted, the last
+        three are refused."""
+        want = assert_gates_are_the_frozen_rule(hypot_disagreements())
+        assert want[:3] == [None] * 3
+        assert [type(e) for e in want[3:]] == [NotPositive] * 3
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
@@ -426,7 +449,7 @@ class TestTheArrayXRuleIsTheScalarRule:
             for _ in range(abs(ulps)):
                 d = float(np.nextafter(d, np.sign(ulps) * np.inf))
             rows.append((a, radius * np.exp(1j * phase), c, d))
-        assert_gate_is_the_scalar_rule(rows)
+        assert_gates_are_the_frozen_rule(rows)
 
 
 # ---------------------------------------------------------------------------
