@@ -5,10 +5,15 @@ independent single-qubit rotations.  Exchange-symmetric states need only
 the subset (I1, I2, I4, I10, I12, I14); states with the special
 four-parameter pattern admit closed forms for that subset.
 
-Each epsilon triple is a running sum of its 6 nonzero Levi-Civita terms,
-and I14 one of its 36 nonzero double-epsilon terms, in the order an
-``einsum`` against the (3, 3, 3) tensor adds them; the tests check each
-of them against such an einsum.
+Each epsilon triple eps_ijk u_i v_j w_k is written u . (v x w), I1 = det
+T being the triple of the rows of T, and I14 = eps_ijk eps_lmn s_i r_l t_jm t_kn is written 2 s . (cof(T) r), the
+rows of the cofactor matrix being cross products of the rows of T.  The
+accuracy contract is a distance from the exact value, not a bit pattern:
+every entry lies within 12 eps times its scale of the exact invariant of
+the float (s, r, T) it is given, the scale being the same polynomial
+evaluated on absolute values.  ``tests/exact_oracle.py`` holds the exact
+rational values, the reason for the bound and a seeded record of the
+worst errors.
 
 ``makhlin_stack`` is the one contraction: it evaluates ``k`` Bloch forms
 at once, from ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)`` to a
@@ -30,13 +35,6 @@ import numpy as np
 from .errors import I4Zero, NoRealSpectrum
 from .states import BlochForm, XForm, _form_matrix, _raise_first, _triplet_gate
 from .tolerances import SIGN_ZERO_BAND, matches
-
-# Levi-Civita tensor eps[i, j, k].
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
-_EPS.setflags(write=False)
-
 
 @dataclass(frozen=True)
 class InvariantSet:
@@ -90,55 +88,50 @@ class SymmetricSix:
         return np.array([self.i1, self.i2, self.i4, self.i10, self.i12, self.i14])
 
 
-def _det3(t):
-    """Cofactor expansion along the first row; ``t[i, j]`` may be a stack of entries."""
-    return (
-        t[0, 0] * (t[1, 1] * t[2, 2] - t[1, 2] * t[2, 1])
-        - t[0, 1] * (t[1, 0] * t[2, 2] - t[1, 2] * t[2, 0])
-        + t[0, 2] * (t[1, 0] * t[2, 1] - t[1, 1] * t[2, 0])
-    )
-
-
-# The 36 nonzero terms eps_ijk eps_lmn s_i r_l t_jm t_kn of I14, in the
-# (i, j, k, l, m, n) order in which the einsum "ijk,lmn,i,l,jm,kn->" sums
-# them: their signs, and indices into s, r and the flattened T.
-_EPS_EPS = np.multiply.outer(_EPS, _EPS)
-_I14_SIGN = _EPS_EPS[np.nonzero(_EPS_EPS)]
-_I14_I, _I14_J, _I14_K, _I14_L, _I14_M, _I14_N = np.nonzero(_EPS_EPS)
-_I14_JM, _I14_KN = 3 * _I14_J + _I14_M, 3 * _I14_K + _I14_N
-
-# Slots of the (k, 10, 3) array of vectors the dot products and epsilon
-# triples read: s, r, and products of T T^T, T^T T, T and T^T with them.
-_S, _R, _TT_S, _TT2_S, _TTR_R, _TTR2_R, _T_R, _TT_T_R, _TR_S, _TTR_TR_S = range(10)
+# Slots of the (k, 13, 3) array of vectors the dot and cross products
+# read: s, r, products of T T^T, T^T T, T and T^T with them, and the rows
+# of T.
+(_S, _R, _TT_S, _TT2_S, _TTR_R, _TTR2_R, _T_R, _TT_T_R, _TR_S, _TTR_TR_S,
+ _T0, _T1, _T2) = range(13)
 # Invariant number: u . v
 _DOTS = {
     4: (_S, _S), 5: (_S, _TT_S), 6: (_S, _TT2_S),
     7: (_R, _R), 8: (_R, _TTR_R), 9: (_R, _TTR2_R),
     12: (_S, _T_R), 13: (_S, _TT_T_R),
 }
-# Invariant number: eps_ijk u_i v_j w_k
+# Invariant number: eps_ijk u_i v_j w_k = u . (v x w); I1 = det T is the
+# triple of the rows of T.
 _TRIPLES = {
-    10: (_S, _TT_S, _TT2_S), 11: (_R, _TTR_R, _TTR2_R), 15: (_S, _TT_S, _T_R),
+    1: (_T0, _T1, _T2), 10: (_S, _TT_S, _TT2_S), 11: (_R, _TTR_R, _TTR2_R), 15: (_S, _TT_S, _T_R),
     16: (_TR_S, _R, _TTR_R), 17: (_TR_S, _TTR_TR_S, _R), 18: (_S, _T_R, _TT_T_R),
 }
 _DOT_COLUMNS = np.array(list(_DOTS)) - 1
 _DOT_U, _DOT_V = np.array(list(_DOTS.values())).T
 _TRIPLE_COLUMNS = np.array(list(_TRIPLES)) - 1
-# The einsum "ijk,...i,...j,...k->..." of a triple adds the products
-# ((eps_ijk u_i) v_j) w_k in (i, j, k) order to a +0.0.  Its 21 zero terms
-# leave such a sum as it is, and the 6 others are never all -0.0 (the sign
-# bits of the six products add up to an odd number), so a running sum of
-# the 6 from the first one is the same: signs (6,) and indices (6, 6) into
-# the flattened (k, 30) vectors.
-_EPS_I, _EPS_J, _EPS_K = np.nonzero(_EPS)
-_TRIPLE_SIGN = _EPS[_EPS_I, _EPS_J, _EPS_K]
-_TRIPLE_U, _TRIPLE_V, _TRIPLE_W = (
-    3 * slots[:, None] + axis
-    for slots, axis in zip(np.array(list(_TRIPLES.values())).T, (_EPS_I, _EPS_J, _EPS_K)))
+# The triples u . (v x w) computed: the seven above, then the entries
+# (cof(T) r)_i = r . (T_(i+1) x T_(i+2)) that I14 = 2 s . (cof(T) r) reads.
+_TRIPLE_U, _TRIPLE_V, _TRIPLE_W = np.array(
+    list(_TRIPLES.values()) + [(_R, _T1, _T2), (_R, _T2, _T0), (_R, _T0, _T1)]).T
+# Component i of a cross product reads components i + 1 and i + 2 (mod 3).
+_ROLL = np.array([1, 2, 0, 2, 0, 1])
+
 
 def _mv(m, v):
     """Each matrix of a (k, 3, 3) stack times the matching row of a (k, 3) stack."""
     return (m @ v[:, :, None])[:, :, 0]
+
+
+def _cross(v, w):
+    """Cross products of 3-vectors along the last axis, entry by entry."""
+    v, w = v.take(_ROLL, axis=-1), w.take(_ROLL, axis=-1)
+    return v[..., :3] * w[..., 3:] - v[..., 3:] * w[..., :3]
+
+
+def _dot(u, v):
+    """Dot products of 3-vectors along the last axis, summed first to last
+    entry by entry; the + 0.0 turns a -0.0 sum (every term -0.0) into +0.0."""
+    p = u * v
+    return p[..., 0] + p[..., 1] + p[..., 2] + 0.0
 
 
 def makhlin_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -152,23 +145,21 @@ def makhlin_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     T -> O1 T O2^T); every entry is then invariant under local unitaries
     to relative 1e-9 (absolute floor 1e-12).
 
-    Each row is computed as if alone: numpy sends every matrix and vector
-    product of the stack to the kernel the 2-D product of that size uses,
-    so a row does not depend on the stack around it, and I14 adds its 36
-    terms in the order of the einsum ``"ijk,lmn,i,l,jm,kn->"``.  The 8
-    dot products are one batched matmul, and each epsilon triple is a
-    running sum of its 6 terms in the order of the einsum ``"ijk,i,j,k->"``
-    (+0.0 when every term is a zero, as there).  A contraction reassociated
-    to save work (``I14 = 2 s^T cof(T) r``, say) changes the last bit on a
-    large share of the model-family states, and with it the 17-digit sweep
-    output.
+    Accuracy: each entry is within 12 eps times its scale (the polynomial
+    on absolute values) of the exact invariant of the given floats, the
+    same bound for all 18 (``tests/exact_oracle.py``).  Each row is
+    computed as if alone: numpy sends every matrix and vector product of
+    the stack to the kernel the 2-D product of that size uses, and the
+    epsilon triples and I14 are entrywise products and first-to-last sums,
+    so a row does not depend on the stack around it.  A triple or I14 that
+    is zero is +0.0.
     """
     s, r, t = (np.ascontiguousarray(a, dtype=float) for a in (s, r, t))
     t_t = t.swapaxes(1, 2)
     tt = t @ t_t          # transforms with O1 on both sides
     ttr = t_t @ t         # transforms with O2 on both sides
-    v = np.empty((len(s), 10, 3))
-    v[:, _S], v[:, _R] = s, r
+    v = np.empty((len(s), 13, 3))
+    v[:, _S], v[:, _R], v[:, _T0:] = s, r, t
     v[:, _TT_S] = _mv(tt, s)
     v[:, _TT2_S] = _mv(tt, v[:, _TT_S])
     v[:, _TTR_R] = _mv(ttr, r)
@@ -179,21 +170,14 @@ def makhlin_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     v[:, _TTR_TR_S] = _mv(ttr, v[:, _TR_S])
 
     inv = np.empty((len(s), 18))
-    inv[:, 0] = _det3(t.transpose(1, 2, 0))
     inv[:, 1] = (t * t).reshape(-1, 9).sum(axis=1)
     inv[:, 2] = (ttr * ttr).reshape(-1, 9).sum(axis=1)
     u_dot, v_dot = (v.take(slots, axis=1) for slots in (_DOT_U, _DOT_V))
     inv[:, _DOT_COLUMNS] = (u_dot[:, :, None, :] @ v_dot[:, :, :, None])[:, :, 0, 0]
-    flat = v.reshape(-1, 30)
-    triples = (_TRIPLE_SIGN * flat.take(_TRIPLE_U, axis=1) * flat.take(_TRIPLE_V, axis=1)
-               * flat.take(_TRIPLE_W, axis=1))
-    inv[:, _TRIPLE_COLUMNS] = np.add.accumulate(triples, axis=2)[:, :, -1]
-    flat_t = t.reshape(-1, 9)
-    terms = (_I14_SIGN * s.take(_I14_I, axis=1) * r.take(_I14_L, axis=1)
-             * flat_t.take(_I14_JM, axis=1) * flat_t.take(_I14_KN, axis=1))
-    # A running sum term by term, as einsum adds them; a pairwise sum
-    # (np.sum) would round differently.
-    inv[:, 13] = np.add.accumulate(terms, axis=1)[:, -1]
+    u_tri, v_tri, w_tri = (v.take(slots, axis=1) for slots in (_TRIPLE_U, _TRIPLE_V, _TRIPLE_W))
+    triples = _dot(u_tri, _cross(v_tri, w_tri))
+    inv[:, _TRIPLE_COLUMNS] = triples[:, :7]
+    inv[:, 13] = 2.0 * _dot(s, triples[:, 7:])
     return inv
 
 

@@ -117,8 +117,8 @@ def _closed_form(family: str, points, paper_literal: bool, stacklevel: int) -> t
         if (n[:refused.argmax() if refused.any() else len(n)] == 2.0).any():
             warnings.warn("ising_pair with n=2: the closed form assumes a pair embedded in a "
                           "longer chain", stacklevel=stacklevel + 1)
-        s, denom = np.sin(x), 8.0 * (n - 1.0)
-        a = (4.0 * (n - 1.0) * (1.0 + qmat.float_pow(np.cos(x / 2.0), 2)) - s * s) / denom
+        s, cos_half, denom = np.sin(x), np.cos(x / 2.0), 8.0 * (n - 1.0)
+        a = (4.0 * (n - 1.0) * (1.0 + cos_half * cos_half) - s * s) / denom
         b, c = -s * (s + 4.0j) / denom, s * s / denom
     return gates, a, b, c, 1.0 - a - 2.0 * c
 

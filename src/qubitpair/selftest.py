@@ -46,7 +46,7 @@ from dataclasses import FrozenInstanceError, dataclass
 import numpy as np
 
 from . import invariants as invariants_mod
-from .qmat import float_pow, hermitian_eigenvalues, su2_from_normals
+from .qmat import hermitian_eigenvalues, su2_from_normals
 from .sampling import _xform_draws, hilbert_schmidt_states
 from .separability import (
     _criteria_columns, _ensemble_draws, partial_transpose, separable_mixtures,
@@ -171,7 +171,7 @@ def _suite_xform_equivalence(count, rng) -> tuple:
     _raise_first(_xform_gates(a, b, c, d))
     # The floor lies above SIGN_ZERO_BAND, so no case has the degenerate
     # (a - d)^2 on which xform_equivalence_check raises.
-    cases = (float_pow(a - d, 2) > _I4_FLOOR) & (c + _abs(b) > _I4_FLOOR)
+    cases = ((a - d) * (a - d) > _I4_FLOOR) & (c + _abs(b) > _I4_FLOOR)
     a, b, c, d = (column[cases] for column in (a, b, c, d))
     states = xform_matrices(a, b, c, d)
     # One PT solve for every case, through the two functions ppt_check calls.

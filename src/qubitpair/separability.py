@@ -228,7 +228,7 @@ def xform_pt_eigenvalues_stack(
     (lambda_1, lambda_2, lambda_3, lambda_4) of :func:`xform_pt_eigenvalues`,
     equal to its one-state value bit for bit.  The parameters are not checked.
     """
-    root = np.sqrt(qmat.float_pow(a - d, 2) + 4.0 * c * c)
+    root = np.sqrt((a - d) * (a - d) + 4.0 * c * c)
     ab = _abs(b)
     return np.stack([0.5 * ((a + d) - root), 0.5 * ((a + d) + root), c - ab, c + ab], axis=1)
 
@@ -277,8 +277,8 @@ def _criteria_columns(i4: np.ndarray, i12: np.ndarray, i14: np.ndarray) -> tuple
     (value below -SIGN_ZERO_BAND) and the ``(k,)`` I4-zero fallback
     (``invariants._i4_zero_gate``), on whose rows no criterion fires.
     """
-    # I4^2 as Python's float ** 2: the sweep's I12 - I4^2 column is pinned to it.
-    values = np.stack([i12, i14, i12 - qmat.float_pow(i4, 2)], axis=1)
+    # I4^2 as the product i4 * i4, which IEEE arithmetic rounds correctly.
+    values = np.stack([i12, i14, i12 - i4 * i4], axis=1)
     fallback, _ = _i4_zero_gate(i4)
     return values, (values < -SIGN_ZERO_BAND) & ~fallback[:, None], fallback
 
@@ -450,12 +450,12 @@ def xform_equivalence_stack(
     information; its entry is meaningless.
     """
     ad = a - d
-    ad_sq = qmat.float_pow(ad, 2)
+    ad_sq = ad * ad
     ab = _abs(b)
     i4, i12, i14 = _xform_criteria_invariants(ad, ab, c)
     c_plus_b = c + ab
     with np.errstate(divide="ignore", invalid="ignore"):  # the rows that carry no information
-        lhs12 = (i12 - qmat.float_pow(i4, 2)) / ad_sq
+        lhs12 = (i12 - i4 * i4) / ad_sq
         lhs14 = i14 / (8.0 * ad_sq * c_plus_b)
     ok12 = _band_signs_agree(lhs12, (1.0 - 4.0 * c) - ad_sq)
     # Where c + |b| is inside the band, I14 and lambda_3 both are.

@@ -96,8 +96,9 @@ def _numbers(value):
 
 
 def parse_state_payload(payload: dict) -> np.ndarray:
-    """Decode a payload into a density matrix that has passed
-    ``assert_density_matrix`` once (a Bloch payload through ``bloch_compose``)."""
+    """Decode a payload into a density matrix that has passed one validity
+    rule: ``assert_density_matrix`` for a matrix, ``bloch_compose``'s for a
+    Bloch form and ``XForm``'s closed-form rule for an X-pattern form."""
     if not isinstance(payload, dict):
         raise StateFileError("state file must contain a JSON object")
     version = payload.get("schema_version")
@@ -118,16 +119,14 @@ def parse_state_payload(payload: dict) -> np.ndarray:
                 r=np.asarray(_numbers(spec["r"]), dtype=float),
                 t=np.asarray(_numbers(spec["t"]), dtype=float),
             ))
-        if present[0] == "matrix":
-            raw = np.asarray(_numbers(payload["matrix"]), dtype=float)
-            if raw.shape != (4, 4, 2):
-                raise StateFileError(f"matrix must be 4x4 [re, im] pairs, got {raw.shape}")
-            rho = raw[..., 0] + 1j * raw[..., 1]
-        else:
+        if present[0] == "xform":
             a, b_re, b_im, c = (float(_numbers(payload["xform"][key]))
                                 for key in ("a", "b_re", "b_im", "c"))
-            rho = XForm.from_abc(a=a, b=complex(b_re, b_im), c=c).to_matrix()
-        return assert_density_matrix(rho)
+            return XForm.from_abc(a=a, b=complex(b_re, b_im), c=c).to_matrix()
+        raw = np.asarray(_numbers(payload["matrix"]), dtype=float)
+        if raw.shape != (4, 4, 2):
+            raise StateFileError(f"matrix must be 4x4 [re, im] pairs, got {raw.shape}")
+        return assert_density_matrix(raw[..., 0] + 1j * raw[..., 1])
     except StateFileError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge int

@@ -66,11 +66,6 @@ from qubitpair.tolerances import INVARIANCE_ABS, INVARIANCE_REL, PAULI_BOUND, SI
 
 STACK_SIZE = 600
 
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
-
-
 _SIGMA_0123 = np.array([
     [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]],
 ], dtype=complex)
@@ -94,21 +89,31 @@ def reference_bloch(rho):
 
 
 def reference_makhlin(form):
-    """The 18 invariants of one Bloch form, computed with 2-D operands, one
-    einsum per epsilon triple and one for I14, as a ``(18,)`` array.
+    """The 18 invariants of one Bloch form, computed with 2-D operands, and
+    each epsilon triple u . (v x w) (I1 = det T among them) and I14 = 2 s .
+    (cof(T) r) on Python floats, as a ``(18,)`` array.
 
     Frozen: ``makhlin_stack`` must reproduce it bit for bit, sign of zero
     included, because the sweep and self-test golden files were written
-    with it.
+    with it.  The triples and I14 add their terms first to last, then
+    +0.0, as the stack does.
     """
     s, r, t = form.s, form.r, form.t
 
-    def triple(u, v, w):
-        return float(np.einsum("ijk,i,j,k->", _EPS, u, v, w))
+    def cross(v, w):
+        (v0, v1, v2), (w0, w1, w2) = np.asarray(v).tolist(), np.asarray(w).tolist()
+        return [v1 * w2 - v2 * w1, v2 * w0 - v0 * w2, v0 * w1 - v1 * w0]
 
-    det = (t[0, 0] * (t[1, 1] * t[2, 2] - t[1, 2] * t[2, 1])
-           - t[0, 1] * (t[1, 0] * t[2, 2] - t[1, 2] * t[2, 0])
-           + t[0, 2] * (t[1, 0] * t[2, 1] - t[1, 1] * t[2, 0]))
+    def dot(u, v):
+        (u0, u1, u2), (v0, v1, v2) = np.asarray(u).tolist(), np.asarray(v).tolist()
+        return u0 * v0 + u1 * v1 + u2 * v2 + 0.0
+
+    def triple(u, v, w):
+        return dot(u, cross(v, w))
+
+    # Row i of the cofactor matrix of T is T_(i+1) x T_(i+2).
+    cof_r = [triple(r, t[(i + 1) % 3], t[(i + 2) % 3]) for i in range(3)]
+
     tt = t @ t.T
     ttr = t.T @ t
     tt_s = tt @ s
@@ -118,7 +123,7 @@ def reference_makhlin(form):
     t_r = t @ r
     tT_s = t.T @ s
     return np.array([
-        float(det),
+        triple(t[0], t[1], t[2]),
         float(np.sum(t * t)),
         float(np.sum(ttr * ttr)),
         float(s @ s),
@@ -131,7 +136,7 @@ def reference_makhlin(form):
         triple(r, ttr_r, ttr2_r),
         float(s @ t_r),
         float(s @ (tt @ t_r)),
-        float(np.einsum("ijk,lmn,i,l,jm,kn->", _EPS, _EPS, s, r, t, t)),
+        2.0 * dot(s, cof_r),
         triple(s, tt_s, t_r),
         triple(tT_s, r, ttr_r),
         triple(tT_s, ttr @ tT_s, r),
@@ -192,7 +197,7 @@ def reference_evidence(rho):
     pt = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     pt_min = float(np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))[0])
     i4, i12, i14 = float(inv[3]), float(inv[11]), float(inv[13])
-    gap = i12 - i4 ** 2
+    gap = i12 - i4 * i4
     fallback = abs(i4) <= SIGN_ZERO_BAND
     fired = [not fallback and v < -SIGN_ZERO_BAND for v in (i12, i14, gap)]
     return inv, pt_min, gap, fired, fallback
@@ -279,28 +284,31 @@ class TestDecompositionAndInvariants:
 
     def test_triples_of_all_zero_operands_are_plus_zero(self, rng):
         """Forms whose entries are all +-0, in every one of the 2^15 sign
-        patterns: each epsilon triple reads only +-0 operands, and the einsum
-        gives +0.0 for it, so the stack must too."""
+        patterns: each epsilon triple and I14 reads only +-0 operands, and
+        is +0.0."""
         signs = (np.arange(2 ** 15)[:, None] >> np.arange(15)) & 1
         entries = np.where(signs == 1, -0.0, 0.0)
         s, r, t = entries[:, :3], entries[:, 3:6], entries[:, 6:].reshape(-1, 3, 3)
         inv = makhlin_stack(s, r, t)
-        triples = inv[:, [9, 10, 14, 15, 16, 17]]
+        triples = inv[:, [0, 9, 10, 13, 14, 15, 16, 17]]
         assert not np.signbit(triples).any() and not triples.any()
         for j in rng.choice(len(s), 200, replace=False):
             assert_bits_equal(inv[j], reference_makhlin(Bloch(s[j], r[j], t[j])))
 
-    def test_six_triple_terms_are_never_all_negative_zero(self):
-        """Why a triple's running sum may start from its first term where the
-        einsum starts from +0.0: the two differ only when all 6 nonzero
-        epsilon terms are -0.0, and no signs of u, v, w make them so."""
-        signs = (np.arange(2 ** 9)[:, None] >> np.arange(9)) & 1
-        u, v, w = np.split(np.where(signs == 1, -0.0, 0.0), 3, axis=1)
-        i, j, k = np.nonzero(_EPS)
-        terms = _EPS[i, j, k] * u[:, i] * v[:, j] * w[:, k]
-        assert not np.signbit(terms).all(axis=1).any()
-        einsum = np.einsum("ijk,...i,...j,...k->...", _EPS, u, v, w)
-        assert not np.signbit(einsum).any()
+    def test_zero_triples_and_i14_are_plus_zero(self, rng):
+        """Forms of small integers and signed zeros, on which the triples and
+        I14 cancel to exactly zero on many rows, both from terms of either
+        sign and from terms that are all -0.0: every zero is +0.0."""
+        entries = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(4000, 15),
+                             p=[0.1, 0.1, 0.3, 0.3, 0.1, 0.1])
+        s, r, t = entries[:, :3], entries[:, 3:6], entries[:, 6:].reshape(-1, 3, 3)
+        inv = makhlin_stack(s, r, t)
+        triples = inv[:, [0, 9, 10, 13, 14, 15, 16, 17]]
+        zeros = triples == 0.0
+        assert zeros.any(axis=0).all() and triples.any(axis=0).all()
+        assert not np.signbit(triples[zeros]).any()
+        assert_bits_equal(inv[:300], [reference_makhlin(Bloch(*row))
+                                      for row in zip(s[:300], r[:300], t[:300])])
 
     def test_forms_with_signed_zero_entries(self, rng):
         """Dense forms with entries zeroed at random, with either sign."""
@@ -347,13 +355,16 @@ class TestEvidenceStack:
         assert_stack_is_reference_evidence(rhos)
 
     def test_i4_is_squared_as_the_scalar_path_squares_it(self, rng):
-        """Python's ``float ** 2`` and numpy's square differ in the last bit
-        on about 1 value in 1000; ``I12 - I4^2`` must follow the former."""
+        """``I12 - I4^2`` squares I4 as the product ``i4 * i4``, which IEEE
+        arithmetic rounds correctly; Python's ``float ** 2`` (libm ``pow``)
+        differs from it in the last bit on about 1 value in 1000.  Pinned
+        on the rows where the two differ."""
         rhos = symmetric_states(rng, 5000)
-        inv = evidence_stack(rhos).invariants
-        i4, i12 = inv[:, 3], inv[:, 11]
+        ev = evidence_stack(rhos)
+        i4, i12 = ev.invariants[:, 3], ev.invariants[:, 11]
         differs = (i12 - np.array([v ** 2 for v in i4.tolist()])) != (i12 - i4 * i4)
         assert differs.any()
+        assert_bits_equal(ev.i12_minus_i4sq[differs], (i12 - i4 * i4)[differs])
         assert_stack_is_reference_evidence(rhos[differs])
 
     @settings(max_examples=60, deadline=None)
@@ -712,7 +723,8 @@ def per_draw_xform_draws(count, rng):
 def reference_xform_pt_eigenvalues(x):
     """Frozen: the one-state closed-form PT spectrum before it became the
     one-row case of ``xform_pt_eigenvalues_stack``."""
-    root = np.sqrt((x.a - x.d) ** 2 + 4.0 * x.c * x.c)
+    ad = x.a - x.d
+    root = np.sqrt(ad * ad + 4.0 * x.c * x.c)
     ab = abs(x.b)
     return np.array([0.5 * ((x.a + x.d) - root), 0.5 * ((x.a + x.d) + root), x.c - ab, x.c + ab])
 
@@ -721,7 +733,7 @@ def reference_xform_equivalence_check(x):
     """Frozen: the one-state sign equivalence before it became the one-row
     case of ``xform_equivalence_stack``, with ``xform_invariants``' closed
     forms of I4, I12 and I14 inlined."""
-    ad_sq = (x.a - x.d) ** 2
+    ad_sq = (x.a - x.d) * (x.a - x.d)
     if ad_sq <= SIGN_ZERO_BAND:
         raise I4Zero(f"I4 = {ad_sq:.3e} is inside the zero band 1.0e-10")
     ab, c, ad = abs(x.b), x.c, x.a - x.d
@@ -730,7 +742,7 @@ def reference_xform_equivalence_check(x):
     def band_sign(v):
         return 1 if v > SIGN_ZERO_BAND else -1 if v < -SIGN_ZERO_BAND else 0
 
-    ok12 = band_sign((i12 - i4 ** 2) / ad_sq) == band_sign((1.0 - 4.0 * c) - ad_sq)
+    ok12 = band_sign((i12 - i4 * i4) / ad_sq) == band_sign((1.0 - 4.0 * c) - ad_sq)
     c_plus_b = c + abs(x.b)
     if c_plus_b <= SIGN_ZERO_BAND:
         return ok12
@@ -887,7 +899,7 @@ def positivity_loop(states):
         if i4 <= selftest._I4_FLOOR:
             continue
         cases += 1
-        worst = min(i12, i14, i12 - i4 ** 2)
+        worst = min(i12, i14, i12 - i4 * i4)
         max_dev = max(max_dev, max(0.0, -worst))
         if worst < -SIGN_ZERO_BAND:
             failures += 1
@@ -897,7 +909,7 @@ def positivity_loop(states):
 
 def is_xform_case(x):
     floor = selftest._I4_FLOOR
-    return not ((x.a - x.d) ** 2 <= floor or x.c + abs(x.b) <= floor)
+    return not ((x.a - x.d) * (x.a - x.d) <= floor or x.c + abs(x.b) <= floor)
 
 
 def xform_loop(xforms):
@@ -1049,10 +1061,13 @@ class TestPositivitySuite:
         assert cases == 18
 
     def test_i4_is_squared_as_the_scalar_path_squares_it(self, tmp_path, monkeypatch):
-        # A pure product state, whose I12 - I4^2 is rounding noise below
-        # zero; numpy's square of this I4 rounds it to a different deviation.
+        # A pure product state, whose I12 - I4^2 is 0.0 with the product
+        # i4 * i4 and rounding noise below zero with Python's i4 ** 2.
         vector = [-0.6979062868950129, 0.027880515435373062, 0.5235883441741358]
         product = SeparableEnsemble(np.ones(1), [vector]).to_state()
+        inv = reference_makhlin(reference_bloch(product))
+        i4, i12 = float(inv[3]), float(inv[11])
+        assert i12 - i4 * i4 == 0.0 > i12 - i4 ** 2
         suite, states = self._run_with_draws(
             lambda j, rho: product if j == 6 else rho, monkeypatch, tmp_path)
         cases, failures, max_dev, _ = positivity_loop(states)

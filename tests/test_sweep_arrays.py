@@ -109,8 +109,9 @@ def reference_ising_pair(n, chi_t):
             stacklevel=2,
         )
     s = np.sin(chi_t)
+    cos_half = np.cos(chi_t / 2.0)
     denom = 8.0 * (n - 1.0)
-    a = (4.0 * (n - 1.0) * (1.0 + np.cos(chi_t / 2.0) ** 2) - s * s) / denom
+    a = (4.0 * (n - 1.0) * (1.0 + cos_half * cos_half) - s * s) / denom
     b = -s * (s + 4.0j) / denom
     c = s * s / denom
     return reference_from_abc(float(a), complex(b), float(c))

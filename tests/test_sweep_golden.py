@@ -1,11 +1,12 @@
 """Sweep output pinned byte for byte.
 
 The files in ``data/sweep_golden`` were written by ``sweep`` before grids
-were evaluated as one stack.  Regenerating them must give the same bytes:
-the 17-digit floats, the sign of zero (``-0`` in CSV, ``-0.0`` in JSON),
-the I4-zero fallback rows and the criteria cells.  This pins the output on
-its own; a cross-check against ``classify`` would move along with any
-kernel the two share.
+were evaluated as one stack, and written again, with only their ``i14``
+cells changed in the last digits, when I14 became 2 s . (cof(T) r).
+Regenerating them must give the same bytes: the 17-digit floats, the
+sign of zero (``-0`` in CSV, ``-0.0`` in JSON), the I4-zero fallback rows
+and the criteria cells.  This pins the output on its own; a cross-check
+against ``classify`` would move along with any kernel the two share.
 """
 
 from pathlib import Path

@@ -1,0 +1,53 @@
+"""Count the code lines of a package: lines holding a token that is not a
+comment, a docstring or a blank line.
+
+Usage: ``python tools/code_lines.py``, from the repository root.  Prints
+one ``lines  module`` line per module of ``src/qubitpair``, sorted by
+name, then the total.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _docstring_lines(tree: ast.AST) -> set:
+    """The line numbers of every module, class and function docstring."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    docstrings = _docstring_lines(ast.parse(source))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def main() -> int:
+    total = 0
+    for path in sorted(Path("src/qubitpair").glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d}  {path.name}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
