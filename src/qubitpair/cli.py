@@ -24,8 +24,8 @@ from .invariants import makhlin_all, xform_invariants
 from .models import FAMILIES, pair_parameters
 from .selftest import format_report, run_selftest
 from .separability import (
-    CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classification_error, _xform_evidence,
-    classify, evidence,
+    CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classification, _classification_error,
+    _gated_evidence, _xform_evidence, classify,
 )
 from .states import XForm, bloch_decompose, is_symmetric, xform_extract
 from .stateio import read_state_file, state_payload, write_state_file
@@ -61,13 +61,16 @@ def _invariants_payload(rho: np.ndarray) -> dict:
     """The ``invariants`` report of a state that ``read_state_file`` validated.
 
     A symmetric state's 18 invariants are the ones ``classify`` read its
-    verdict from, so the state is decomposed once.  A symmetric state that
+    verdict from, so the state is decomposed once, and its triplet support
+    is decided once, by ``is_symmetric``.  A symmetric state that
     ``classify`` refuses because a criterion fires while its PT minimum
     eigenvalue is inside the zero band is reported with its invariants and
     no classification; a criterion firing on a PT spectrum positive beyond
     the band contradicts the theorem and is raised as ``classify`` raises it.
     """
-    ev = cls = evidence(rho) if is_symmetric(rho) else None
+    ev = cls = None
+    if is_symmetric(rho):
+        ev = cls = _classification(_gated_evidence(rho[None], triplet=False))
     error = _classification_error(ev) if ev else None
     if error is not None:
         if ev.ppt_min_eigenvalue > SIGN_ZERO_BAND:

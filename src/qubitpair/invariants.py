@@ -242,9 +242,11 @@ def xform_invariants(x: XForm) -> SymmetricSix:
     ab = abs(x.b)
     c = x.c
     i4, i12, i14 = _xform_criteria_invariants(x.a - x.d, ab, c)
+    # Squares as products, which IEEE arithmetic rounds correctly.
+    plus, minus, z = 2.0 * c + 2.0 * ab, 2.0 * c - 2.0 * ab, 1.0 - 4.0 * c
     return SymmetricSix(
-        i1=(4.0 * c * c - 4.0 * ab * ab) * (1.0 - 4.0 * c),
-        i2=(2.0 * c + 2.0 * ab) ** 2 + (2.0 * c - 2.0 * ab) ** 2 + (1.0 - 4.0 * c) ** 2,
+        i1=(4.0 * c * c - 4.0 * ab * ab) * z,
+        i2=plus * plus + minus * minus + z * z,
         i4=i4,
         i10=0.0,
         i12=i12,
@@ -270,7 +272,8 @@ def xform_relation_check(six: SymmetricSix) -> bool:
     _raise_first([_i4_zero_gate(np.array([six.i4], dtype=float))])
     i4sq = six.i4 * six.i4
     i1_pred = six.i14 * six.i12 / (2.0 * i4sq)
-    i2_pred = ((six.i4 - six.i12) ** 2 - six.i4 * six.i14 + six.i12 ** 2) / i4sq
+    gap = six.i4 - six.i12
+    i2_pred = (gap * gap - six.i4 * six.i14 + six.i12 * six.i12) / i4sq
     return (matches(six.i1, i1_pred, SIGN_ZERO_BAND)
             and matches(six.i2, i2_pred, SIGN_ZERO_BAND))
 

@@ -163,9 +163,10 @@ def dicke_invariants(n: int, m: float) -> DickeInvariants:
     non-positive, vanishing exactly at M = +/- N/2.
     """
     _raise_first(_family_gates("dicke", [n], [m], [None])[0])
-    i4 = (2.0 * m / n) ** 2
+    ratio, spread = 2.0 * m / n, (n * n - 4.0 * m * m) / (4.0 * n * (n - 1.0))
+    i4 = ratio * ratio
     i12 = i4 * (4.0 * m * m - n) / (n * (n - 1.0))
-    i14 = 8.0 * i4 * ((n * n - 4.0 * m * m) / (4.0 * n * (n - 1.0))) ** 2
+    i14 = 8.0 * i4 * (spread * spread)
     gap = i4 * (4.0 * m * m - n * n) / (n * n * (n - 1.0))
     return DickeInvariants(i4=i4, i12=i12, i14=i14, i12_minus_i4sq=gap)
 
@@ -195,10 +196,10 @@ def oat_invariants(n: int, chi_t: float) -> FamilyInvariants:
     I14 = -2 I4 cos^(2N-4)(chi t) sin^2(chi t); I14 <= 0 throughout.
     """
     _raise_first(_family_gates("oat", [n], [None], [chi_t])[0])
-    cos1 = np.cos(chi_t)
+    cos1, sin1 = np.cos(chi_t), np.sin(chi_t)
     i4 = cos1 ** (2 * (n - 1))
     i12 = 0.5 * i4 * (1.0 + np.cos(2.0 * chi_t) ** (n - 2))
-    i14 = -2.0 * i4 * cos1 ** (2 * (n - 2)) * np.sin(chi_t) ** 2
+    i14 = -2.0 * i4 * cos1 ** (2 * (n - 2)) * (sin1 * sin1)
     return FamilyInvariants(i4=float(i4), i12=float(i12), i14=float(i14))
 
 
@@ -240,7 +241,8 @@ def ising_invariants(n: int, chi_t: float) -> FamilyInvariants:
     """
     _raise_first(_family_gates("ising", [n], [None], [chi_t])[0])
     i4 = np.cos(chi_t / 2.0) ** 4
-    s2 = np.sin(chi_t) ** 2
+    sin1 = np.sin(chi_t)
+    s2 = sin1 * sin1
     i12 = i4 * (1.0 - s2 / (2.0 * (n - 1.0)))
-    i14 = -2.0 * i4 * s2 / (n - 1.0) ** 2
+    i14 = -2.0 * i4 * s2 / ((n - 1.0) * (n - 1.0))
     return FamilyInvariants(i4=float(i4), i12=float(i12), i14=float(i14))

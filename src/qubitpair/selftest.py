@@ -11,22 +11,25 @@ Three suites mirror the library's central guarantees:
   closed-form PT spectrum matches the numeric one.
 
 The suites take their draws from one generator in a fixed order, one
-generator call per kind of variate, and evaluate them as stacks through
-the one Pauli decomposition ``states.bloch_decompose_stack`` and the one
-contraction ``invariants.makhlin_stack`` (``bloch_decompose`` and
-``makhlin_all``, and so ``classify``, are their one-row cases).  The
+generator call per kind of variate: the invariance suite's normals, the
+positivity suite's ensembles, then the X-form suite's parameters.  The
 invariance suite draws all of its normals as one block, on the stream
 the scalar samplers take draw by draw, and builds its states, references
-and rotations, as one ``(2 count, 4, 4)`` stack, which it decomposes at
-once.  The positivity suite draws its term counts in one call and its
-ensembles with ``separability._ensemble_draws``, then builds,
-decomposes and contracts all of its separable states as one stack.
-Once per run it also decomposes its first draw with ``bloch_decompose``:
-a form that differs from row 0 of the stack in any bit fails that draw,
-so every run checks that the scalar path is the stack's one-row case.
-The X-form suite draws its parameters as ``(count,)`` arrays with
-``sampling._xform_draws``, gates them once with ``XForm``'s rule and
-evaluates them at once: one batched eigen solve of the partial
+and rotations, as one ``(2 count, 4, 4)`` stack; both Haar factors of
+every draw come from one ``su2_from_normals`` call.  The positivity suite
+draws its term counts in one call and its ensembles with
+``separability._ensemble_draws``, and builds its separable states as one
+``(count, 4, 4)`` stack.  ``run_selftest`` evaluates the two stacks as
+one: one Pauli decomposition ``states.bloch_decompose_stack`` and one
+contraction ``invariants.makhlin_stack`` per run (``bloch_decompose``
+and ``makhlin_all``, and so ``classify``, are their one-row cases), and
+each suite reads its rows of the result.  Once per run the positivity
+suite also decomposes its first draw with ``bloch_decompose``: a form
+that differs from that draw's row of the stack in any bit fails the
+draw, so every run checks that the scalar path is the stack's one-row
+case.  The X-form suite draws its parameters as ``(count,)`` arrays
+with ``sampling._xform_draws``, gates them once with ``XForm``'s rule
+and evaluates them at once: one batched eigen solve of the partial
 transposes, and one call each of the closed forms under test,
 ``xform_pt_eigenvalues_stack`` and ``xform_equivalence_stack``.  The
 public samplers ``sample_separable_symmetric`` and ``random_xform`` are
@@ -111,8 +114,8 @@ def _invariance_states(count, rng) -> np.ndarray:
     """
     normals = rng.normal(size=(count, 40))
     rhos = hilbert_schmidt_states(normals[:, :32].reshape(count, 2, 4, 4))
-    u1, u2 = su2_from_normals(normals[:, 32:36]), su2_from_normals(normals[:, 36:])
-    return np.stack([rhos, apply_local_unitary(rhos, u1, u2)], axis=1).reshape(-1, 4, 4)
+    u = su2_from_normals(normals[:, 32:].reshape(count, 2, 4))
+    return np.stack([rhos, apply_local_unitary(rhos, u[:, 0], u[:, 1])], axis=1).reshape(-1, 4, 4)
 
 
 def _positivity_states(count, rng) -> np.ndarray:
@@ -123,39 +126,32 @@ def _positivity_states(count, rng) -> np.ndarray:
     return separable_mixtures(*_ensemble_draws(lengths, rng))
 
 
-def _suite_invariance(count, rng) -> tuple:
-    # Each draw's reference and rotated state sit side by side in one
-    # stack, so a refusal raises the error of the first refused state in
-    # the order the draws were made.
-    states = _invariance_states(count, rng)
-    inv = invariants_mod.makhlin_stack(*bloch_decompose_stack(states))
+def _suite_invariance(states, inv) -> tuple:
+    # Each draw's reference and rotated state sit side by side: rows 2j and
+    # 2j + 1 of the states and of their invariants.
     ref, rotated = inv[0::2], inv[1::2]
     # Normalizing by max(|I|, ABS/REL) folds the absolute floor into one
     # relative-style deviation with threshold INVARIANCE_REL.
     floor = INVARIANCE_ABS / INVARIANCE_REL
     dev = np.max(np.abs(rotated - ref) / np.maximum(np.abs(ref), floor), axis=1)
     failed = np.flatnonzero(dev > INVARIANCE_REL)
-    return SuiteResult("local_unitary_invariance", count, int(failed.size),
+    return SuiteResult("local_unitary_invariance", len(ref), int(failed.size),
                        float(dev.max(initial=0.0))), states[2 * failed[:1]]
 
 
-def _suite_positivity(count, rng) -> tuple:
-    # One decomposition and one contraction for all draws.  Mixed product
-    # factors carry singlet weight, so the full set is read without the
-    # triplet-support gate.
-    states = _positivity_states(count, rng)
-    s, r, t = bloch_decompose_stack(states)
-    inv = invariants_mod.makhlin_stack(s, r, t)
-    # The floor lies above SIGN_ZERO_BAND, so no case is an I4-zero fallback.
+def _suite_positivity(states, bloch, inv) -> tuple:
+    # Mixed product factors carry singlet weight, so the full set is read
+    # without the triplet-support gate.  The floor lies above
+    # SIGN_ZERO_BAND, so no case is an I4-zero fallback.
     cases = inv[:, 3] > _I4_FLOOR
     values, fired, _ = _criteria_columns(inv[:, 3], inv[:, 11], inv[:, 13])
     failing = cases & fired.any(axis=1)
     # The scalar path is the stack's one-row case: once per run, the first
-    # draw's bloch_decompose must equal row 0 bit for bit (the sign of zero
-    # included), or that draw fails.
-    if count:
+    # draw's bloch_decompose must equal its row of the stack bit for bit
+    # (the sign of zero included), or that draw fails.
+    if len(states):
         form = bloch_decompose(states[0])
-        if any(a.tobytes() != b[0].tobytes() for a, b in zip((form.s, form.r, form.t), (s, r, t))):
+        if any(a.tobytes() != b[0].tobytes() for a, b in zip((form.s, form.r, form.t), bloch)):
             failing[0] = True
     failed = np.flatnonzero(failing)
     # The largest max(0, -value) over the cases' criteria, 0 when there is none.
@@ -176,7 +172,7 @@ def _suite_xform_equivalence(count, rng) -> tuple:
     states = xform_matrices(a, b, c, d)
     # One PT solve for every case, through the two functions ppt_check calls.
     numeric = hermitian_eigenvalues(partial_transpose(states))[:, 0]
-    closed = np.sort(xform_pt_eigenvalues_stack(a, b, c, d), axis=1)[:, 0]
+    closed = xform_pt_eigenvalues_stack(a, b, c, d).min(axis=1)
     dev = np.abs(closed - numeric)
     failed = np.flatnonzero(~xform_equivalence_stack(a, b, c, d) | (dev > SIGN_ZERO_BAND))
     return SuiteResult("xform_pt_equivalence", int(cases.sum()), int(failed.size),
@@ -191,8 +187,17 @@ def run_selftest(seed: int, count: int, out_dir: str = ".") -> SelfTestReport:
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
-    runs = [suite(count, rng) for suite in (
-        _suite_invariance, _suite_positivity, _suite_xform_equivalence)]
+    pairs, separable = _invariance_states(count, rng), _positivity_states(count, rng)
+    # One decomposition and one contraction for both stacks, in draw order,
+    # so a refusal raises the error of the first refused state alone.
+    s, r, t = bloch_decompose_stack(np.concatenate([pairs, separable]))
+    inv = invariants_mod.makhlin_stack(s, r, t)
+    split = len(pairs)
+    runs = [
+        _suite_invariance(pairs, inv[:split]),
+        _suite_positivity(separable, (s[split:], r[split:], t[split:]), inv[split:]),
+        _suite_xform_equivalence(count, rng),
+    ]
     counterexamples = [first for _, first in runs if len(first)]
     path = None
     if counterexamples:

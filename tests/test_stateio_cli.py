@@ -490,6 +490,18 @@ class TestInvariantsDecomposesOnce:
         argv = ["invariants", str(path)] + (["--json"] if as_json else [])
         assert self._calls(argv, capsys) == {"_decomposition": 1, "makhlin_stack": 1}
 
+    @pytest.mark.parametrize("representation", ["xform", "matrix", "bloch", "dense"])
+    def test_one_triplet_support_decision(self, representation, rng, tmp_path, capsys):
+        from qubitpair import states
+
+        path = tmp_path / "state.json"
+        if representation == "dense":
+            write_state_file(path, matrix=random_density_matrix(rng))
+        else:
+            TestInvariantsValidatesOnce._write(representation, path)
+        counts = profiled_calls(["invariants", str(path)], capsys, [states._triplet_gate])
+        assert counts == {"_triplet_gate": 1}
+
 
 class TestInvariantsValidatesOnce:
     """``read_state_file`` validates the state once, whatever its

@@ -1,9 +1,10 @@
 """Count the code lines of a package: lines holding a token that is not a
 comment, a docstring or a blank line.
 
-Usage: ``python tools/code_lines.py``, from the repository root.  Prints
-one ``lines  module`` line per module of ``src/qubitpair``, sorted by
-name, then the total.
+Usage: ``python tools/code_lines.py``, from any directory: the package is
+found from the script's own place, at ``../src/qubitpair``.  Prints one
+``lines  module`` line per module of ``src/qubitpair``, sorted by name,
+then the total.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qubitpair"
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -41,7 +44,7 @@ def code_lines(source: str) -> int:
 
 def main() -> int:
     total = 0
-    for path in sorted(Path("src/qubitpair").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
