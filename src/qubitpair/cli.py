@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import NotSymmetricState, NotXForm, QubitPairError
+from .errors import InvalidDensityMatrix, NotSymmetricState, NotXForm, QubitPairError
 from .invariants import makhlin_all, xform_invariants
 from .models import FAMILIES, pair_parameters
 from .selftest import format_report, run_selftest
@@ -28,7 +28,7 @@ from .separability import (
     _gated_evidence, _xform_evidence, classify,
 )
 from .states import XForm, bloch_decompose, is_symmetric, xform_extract
-from .stateio import read_state_file, state_payload, write_state_file
+from .stateio import read_state_file, state_text, write_state_file, xform_fields
 from .tolerances import SIGN_ZERO_BAND
 
 #: Sweep columns: the CSV header, the order of each CSV line and of each JSON
@@ -85,15 +85,15 @@ def _invariants_payload(rho: np.ndarray) -> dict:
         "xform_six": None,
         "classification": _classification_payload(cls) if cls else None,
     }
+    # A matrix off the pattern has no X form, and so has one whose extracted
+    # form XForm's rule refuses: c, the mean of the middle block's diagonal,
+    # can lie below the floor although no eigenvalue of the matrix does.
     try:
         x = xform_extract(rho)
-    except NotXForm:
-        x = None
-    if x is not None:
-        payload["xform"] = {
-            "a": x.a, "b_re": x.b.real, "b_im": x.b.imag, "c": x.c, "d": x.d,
-        }
-        payload["xform_six"] = asdict(xform_invariants(x))
+    except (NotXForm, InvalidDensityMatrix):
+        return payload
+    payload["xform"] = {**xform_fields(x), "d": x.d}
+    payload["xform_six"] = asdict(xform_invariants(x))
     return payload
 
 
@@ -148,11 +148,10 @@ def cmd_generate(args) -> int:
         raise ValueError(f"generate takes one grid point, got {len(points)}")
     x = XForm(*(v.item() for v in pair_parameters(args.family, points, args.paper_literal)))
     if args.out:
-        write_state_file(args.out, xform=x)
-        print(f"wrote {args.out}: a={_fmt(x.a)} b_re={_fmt(x.b.real)} "
-              f"b_im={_fmt(x.b.imag)} c={_fmt(x.c)} d={_fmt(x.d)}")
+        write_state_file(args.out, x)
+        _print_six(f"wrote {args.out}", {**xform_fields(x), "d": x.d})
     else:
-        print(json.dumps(state_payload(xform=x), indent=2))
+        sys.stdout.write(state_text(x))
     return 0
 
 

@@ -202,7 +202,7 @@ def run_selftest(seed: int, count: int, out_dir: str = ".") -> SelfTestReport:
     path = None
     if counterexamples:
         path = os.path.join(out_dir, COUNTEREXAMPLE_FILENAME)
-        write_state_file(path, matrix=counterexamples[0][0])
+        write_state_file(path, counterexamples[0][0])
     return SelfTestReport(seed=seed, count=count, suites=tuple(result for result, _ in runs),
                           counterexample_path=path)
 

@@ -1,15 +1,22 @@
 """State files: a small versioned JSON schema for two-qubit states.
 
-Exactly one representation is present per file:
+This module is the one codec for states.  A file holds exactly one
+representation, and the writer picks it from the state's type:
 
-``matrix``
+``matrix`` (a ``(4, 4)`` array)
     4x4 array of [re, im] pairs in the computational basis
     |00>, |01>, |10>, |11> (qubit 1 = left factor).
-``xform``
+``xform`` (an ``XForm``)
     {"a": float, "b_re": float, "b_im": float, "c": float}; the fourth
     diagonal entry is fixed by the unit trace, d = 1 - a - 2c.
-``bloch``
+``bloch`` (a ``BlochForm``)
     {"s": [3 floats], "r": [3 floats], "t": 3x3 floats}.
+
+``state_text`` renders a file's text, which ``write_state_file`` writes
+and ``generate`` without ``--out`` prints; ``xform_fields`` gives an X
+form's four fields to every output that shows them.  From Python::
+
+    write_state_file("state.json", XForm.from_abc(0.5, 0.1j, 0.2))
 
 Every value is a JSON number (an integer or a float): a string, a
 boolean or null where a number belongs makes the file malformed.
@@ -33,51 +40,46 @@ SCHEMA_VERSION = "1"
 _REPRESENTATIONS = ("matrix", "xform", "bloch")
 
 
-def state_payload(
-    matrix: np.ndarray | None = None,
-    xform: XForm | None = None,
-    bloch: BlochForm | None = None,
-) -> dict:
-    """Build the JSON payload for exactly one representation."""
-    given = [name for name, v in (("matrix", matrix), ("xform", xform), ("bloch", bloch))
-             if v is not None]
-    if len(given) != 1:
-        raise StateFileError(f"exactly one representation required, got {given or 'none'}")
-    payload: dict = {"schema_version": SCHEMA_VERSION}
-    if matrix is not None:
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise StateFileError(f"matrix must be 4x4, got shape {m.shape}")
-        payload["matrix"] = [
-            [[float(m[i, j].real), float(m[i, j].imag)] for j in range(4)]
-            for i in range(4)
-        ]
-    elif xform is not None:
-        payload["xform"] = {
-            "a": float(xform.a),
-            "b_re": float(np.real(xform.b)),
-            "b_im": float(np.imag(xform.b)),
-            "c": float(xform.c),
-        }
-    else:
-        payload["bloch"] = {
-            "s": [float(v) for v in bloch.s],
-            "r": [float(v) for v in bloch.r],
-            "t": [[float(v) for v in row] for row in bloch.t],
-        }
-    return payload
+def xform_fields(x: XForm) -> dict:
+    """The ``xform`` object of a state file: ``a``, ``b_re``, ``b_im``, ``c``."""
+    b = complex(x.b)
+    return {"a": float(x.a), "b_re": b.real, "b_im": b.imag, "c": float(x.c)}
 
 
-def write_state_file(
-    path: str | os.PathLike,
-    matrix: np.ndarray | None = None,
-    xform: XForm | None = None,
-    bloch: BlochForm | None = None,
-) -> None:
-    payload = state_payload(matrix=matrix, xform=xform, bloch=bloch)
+def state_payload(state) -> dict:
+    """The JSON payload of an ``XForm``, a ``BlochForm`` or a ``(4, 4)``
+    matrix, in the representation of its type.  Raises StateFileError for
+    anything else."""
+    if isinstance(state, XForm):
+        return {"schema_version": SCHEMA_VERSION, "xform": xform_fields(state)}
+    if isinstance(state, BlochForm):
+        return {"schema_version": SCHEMA_VERSION, "bloch": {
+            "s": state.s.tolist(), "r": state.r.tolist(), "t": state.t.tolist()}}
+    try:
+        m = np.asarray(state, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise StateFileError(f"not a state: {exc}") from exc
+    if m.shape != (4, 4):
+        raise StateFileError(f"matrix must be 4x4, got shape {m.shape}")
+    return {"schema_version": SCHEMA_VERSION,
+            "matrix": np.stack([m.real, m.imag], axis=-1).tolist()}
+
+
+def state_text(state) -> str:
+    """The text of ``state``'s file: its payload as JSON, indented by 2, and a newline."""
+    return json.dumps(state_payload(state), indent=2) + "\n"
+
+
+def write_state_file(path: str | os.PathLike, state) -> None:
+    """Write ``state``, an ``XForm``, a ``BlochForm`` or a ``(4, 4)`` matrix,
+    to ``path`` as ``state_text`` renders it.
+
+    Raises StateFileError for any other ``state`` (nothing is written
+    then), and OSError when ``path`` cannot be written.
+    """
+    text = state_text(state)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _numbers(value):
@@ -136,6 +138,14 @@ def parse_state_payload(payload: dict) -> np.ndarray:
 
 
 def read_state_file(path: str | os.PathLike) -> np.ndarray:
+    """The density matrix of the state file at ``path``.
+
+    Each representation is read with one validity rule: a ``matrix``
+    with ``assert_density_matrix``, a ``bloch`` form with
+    ``bloch_compose``'s, and an ``xform`` with ``XForm``'s closed-form
+    rule.  Raises StateFileError when the file cannot be read, is not
+    UTF-8 JSON, breaks the schema or holds no valid state.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)

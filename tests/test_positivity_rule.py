@@ -137,12 +137,12 @@ class TestStatesTheFloorAcceptsPassEveryPath:
         directory = tmp_path_factory.mktemp("state")
         assert_density_matrix(rho)
         form = bloch_decompose(rho)
-        files = {"matrix": dict(matrix=rho)}
+        files = {"matrix": rho}
         # The Bloch and X-form files are rounded when they are read back into
         # a matrix, so a state on the floor may land on either side of it.
         rounded = np.linalg.eigvalsh(rho)[0] > PSD_FLOOR + EDGE
         if rounded:
-            files["bloch"] = dict(bloch=form)
+            files["bloch"] = form
         if kind != "dense":
             evidence(rho)
             evidence_stack(np.array([_clean_state(), rho]))
@@ -153,10 +153,10 @@ class TestStatesTheFloorAcceptsPassEveryPath:
         if kind == "x":
             x = xform_extract(rho)
             if rounded:
-                files["xform"] = dict(xform=x)
-        for representation, given_state in files.items():
+                files["xform"] = x
+        for representation, state in files.items():
             path = str(directory / f"{representation}.json")
-            write_state_file(path, **given_state)
+            write_state_file(path, state)
             read_state_file(path)
             code, out, err = _cli(["invariants", path])
             assert (code, err) == (0, ""), (representation, err)
@@ -224,14 +224,14 @@ class TestAMatrixBelowTheFloorIsRefused:
 class TestRepros:
     """The states on which the paths disagreed before positivity was one rule."""
 
-    def _file(self, tmp_path, **state):
+    def _file(self, tmp_path, state):
         path = str(tmp_path / "state.json")
-        write_state_file(path, **state)
+        write_state_file(path, state)
         return path
 
     @pytest.mark.parametrize("command", ["classify", "invariants"])
     def test_three_eigenvalues_on_the_floor(self, command, tmp_path):
-        path = self._file(tmp_path, matrix=np.diag([1.0 + 3e-9, -1e-9, -1e-9, -1e-9]))
+        path = self._file(tmp_path, np.diag([1.0 + 3e-9, -1e-9, -1e-9, -1e-9]))
         code, _, err = _cli([command, path])
         assert (code, err) == (0, "")
 
@@ -248,9 +248,29 @@ class TestRepros:
         rho[2, 2] -= 0.45e-10
         x = xform_extract(rho)
         assert abs(x.a + x.d + 2.0 * x.c - np.trace(rho).real) < 1e-16
-        code, out, err = _cli(["invariants", self._file(tmp_path, matrix=rho), "--json"])
+        code, out, err = _cli(["invariants", self._file(tmp_path, rho), "--json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["xform"]["c"] == x.c
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_an_extracted_form_below_the_floor_is_no_x_form(self, as_json, tmp_path):
+        # Eigenvalues (-9.5e-10, -9.0e-11, 0, 1), all on the floor's side that
+        # the reader accepts, while the extracted c = -5.2e-10 puts 2c below it.
+        c = -5.2e-10
+        rho = xform_matrices(*(np.array([v]) for v in (1.0 - 2.0 * c, 0j, c, 0.0)))[0]
+        rho[1, 2] = rho[2, 1] = c + 0.9e-10
+        assert np.linalg.eigvalsh(rho)[0] > PSD_FLOOR
+        with pytest.raises(NotPositive):
+            xform_extract(rho)
+        path = self._file(tmp_path, rho)
+        assert _cli(["classify", path])[0] == 0
+        code, out, err = _cli(["invariants", path] + (["--json"] if as_json else []))
+        assert (code, err) == (0, "")
+        if as_json:
+            payload = json.loads(out)
+            assert (payload["xform"], payload["xform_six"]) == (None, None)
+        else:
+            assert "xform: no" in out.splitlines()
 
     def test_an_even_middle_block_keeps_its_bits(self, rng):
         for _ in range(50):

@@ -203,13 +203,13 @@ class TestCriterionBandVersusPtBand:
 
     def test_cli_classify_exits_2(self, tmp_path, capsys):
         path = tmp_path / "band.json"
-        write_state_file(path, xform=BAND_REFUSED)
+        write_state_file(path, BAND_REFUSED)
         assert cli.main(["classify", str(path)]) == 2
         assert "tolerance band" in capsys.readouterr().err
 
     def test_cli_invariants_reports_the_evidence_without_a_verdict(self, tmp_path, capsys):
         path = tmp_path / "band.json"
-        write_state_file(path, xform=BAND_REFUSED)
+        write_state_file(path, BAND_REFUSED)
         ev = evidence(BAND_REFUSED.to_matrix())
         assert cli.main(["invariants", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -232,7 +232,7 @@ class TestCriterionBandVersusPtBand:
         monkeypatch.setattr(separability, "evidence", lambda rho: ev)
         monkeypatch.setattr(cli, "_classification", lambda stack: ev)
         path = tmp_path / "band.json"
-        write_state_file(path, xform=BAND_REFUSED)
+        write_state_file(path, BAND_REFUSED)
         assert cli.main(["invariants", str(path)]) == 2
         assert "PT min eigenvalue is 5.000e-01" in capsys.readouterr().err
 

@@ -529,7 +529,7 @@ class TestStackedGates:
             with raises_exactly(EVIDENCE_ERRORS[gate]):
                 check(rho)
         path = tmp_path / "state.json"
-        write_state_file(path, matrix=rho)
+        write_state_file(path, rho)
         _, message = EVIDENCE_ERRORS[gate]
         with raises_exactly((StateFileError, f"invalid state: {message}")):
             read_state_file(path)

@@ -19,9 +19,9 @@ from qubitpair.invariants import symmetric_six
 from qubitpair.models import dicke_pair, ising_pair, oat_pair
 from qubitpair.separability import classify, evidence, evidence_stack
 from qubitpair.sampling import random_density_matrix, random_xform
-from qubitpair.states import BlochForm, XForm, bloch_decompose, is_symmetric
+from qubitpair.states import BlochForm, XForm, bloch_compose, bloch_decompose, is_symmetric
 from qubitpair.tolerances import SYMMETRY
-from qubitpair.stateio import read_state_file, state_payload, write_state_file
+from qubitpair.stateio import read_state_file, state_payload, state_text, write_state_file
 
 
 class TestStateFiles:
@@ -29,32 +29,50 @@ class TestStateFiles:
         for k in range(20):
             rho = random_density_matrix(rng)
             path = tmp_path / f"state_{k}.json"
-            write_state_file(path, matrix=rho)
+            write_state_file(path, rho)
             back = read_state_file(path)
             assert np.max(np.abs(back - rho)) < 1e-15
 
     def test_xform_roundtrip(self, rng, tmp_path):
         x = random_xform(rng)
         path = tmp_path / "x.json"
-        write_state_file(path, xform=x)
+        write_state_file(path, x)
         back = read_state_file(path)
         assert_allclose(back, x.to_matrix(), atol=1e-15)
 
     def test_bloch_roundtrip(self, rng, tmp_path):
         rho = random_density_matrix(rng)
         path = tmp_path / "b.json"
-        write_state_file(path, bloch=bloch_decompose(rho))
+        write_state_file(path, bloch_decompose(rho))
         assert_allclose(read_state_file(path), rho, atol=1e-12)
 
-    def test_exactly_one_representation(self, rng, tmp_path):
+    @pytest.mark.parametrize("representation", ["matrix", "xform", "bloch"])
+    def test_the_type_picks_the_representation(self, representation, tmp_path):
+        # Each state reads back as the matrix its representation's rule
+        # builds, bit for bit, through the positional writer.
+        x = oat_pair(6, 0.7)
+        form = bloch_decompose(x.to_matrix())
+        state, expected = {
+            "matrix": (x.to_matrix(), x.to_matrix()),
+            "xform": (x, x.to_matrix()),
+            "bloch": (form, bloch_compose(form)),
+        }[representation]
+        path = tmp_path / "state.json"
+        write_state_file(path, state)
+        assert path.read_text() == state_text(state)
+        assert set(json.loads(path.read_text())) == {"schema_version", representation}
+        assert np.array_equal(read_state_file(path), expected)
+
+    @pytest.mark.parametrize("state", [np.eye(3) / 3, "state"], ids=["3x3", "string"])
+    def test_a_non_state_is_refused(self, state, tmp_path):
+        path = tmp_path / "state.json"
         with pytest.raises(StateFileError):
-            state_payload()
-        with pytest.raises(StateFileError):
-            state_payload(matrix=np.eye(4) / 4, xform=random_xform(rng))
+            write_state_file(path, state)
+        assert not path.exists()
 
     def test_schema_version_required(self, tmp_path):
         path = tmp_path / "bad.json"
-        payload = state_payload(matrix=np.eye(4) / 4)
+        payload = state_payload(np.eye(4) / 4)
         del payload["schema_version"]
         path.write_text(json.dumps(payload))
         with pytest.raises(StateFileError, match="schema_version"):
@@ -62,7 +80,7 @@ class TestStateFiles:
 
     def test_trace_violation_named(self, tmp_path):
         path = tmp_path / "trace.json"
-        payload = state_payload(matrix=np.eye(4, dtype=complex) * 0.225)
+        payload = state_payload(np.eye(4, dtype=complex) * 0.225)
         path.write_text(json.dumps(payload))
         with pytest.raises(StateFileError, match="trace"):
             read_state_file(path)
@@ -83,7 +101,7 @@ def run_cli(argv, capsys):
 class TestCliInvariants:
     def test_bell_symmetric_report(self, bell_symmetric, tmp_path, capsys):
         path = tmp_path / "bell.json"
-        write_state_file(path, matrix=bell_symmetric)
+        write_state_file(path, bell_symmetric)
         code, out, _ = run_cli(["invariants", str(path)], capsys)
         assert code == 0
         assert "I1  = -0.99999" in out or "I1  = -1" in out
@@ -92,7 +110,7 @@ class TestCliInvariants:
 
     def test_json_output_stable_keys(self, ket00, tmp_path, capsys):
         path = tmp_path / "k.json"
-        write_state_file(path, matrix=ket00)
+        write_state_file(path, ket00)
         code, out, _ = run_cli(["invariants", str(path), "--json"], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -104,9 +122,20 @@ class TestCliInvariants:
         assert payload["invariants"]["i12"] == 1.0
         assert payload["classification"]["verdict"] == "Separable"
 
+    def test_xform_block_is_the_file_fields_and_d(self, rng, tmp_path, capsys):
+        x = random_xform(rng)
+        path = tmp_path / "x.json"
+        write_state_file(path, x)
+        code, out, _ = run_cli(["invariants", str(path), "--json"], capsys)
+        assert code == 0
+        fields = json.loads(path.read_text())["xform"]
+        # The reader fixes d by the unit trace.
+        d = 1.0 - fields["a"] - 2.0 * fields["c"]
+        assert json.loads(out)["xform"] == {**fields, "d": d}
+
     def test_validation_failure_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        payload = state_payload(matrix=np.eye(4, dtype=complex) * 0.225)
+        payload = state_payload(np.eye(4, dtype=complex) * 0.225)
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(["invariants", str(path)], capsys)
         assert code == 2
@@ -116,7 +145,7 @@ class TestCliInvariants:
 class TestCliClassify:
     def test_dicke_file(self, tmp_path, capsys):
         path = tmp_path / "d.json"
-        write_state_file(path, xform=dicke_pair(4, 1))
+        write_state_file(path, dicke_pair(4, 1))
         code, out, _ = run_cli(["classify", str(path), "--json"], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -132,7 +161,7 @@ class TestCliClassify:
         v /= np.linalg.norm(v, axis=1)[:, None]
         rho = SeparableEnsemble(weights=w / w.sum(), bloch_vectors=v).to_state()
         path = tmp_path / "sep.json"
-        write_state_file(path, matrix=rho)
+        write_state_file(path, rho)
         code, out, _ = run_cli(["classify", str(path), "--json"], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -141,14 +170,14 @@ class TestCliClassify:
 
     def test_json_equals_invariants_classification_block(self, rng, tmp_path, capsys):
         path = tmp_path / "x.json"
-        write_state_file(path, xform=random_xform(rng))
+        write_state_file(path, random_xform(rng))
         _, cls_out, _ = run_cli(["classify", str(path), "--json"], capsys)
         _, inv_out, _ = run_cli(["invariants", str(path), "--json"], capsys)
         assert json.loads(cls_out) == json.loads(inv_out)["classification"]
 
     def test_non_symmetric_exit_3(self, singlet_state, tmp_path, capsys):
         path = tmp_path / "s.json"
-        write_state_file(path, matrix=singlet_state)
+        write_state_file(path, singlet_state)
         code, _, err = run_cli(["classify", str(path)], capsys)
         assert code == 3
         assert "singlet" in err
@@ -199,6 +228,23 @@ class TestCliGenerate:
         assert code == 0
         literal = json.loads(out_path.read_text())["xform"]
         assert abs(literal["b_im"] - np.sqrt(3.0) / 16.0) < 1e-12
+
+    @pytest.mark.parametrize("family, flags", [
+        ("dicke", ["--n", "4", "--m", "1"]),
+        ("oat", ["--n", "6", "--chit", "0.7"]),
+        ("ising", ["--n", "5", "--chit", "1.1"]),
+    ])
+    def test_stdout_is_the_file_text(self, family, flags, tmp_path, capsys):
+        out_path = tmp_path / "state.json"
+        code, stdout, _ = run_cli(["generate", family, *flags], capsys)
+        assert code == 0
+        code, wrote, _ = run_cli(["generate", family, *flags, "--out", str(out_path)], capsys)
+        assert code == 0
+        assert stdout.encode() == out_path.read_bytes()
+        # The confirmation line shows the file's X fields and d.
+        fields = {**json.loads(stdout)["xform"], "d": read_state_file(out_path)[3, 3].real}
+        assert wrote == f"wrote {out_path}: " + " ".join(
+            f"{k}={v:.17g}" for k, v in fields.items()) + "\n"
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run_cli(["generate", "dicke", "--n", "4", "--m", "1"], capsys)
@@ -398,7 +444,7 @@ class TestGenerateIsOneSweepPoint:
             "oat": lambda: oat_pair(row["N"], row["chi_t"], paper_literal="--paper-literal" in flags),
             "ising": lambda: ising_pair(row["N"], row["chi_t"]),
         }[family]()
-        assert json.loads(state.read_text()) == state_payload(xform=x)
+        assert json.loads(state.read_text()) == state_payload(x)
         code, out, _ = run_cli(["classify", str(state), "--json"], capsys)
         assert code == 0
         verdict = json.loads(out)
@@ -484,9 +530,9 @@ class TestInvariantsDecomposesOnce:
     def test_one_decomposition(self, symmetric, as_json, rng, tmp_path, capsys):
         path = tmp_path / "state.json"
         if symmetric:
-            write_state_file(path, xform=oat_pair(6, 0.7))
+            write_state_file(path, oat_pair(6, 0.7))
         else:
-            write_state_file(path, matrix=random_density_matrix(rng))
+            write_state_file(path, random_density_matrix(rng))
         argv = ["invariants", str(path)] + (["--json"] if as_json else [])
         assert self._calls(argv, capsys) == {"_decomposition": 1, "makhlin_stack": 1}
 
@@ -496,7 +542,7 @@ class TestInvariantsDecomposesOnce:
 
         path = tmp_path / "state.json"
         if representation == "dense":
-            write_state_file(path, matrix=random_density_matrix(rng))
+            write_state_file(path, random_density_matrix(rng))
         else:
             TestInvariantsValidatesOnce._write(representation, path)
         counts = profiled_calls(["invariants", str(path)], capsys, [states._triplet_gate])
@@ -517,11 +563,11 @@ class TestInvariantsValidatesOnce:
     def _write(representation, path):
         x = oat_pair(6, 0.7)
         if representation == "xform":
-            write_state_file(path, xform=x)
+            write_state_file(path, x)
         elif representation == "matrix":
-            write_state_file(path, matrix=x.to_matrix())
+            write_state_file(path, x.to_matrix())
         else:
-            write_state_file(path, bloch=bloch_decompose(x.to_matrix()))
+            write_state_file(path, bloch_decompose(x.to_matrix()))
 
     @pytest.mark.parametrize("representation", ["xform", "matrix", "bloch"])
     def test_one_validation_per_file(self, representation, tmp_path, capsys):
@@ -586,7 +632,7 @@ class TestStateFileEdgeCases:
     @staticmethod
     def _file(tmp_path, rho):
         path = tmp_path / "state.json"
-        write_state_file(path, matrix=rho)
+        write_state_file(path, rho)
         return str(path)
 
     @pytest.mark.parametrize("command", ["classify", "invariants"])
@@ -665,10 +711,9 @@ class TestMalformedStateFiles:
     # The maximally mixed state in each representation, and the keys of one
     # of its values.
     SLOTS = {
-        "matrix": (dict(matrix=np.eye(4) / 4.0), ("matrix", 1, 1, 0)),
-        "xform": (dict(xform=XForm.from_abc(0.25, 0j, 0.25)), ("xform", "c")),
-        "bloch": (dict(bloch=BlochForm(np.zeros(3), np.zeros(3), np.zeros((3, 3)))),
-                  ("bloch", "t", 2, 2)),
+        "matrix": (np.eye(4) / 4.0, ("matrix", 1, 1, 0)),
+        "xform": (XForm.from_abc(0.25, 0j, 0.25), ("xform", "c")),
+        "bloch": (BlochForm(np.zeros(3), np.zeros(3), np.zeros((3, 3))), ("bloch", "t", 2, 2)),
     }
 
     @pytest.mark.parametrize("command", ["classify", "invariants"])
@@ -678,7 +723,7 @@ class TestMalformedStateFiles:
     def test_a_value_that_is_not_a_number_exits_2(
             self, representation, value, command, tmp_path, capsys):
         state, (*keys, last) = self.SLOTS[representation]
-        payload = state_payload(**state)
+        payload = state_payload(state)
         functools.reduce(operator.getitem, keys, payload)[last] = value
         path = tmp_path / "state.json"
         path.write_text(json.dumps(payload))
@@ -751,7 +796,7 @@ class TestTripletSupportIsOneRule:
             refusal = f"error: {message}\n"
 
         path = tmp_path / "state.json"
-        write_state_file(path, matrix=rho)
+        write_state_file(path, rho)
         code, _, err = run_cli(["classify", str(path)], capsys)
         assert (code, err) == (0 if symmetric else 3, refusal)
         code, out, _ = run_cli(["invariants", str(path), "--json"], capsys)
@@ -787,7 +832,7 @@ class TestToleranceKnobsGone:
     @pytest.mark.parametrize("command", ["classify", "invariants"])
     def test_cli_rejects_tol(self, command, tmp_path, capsys):
         path = tmp_path / "d.json"
-        write_state_file(path, xform=dicke_pair(4, 1))
+        write_state_file(path, dicke_pair(4, 1))
         with pytest.raises(SystemExit) as exc:
             cli.main([command, str(path), "--tol", "1e-6"])
         assert exc.value.code == 2
@@ -880,7 +925,7 @@ class TestClosedStdout:
     @pytest.mark.parametrize("command", ["invariants", "classify"])
     def test_a_closed_stdout_exits_0_with_empty_stderr(self, command, unbuffered, tmp_path):
         path = tmp_path / "dicke.json"
-        write_state_file(path, xform=dicke_pair(4, 1))
+        write_state_file(path, dicke_pair(4, 1))
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the command writes
         try:
