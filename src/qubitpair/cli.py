@@ -248,9 +248,10 @@ def cmd_sweep(args) -> int:
     if not points:
         raise ValueError("empty sweep grid")
     # ``pair_parameters`` has checked every point with ``XForm``'s rule, the
-    # grid's one check: ``_xform_evidence`` runs no gate again and solves
-    # only the partial transposes.  A criterion that fires inside the PT
-    # band is written out, not raised.
+    # grid's one check: ``_xform_evidence`` runs no gate again, solves only
+    # the partial transposes and reads the invariants from the pattern's
+    # closed forms.  A criterion that fires inside the PT band is written
+    # out, not raised.
     ev = _xform_evidence(*pair_parameters(args.family, points, args.paper_literal))
     as_json = args.format == "json" or (
         args.format == "auto" and args.out.endswith(".json")
@@ -258,7 +259,7 @@ def cmd_sweep(args) -> int:
     text = _sweep_text(args.family, points, ev, as_json)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    print(f"wrote {len(points)} rows to {args.out}")
+    print(f"wrote {len(points)} row{'' if len(points) == 1 else 's'} to {args.out}")
     return 0
 
 

@@ -3,7 +3,7 @@
 The complete set is Makhlin's: polynomials in (s, r, T) unchanged under
 independent single-qubit rotations.  Exchange-symmetric states need only
 the subset (I1, I2, I4, I10, I12, I14); states with the special
-four-parameter pattern admit closed forms for that subset.
+four-parameter (X) pattern admit closed forms for all 18.
 
 Each epsilon triple eps_ijk u_i v_j w_k is written u . (v x w), I1 = det
 T being the triple of the rows of T, and I14 = eps_ijk eps_lmn s_i r_l t_jm t_kn is written 2 s . (cof(T) r), the
@@ -17,7 +17,13 @@ worst errors.
 
 ``makhlin_stack`` is the one contraction: it evaluates ``k`` Bloch forms
 at once, from ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)`` to a
-``(k, 18)`` array.  ``makhlin_all`` is its one-form case.  A symmetric
+``(k, 18)`` array.  ``makhlin_all`` is its one-form case.
+``makhlin_xform_stack`` gives the same array for k X-pattern matrices
+straight from their parameters, as short products of the Bloch entries,
+with no Pauli decomposition and no contraction; the sweep reads it.  Its
+contract is a distance from the exact invariants of the matrix itself,
+within 8 eps times the same polynomial on the absolute matrix entries.
+``xform_invariants`` keeps the paper's printed unit-trace forms.  A symmetric
 form is one whose matrix passes the triplet-support rule
 (``states._triplet_gate``, raising NotSymmetricState):
 ``separability.evidence_stack`` runs it on a stack of states and
@@ -181,6 +187,51 @@ def makhlin_stack(s: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     return inv
 
 
+def makhlin_xform_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The 18 invariants of k X-pattern matrices, from their ``(k,)``
+    parameter arrays, as the ``(k, 18)`` array of :func:`makhlin_stack`.
+
+    The matrix with diagonal (a, c, c, d), rho_12 = c and rho_03 = b has
+    s = r = (0, 0, z) with z = a - d and T = M (+) t_zz, with
+    M = [[T_xx, T_xy], [T_xy, T_yy]], T_xx = 2c + 2 Re b, T_yy = 2c - 2 Re b,
+    T_xy = -2 Im b and t_zz = a + d - 2c.  With D = T_xx T_yy - T_xy T_xy:
+
+        I1 = D t_zz,  I2 = T_xx^2 + T_yy^2 + 2 T_xy^2 + t_zz^2,
+        I3 = (T_xx^2 + T_xy^2)^2 + (T_yy^2 + T_xy^2)^2
+             + 2 T_xy^2 (T_xx + T_yy)^2 + t_zz^4,
+        I4 = I7 = z^2,  I5 = I8 = z^2 t_zz^2,  I6 = I9 = z^2 t_zz^4,
+        I12 = z^2 t_zz,  I13 = z^2 t_zz^3,  I14 = 2 z^2 D,
+
+    and I10, I11 and I15-I18 are 0: every vector they read lies along z.
+    The Bloch entries are formed from the matrix entries, t_zz not as
+    1 - 4c, so these are the invariants of the given floats.  D is
+    written T_xx T_yy - T_xy T_xy, not c^2 - |b|^2: on OAT, Re b = -c, so
+    T_xx is exactly 0 and D keeps its relative accuracy.  Every square is
+    a product.  The parameters are not checked, and every zero is +0.0.
+
+    Accuracy: each entry is within 8 eps times its scale of the exact
+    invariant of the matrix (``tests/exact_oracle.py``, the scale being
+    the polynomial on the absolute matrix entries).
+    """
+    t_xx, t_yy, t_xy = 2.0 * c + 2.0 * b.real, 2.0 * c - 2.0 * b.real, -2.0 * b.imag
+    t_zz, z = a + d - 2.0 * c, a - d
+    det = t_xx * t_yy - t_xy * t_xy
+    xx, yy, xy, zz, z2 = t_xx * t_xx, t_yy * t_yy, t_xy * t_xy, t_zz * t_zz, z * z
+    p, q, u = xx + xy, yy + xy, t_xx + t_yy
+    inv = np.zeros((len(a), 18))
+    inv[:, 0] = det * t_zz
+    inv[:, 1] = xx + yy + 2.0 * xy + zz
+    inv[:, 2] = p * p + q * q + 2.0 * xy * (u * u) + zz * zz
+    inv[:, 3] = inv[:, 6] = z2
+    inv[:, 4] = inv[:, 7] = z2 * zz
+    inv[:, 5] = inv[:, 8] = z2 * (zz * zz)
+    inv[:, 11] = z2 * t_zz
+    inv[:, 12] = z2 * (zz * t_zz)
+    inv[:, 13] = 2.0 * z2 * det
+    inv += 0.0
+    return inv
+
+
 def makhlin_all(form: BlochForm) -> InvariantSet:
     """Evaluate all 18 invariants of a Bloch form: the one-form case of
     :func:`makhlin_stack`."""
@@ -230,7 +281,18 @@ def i10_diagonal_frame(t_eigs, s_diag) -> float:
 
 
 def xform_invariants(x: XForm) -> SymmetricSix:
-    """Closed forms of the symmetric subset for the special pattern.
+    """Closed forms of the symmetric subset for the special pattern, as
+    the paper prints them.
+
+    They use the unit trace (t_zz = 1 - 4c) and |b|, so they are the
+    invariants of the pattern's state: the ``invariants`` command prints
+    them beside the computed set, and the self-test's X suite reads their
+    (I4, I12, I14) against the PT spectrum
+    (``separability.xform_equivalence_stack``).  They are not the
+    invariants of the float matrix: where a + d + 2c is 1 only within
+    rounding, or |b| rounds, they differ from those in the last bits, and
+    on OAT, where Re b = -c, the factor c^2 - |b|^2 loses all relative
+    accuracy.  The sweep reads :func:`makhlin_xform_stack` instead.
 
     I1  = (4c^2 - 4|b|^2)(1 - 4c)
     I2  = (2c + 2|b|)^2 + (2c - 2|b|)^2 + (1 - 4c)^2

@@ -10,11 +10,13 @@ and this module exposes that equivalence as a checkable predicate.
 ``evidence_stack`` reads a ``(k, 4, 4)`` stack with one call per stage
 and returns its numbers as arrays (``EvidenceStack``); it refuses a stack
 by the error of its first bad state.  ``evidence`` of one ``(4, 4)``
-state is its one-row case.  Its gates come before one shared core, the
-contraction and the criteria (``_evidence``).  The sweep's X-pattern
-grids, which ``XForm``'s rule has checked as parameters, take that core
-without the gates: ``_xform_evidence`` solves only their partial
-transposes and equals ``evidence_stack`` bit for bit.  Each hypothesis
+state is its one-row case.  Its gates and the contraction come before
+one shared step, the criteria on the ``(k, 18)`` invariants
+(``_evidence``).  The sweep's X-pattern grids, which ``XForm``'s rule has
+checked as parameters, take that step without the gates:
+``_xform_evidence`` solves only their partial transposes, as
+``evidence_stack`` does bit for bit, and reads the invariants from the
+pattern's closed forms, within 8 eps of exact.  Each hypothesis
 of the criteria is one gate: triplet support is ``states._triplet_gate``,
 which ``evidence_stack`` runs after the density-matrix rule, the entry
 rule and the positivity gate ``states._psd_gate`` (read on the same eigen
@@ -44,10 +46,11 @@ from . import qmat
 from .errors import InconsistentClassification
 from .invariants import (
     InvariantSet, SymmetricSix, _i4_zero_gate, _xform_criteria_invariants, makhlin_stack,
+    makhlin_xform_stack,
 )
 from .states import (
-    XForm, _abs, _as_state, _decomposition, _pauli_decomposition, _psd_gate, _raise_first,
-    _refused, _triplet_gate, xform_matrices,
+    XForm, _abs, _as_state, _decomposition, _psd_gate, _raise_first, _refused, _triplet_gate,
+    xform_matrices,
 )
 from .tolerances import SIGN_ZERO_BAND
 
@@ -316,29 +319,32 @@ def _gated_evidence(rhos: np.ndarray, triplet: bool) -> EvidenceStack:
     spectra = qmat._solve(np.stack([solved, partial_transpose(solved)], axis=1))
     support = [_triplet_gate(rhos)] if triplet else []
     _raise_first([*gates, _psd_gate(spectra[:, 0, 0]), *support])
-    return _evidence(s, r, t, spectra[:, 1, 0])
+    return _evidence(makhlin_stack(s, r, t), spectra[:, 1, 0])
 
 
 def _xform_evidence(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> EvidenceStack:
     """:func:`evidence_stack` of the X-pattern states of k parameter sets
-    (``(k,)`` arrays), bit for bit, with no gate of its own: the caller
-    has passed every row through ``XForm``'s rule.
+    (``(k,)`` arrays), with no gate of its own: the caller has passed every
+    row through ``XForm``'s rule.
 
     That rule is the pattern's form of the density-matrix and positivity
     rules (unit trace within TRACE, the closed-form minimum eigenvalue at
     least PSD_FLOOR), and ``xform_matrices`` builds Hermitian,
     triplet-supported matrices whose entries are the parameters.  So the
-    states' own spectra are not solved, only their partial transposes.
+    states' own spectra are not solved, only their partial transposes,
+    and the invariants are the pattern's closed forms
+    (``invariants.makhlin_xform_stack``), with no Pauli decomposition and
+    no contraction.  The PT minimum is ``evidence_stack``'s bit for bit;
+    the invariants are within 8 eps times their scale of the exact
+    invariants of the matrix (``tests/exact_oracle.py``).
     """
-    rhos = xform_matrices(a, b, c, d)
-    pt_min = qmat.hermitian_eigenvalues(partial_transpose(rhos))[:, 0]
-    return _evidence(*_pauli_decomposition(rhos), pt_min)
+    pt_min = qmat.hermitian_eigenvalues(partial_transpose(xform_matrices(a, b, c, d)))[:, 0]
+    return _evidence(makhlin_xform_stack(a, b, c, d), pt_min)
 
 
-def _evidence(s: np.ndarray, r: np.ndarray, t: np.ndarray, pt_min: np.ndarray) -> EvidenceStack:
-    """The ``EvidenceStack`` of k states from their Bloch arrays and ``(k,)``
-    PT minimum eigenvalues: one invariant contraction and the criteria rule."""
-    inv = makhlin_stack(s, r, t)
+def _evidence(inv: np.ndarray, pt_min: np.ndarray) -> EvidenceStack:
+    """The ``EvidenceStack`` of k states from their ``(k, 18)`` invariants
+    and ``(k,)`` PT minimum eigenvalues: the criteria rule."""
     values, fired, fallback = _criteria_columns(inv[:, 3], inv[:, 11], inv[:, 13])
     return EvidenceStack(
         invariants=inv,

@@ -1,11 +1,17 @@
-"""``makhlin_stack`` against the exact rational oracle of ``exact_oracle``.
+"""``makhlin_stack`` and the X pattern's closed forms against the exact
+rational oracle of ``exact_oracle``.
 
-Every entry of every row must lie within ``exact_oracle.BOUND`` (one C
-for all 18 columns) of the exact invariant of the float (s, r, T) it was
-given, in units of eps times the invariant's polynomial on absolute
-values.  The states are drawn by hypothesis and from the script's seeded
-sample: dense, triplet-supported, X-pattern, and the model families with
-N up to 1000.
+Every entry of every row of ``makhlin_stack`` must lie within
+``exact_oracle.BOUND`` (one C for all 18 columns) of the exact invariant
+of the float (s, r, T) it was given, in units of eps times the
+invariant's polynomial on absolute values.  The states are drawn by
+hypothesis and from the script's seeded sample: dense, triplet-supported,
+X-pattern, and the model families with N up to 1000.
+
+Every entry of ``makhlin_xform_stack``, and the sweep's I12 - I4^2, must
+lie within ``exact_oracle.XFORM_BOUND`` of the exact invariant of the X
+matrix whose entries are the float parameters, on hypothesis draws, the
+script's seeded draws and the model families' grids.
 """
 
 import ast
@@ -20,9 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracle as eo
-from qubitpair.invariants import makhlin_stack
+from qubitpair.invariants import makhlin_stack, makhlin_xform_stack
 from qubitpair.models import dicke_pair, ising_pair, oat_pair
-from qubitpair.states import bloch_decompose_stack
+from qubitpair.separability import _xform_evidence
+from qubitpair.states import _pauli_decomposition, bloch_decompose_stack, xform_matrices
 
 UNIT = st.floats(-1.0, 1.0)
 
@@ -131,3 +138,68 @@ def test_family_states(family, n, chi_t, m_fraction):
     else:
         x = oat_pair(n, chi_t, paper_literal=family == "oat-paper-literal")
     assert_within_bound([x.to_matrix()])
+
+
+def assert_xform_within_bound(a, b, c, d):
+    """The sweep's invariants and I12 - I4^2 of the X-pattern matrices of the
+    ``(k,)`` parameter arrays are within XFORM_BOUND of exact."""
+    ev = _xform_evidence(*(np.asarray(v) for v in (a, b, c, d)))
+    worst = eo.xform_worst_errors(ev.invariants, ev.i12_minus_i4sq, a, b, c, d)
+    assert max(worst) <= eo.XFORM_BOUND, dict(zip(eo.XFORM_NAMES, worst))
+
+
+def test_x_oracle_is_the_pauli_traces_of_the_matrix(rng):
+    """On small-integer parameters the Pauli traces are exact, so the
+    oracle's written-out Bloch entries must give what the general oracle
+    gives of the traces, and every closed form must be exact, the zero
+    columns +0.0."""
+    a, re_b, im_b, c, d = rng.integers(-3, 4, size=(5, 200)).astype(float)
+    abcd = (a, re_b + 1j * im_b, c, d)
+    closed = makhlin_xform_stack(*abcd)
+    for row, s, r, t, params in zip(closed, *_pauli_decomposition(xform_matrices(*abcd)),
+                                    zip(a, re_b, im_b, c, d)):
+        exact = eo.exact_xform_invariants(*(Fraction(float(v)) for v in params))
+        assert exact == eo.exact_invariants(s, r, t)
+        assert [Fraction(float(v)) for v in row] == exact
+    assert not np.signbit(closed[closed == 0.0]).any()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_xform_seeded_draws(seed):
+    assert_xform_within_bound(*eo.x_parameters(np.random.default_rng(seed), 150))
+
+
+@pytest.mark.parametrize("family", ["oat", "oat-paper-literal", "ising", "dicke"])
+def test_xform_family_grids(family):
+    assert_xform_within_bound(*eo.family_grids(stride=4)[family])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi))
+def test_xform_closed_forms(wa, wd, wc, radius, phase):
+    total = wa + wd + wc
+    if total == 0.0:
+        return
+    a, d, c = wa / total, wd / total, wc / total / 2.0
+    b = radius * np.sqrt(a * d) * np.exp(1j * phase)
+    assert_xform_within_bound([a], [b], [c], [d])
+
+
+@pytest.mark.parametrize("family", ["oat", "oat-paper-literal"])
+def test_xform_i14_keeps_its_relative_accuracy_on_oat(family):
+    """On OAT, Re b = -c exactly, so T_xx = 0 and D = -T_xy T_xy has one
+    rounding: I14 = 2 z^2 D is then within gamma_5 (2.5 eps) of exact
+    relative to itself, which c^2 - |b|^2 would not keep (it cancels).
+    Rows whose I14 lies within 2^22 of the subnormal range are not read:
+    there a factor can underflow."""
+    a, b, c, d = eo.family_grids(stride=4)[family]
+    assert np.array_equal(b.real, -c)
+    i14 = makhlin_xform_stack(a, b, c, d)[:, 13]
+    read = 0
+    for value, params in zip(i14.tolist(), zip(a, b, c, d)):
+        exact = eo.exact_xform_invariants(*eo._xform_rationals(*params))[13]
+        if abs(exact) >= Fraction(1, 2 ** 1000):
+            read += 1
+            assert abs(Fraction(value) - exact) <= 3 * eo.EPS * abs(exact)
+    assert read > len(i14) // 2

@@ -2,9 +2,10 @@
 
 ``evidence_stack`` gates a stack and evaluates it with one eigen solve,
 one Pauli decomposition and one invariant contraction.  ``sweep``
-evaluates its grid with ``_xform_evidence``: the same decomposition,
-contraction and criteria without the gates, and one solve of the
-partial transposes only, since ``XForm``'s rule has checked the grid.
+evaluates its grid with ``_xform_evidence``: the same criteria without
+the gates, one solve of the partial transposes only, since ``XForm``'s
+rule has checked the grid, and the invariants from the X pattern's
+closed forms, held to the exact rationals of ``exact_oracle``.
 The self-test suites evaluate their draws with the same decomposition,
 contraction and PT solve.  ``bloch_decompose``, ``makhlin_all`` and
 ``evidence`` are the one-row cases of ``bloch_decompose_stack``,
@@ -29,12 +30,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import exact_oracle as eo
 from qubitpair import cli, selftest
 from qubitpair.errors import (
     I4Zero, InvalidDensityMatrix, NotPositive, NotSymmetricState, StateFileError,
 )
 from qubitpair.invariants import (
-    InvariantSet, SymmetricSix, makhlin_all, makhlin_stack, symmetric_six,
+    InvariantSet, SymmetricSix, makhlin_all, makhlin_stack, makhlin_xform_stack, symmetric_six,
 )
 from qubitpair.models import dicke_pair, ising_pair, oat_pair, pair_parameters
 from qubitpair.sampling import (
@@ -214,14 +216,6 @@ def assert_is_reference_evidence(ev, rhos):
     assert ev.i4_zero_fallback.tolist() == list(fallback)
     assert ev.separable.tolist() == [v >= -SIGN_ZERO_BAND for v in pt_min]
     return fired, fallback
-
-
-def assert_evidence_equal(got, want):
-    """Two EvidenceStacks equal bit for bit, field by field."""
-    for field in ("invariants", "ppt_min_eigenvalue", "i12_minus_i4sq"):
-        assert_bits_equal(getattr(got, field), getattr(want, field))
-    for field in ("criteria", "i4_zero_fallback"):
-        assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def assert_stack_is_reference_evidence(rhos):
@@ -408,10 +402,31 @@ def accepts_ising_pair(n, m, chi_t):
     return True
 
 
+def assert_is_xform_evidence(ev, abcd):
+    """``ev`` is the sweep's evidence of the X-pattern states of the
+    parameter arrays ``abcd``: the PT minimum, the criteria, the I4-zero
+    fallback and the verdict are those of ``evidence_stack`` of the same
+    matrices and of the frozen scalar path, bit for bit; the invariants
+    and I12 - I4^2 are the pattern's closed forms, each within
+    ``exact_oracle.XFORM_BOUND`` of its exact value."""
+    rhos = xform_matrices(*abcd)
+    want = evidence_stack(rhos)
+    assert_bits_equal(ev.ppt_min_eigenvalue, want.ppt_min_eigenvalue)
+    for field in ("criteria", "i4_zero_fallback", "separable"):
+        assert np.array_equal(getattr(ev, field), getattr(want, field)), field
+    _, pt_min, _, fired, fallback = zip(*map(reference_evidence, rhos))
+    assert_bits_equal(ev.ppt_min_eigenvalue, pt_min)
+    assert ev.criteria.tolist() == list(fired)
+    assert ev.i4_zero_fallback.tolist() == list(fallback)
+    assert_bits_equal(ev.invariants, makhlin_xform_stack(*abcd))
+    worst = eo.xform_worst_errors(ev.invariants, ev.i12_minus_i4sq, *abcd)
+    assert max(worst) <= eo.XFORM_BOUND, dict(zip(eo.XFORM_NAMES, worst))
+
+
 class TestXformEvidence:
-    """The sweep's evaluation, ``_xform_evidence``, is ``evidence_stack`` of
-    the same matrices and the frozen scalar path, bit for bit, without a
-    gate of its own."""
+    """The sweep's evaluation, ``_xform_evidence``, without a gate of its
+    own: ``evidence_stack`` of the same matrices in every verdict and PT
+    bit, and the exact invariants of those matrices within the X bound."""
 
     @pytest.mark.parametrize("family, paper_literal", [
         ("oat", False), ("oat", True), ("ising", False), ("dicke", False),
@@ -420,10 +435,8 @@ class TestXformEvidence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # ising at N = 2
             abcd = pair_parameters(family, family_grid(family), paper_literal)
-        rhos = xform_matrices(*abcd)
         ev = _xform_evidence(*abcd)
-        assert_evidence_equal(ev, evidence_stack(rhos))
-        assert_is_reference_evidence(ev, rhos)
+        assert_is_xform_evidence(ev, abcd)
         # Every grid reaches the I4-zero fallback and both verdicts.
         assert ev.i4_zero_fallback.any()
         assert ev.separable.any() and not ev.separable.all()
@@ -437,9 +450,9 @@ class TestXformEvidence:
         abcd = pair_parameters("dicke", [(4, 1.0, None)])
         one = evidence(xform_matrices(*abcd)[0])
         ev = _xform_evidence(*abcd)
-        assert_evidence_equal(ev, evidence_stack(xform_matrices(*abcd)))
-        assert_bits_equal(ev.invariants[0], one.invariants.as_array())
-        assert ev.ppt_min_eigenvalue[0] == one.ppt_min_eigenvalue
+        assert_is_xform_evidence(ev, abcd)
+        assert ev.ppt_min_eigenvalue[0].hex() == one.ppt_min_eigenvalue.hex()
+        assert {name for name, hit in zip(CRITERIA, ev.criteria[0]) if hit} == one.criteria_fired
         empty = _xform_evidence(*(np.zeros(0, dtype=t) for t in (float, complex, float, float)))
         assert empty.invariants.shape == (0, 18) and empty.ppt_min_eigenvalue.shape == (0,)
 

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import exact_oracle as eo
 import qubitpair
 from qubitpair import cli
 from qubitpair.errors import NotSymmetricState, StateFileError
 from qubitpair.invariants import symmetric_six
-from qubitpair.models import dicke_pair, ising_pair, oat_pair
+from qubitpair.models import dicke_pair, ising_pair, oat_pair, pair_parameters
 from qubitpair.separability import classify, evidence, evidence_stack
 from qubitpair.sampling import random_density_matrix, random_xform
 from qubitpair.states import BlochForm, XForm, bloch_compose, bloch_decompose, is_symmetric
@@ -365,7 +366,10 @@ class TestCliSweep:
 
 
 class TestSweepAgreesWithClassify:
-    """Every sweep row carries exactly what ``classify`` says of its pair."""
+    """Every sweep row carries the verdict, the criteria and the PT minimum
+    that ``classify`` gives its pair, bit for bit, and its invariant columns
+    and I12 - I4^2 within ``exact_oracle.XFORM_BOUND`` of the exact values
+    of the pair's matrix."""
 
     # family: (grid arguments, pair of a grid point, number of rows)
     GRIDS = {
@@ -374,6 +378,8 @@ class TestSweepAgreesWithClassify:
         "dicke": (["--n", "4,6,8", "--m", "0,1,2"], lambda n, m, t: dicke_pair(n, m), 9),
     }
     SIX = ("i1", "i2", "i4", "i10", "i12", "i14")
+    # The oracle's columns (``exact_oracle.XFORM_NAMES``) of SIX and I12 - I4^2.
+    ORACLE_COLUMNS = (0, 1, 3, 9, 11, 13, 18)
 
     @staticmethod
     def _rows(path, fmt):
@@ -403,12 +409,41 @@ class TestSweepAgreesWithClassify:
         rows = self._rows(out_path, fmt)
         assert len(rows) == count
         for row in rows:
-            cls = classify(pair(row["N"], row["M"], row["chi_t"]).to_matrix())
+            x = pair(row["N"], row["M"], row["chi_t"])
+            cls = classify(x.to_matrix())
             assert row["verdict"] == cls.verdict, row
             assert row["criteria"] == sorted(cls.criteria_fired), row
-            assert row["ppt_min_eig"] == cls.ppt_min_eigenvalue, row
-            assert [row[k] for k in self.SIX] == [getattr(cls.six, k) for k in self.SIX], row
-            assert row["i12_minus_i4sq"] == cls.six.i12 - cls.six.i4 ** 2, row
+            assert float(row["ppt_min_eig"]).hex() == cls.ppt_min_eigenvalue.hex(), row
+            values = [row[k] for k in self.SIX + ("i12_minus_i4sq",)]
+            errors = eo.xform_errors_in_eps(values, x.a, x.b, x.c, x.d, self.ORACLE_COLUMNS)
+            assert max(errors) <= eo.XFORM_BOUND, (row, errors)
+
+
+class TestSweepReadsTheMatrixEntries:
+    """The sweep's invariants are those of the X matrix whose entries are the
+    pair's parameters, formed from the entries themselves, not from Bloch
+    entries that Pauli traces have rounded."""
+
+    def test_dicke_i4_is_a_minus_d_squared(self, tmp_path, capsys):
+        # At M = 0 the exact I4 is 0, but the closed forms leave a != d on
+        # most rows; the sweep must print (a - d)^2 of those floats.
+        a, _, _, d = pair_parameters("dicke", [(n, 0.0, None) for n in range(2, 201, 2)])
+        assert (a != d).any()
+        out = tmp_path / "dicke.csv"
+        code, _, _ = run_cli(
+            ["sweep", "dicke", "--n", "2:200:2", "--m", "0", "--out", str(out)], capsys)
+        assert code == 0
+        header, *lines = out.read_text().splitlines()
+        column = header.split(",").index("i4")
+        printed = [float(line.split(",")[column]).hex() for line in lines]
+        assert printed == [v.hex() for v in ((a - d) * (a - d)).tolist()]
+
+    @pytest.mark.parametrize("n, rows", [("4", "1 row"), ("4,6", "2 rows")])
+    def test_the_wrote_line_counts_rows(self, n, rows, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code, stdout, _ = run_cli(
+            ["sweep", "oat", "--n", n, "--chit", "0.5", "--out", str(out)], capsys)
+        assert (code, stdout) == (0, f"wrote {rows} to {out}\n")
 
 
 class TestGenerateIsOneSweepPoint:
@@ -591,9 +626,10 @@ class TestInvariantsValidatesOnce:
 class TestSweepChecksOnce:
     """``sweep`` checks its grid once, with ``XForm``'s rule in
     ``pair_parameters``, and evaluates it once: one gated solve, of the
-    ``(k, 4, 4)`` partial transposes, one contraction, no gate of the
-    density-matrix, positivity or triplet rules, and one call of the X
-    rule for the whole grid."""
+    ``(k, 4, 4)`` partial transposes, the invariants from the pattern's
+    closed forms with no Pauli decomposition and no contraction, no gate
+    of the density-matrix, positivity or triplet rules, and one call of
+    the X rule for the whole grid."""
 
     @pytest.mark.parametrize("argv, rows", [
         (["oat", "--n", "2:13:1", "--chit", "0:3:4", "--paper-literal"], 48),
@@ -612,11 +648,12 @@ class TestSweepChecksOnce:
         monkeypatch.setattr(qmat, "hermitian_eigenvalues", recording)
         counts = profiled_calls(
             ["sweep", *argv, "--out", str(tmp_path / "grid.out")], capsys,
-            [solve, invariants.makhlin_stack, states._psd_gate, states._triplet_gate,
-             states._state_gates, states._xform_gates])
+            [solve, invariants.makhlin_stack, states._pauli_decomposition, states._psd_gate,
+             states._triplet_gate, states._state_gates, states._xform_gates])
         assert counts == {
             "hermitian_eigenvalues": 1,
-            "makhlin_stack": 1,
+            "makhlin_stack": 0,
+            "_pauli_decomposition": 0,
             "_psd_gate": 0,
             "_triplet_gate": 0,
             "_state_gates": 0,

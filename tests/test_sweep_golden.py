@@ -2,13 +2,19 @@
 
 The files in ``data/sweep_golden`` were written by ``sweep`` before grids
 were evaluated as one stack, and written again, with only their ``i14``
-cells changed in the last digits, when I14 became 2 s . (cof(T) r).
+cells changed in the last digits, when I14 became 2 s . (cof(T) r), and
+once more, with only float cells of ``i1``, ``i2``, ``i4``, ``i12``,
+``i14`` and ``i12_minus_i4sq`` changed, when the sweep took its
+invariants from the X pattern's closed forms.
 Regenerating them must give the same bytes: the 17-digit floats, the
 sign of zero (``-0`` in CSV, ``-0.0`` in JSON), the I4-zero fallback rows
 and the criteria cells.  This pins the output on its own; a cross-check
 against ``classify`` would move along with any kernel the two share.
 """
 
+import csv
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -46,3 +52,13 @@ def test_golden_files_carry_signed_zeros_and_the_fallback():
     assert dicke[1].split(",")[11] == "-0"
     assert any(line.split(",")[2] == "0" and line.endswith("Entangled,") for line in dicke[1:])
     assert '"ppt_min_eig": -0.0,' in (GOLDEN / "dicke.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_i10_is_plus_zero_on_every_row(name):
+    """Every vector I10 reads lies along z on the X pattern, so its triple is
+    exactly 0, and it is written as +0.0."""
+    text = (GOLDEN / name).read_text()
+    rows = json.loads(text) if name.endswith(".json") else list(csv.DictReader(text.splitlines()))
+    assert rows and all(float(row["i10"]) == 0.0 and math.copysign(1.0, float(row["i10"])) == 1.0
+                        for row in rows)
