@@ -7,6 +7,12 @@ self-test/property failure, 2 input validation or an unwritable output
 path, 3 domain precondition (e.g. non-symmetric input to classify).  A
 reader that closes standard output early (``| head``) ends the command
 with exit 0 and nothing on standard error.
+
+The commands are one table, ``COMMANDS``.  A call builds every command's
+subparser, so the usage line, ``--help`` and the command choices are
+always the same, but adds arguments only to the command its first word
+names; any other first word (help, ``--``, a typo, none) builds them all,
+as ``build_parser()`` does.
 """
 
 from __future__ import annotations
@@ -269,9 +275,18 @@ def cmd_selftest(args) -> int:
     return 1 if report.failures else 0
 
 
-def _add_family_command(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
-    """A subcommand taking a model family and its grid flags, read by ``_sweep_grid``."""
-    p = sub.add_parser(name, help=help_text)
+def _invariants_arguments(p) -> None:
+    p.add_argument("state", help="path to a state JSON file")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _classify_arguments(p) -> None:
+    p.add_argument("state")
+    p.add_argument("--json", action="store_true")
+
+
+def _family_arguments(p) -> None:
+    """A model family and its grid flags, read by ``_sweep_grid``."""
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("--n", required=True,
                    help="comma list '4,8' or inclusive range 'start:stop:step'")
@@ -281,50 +296,66 @@ def _add_family_command(sub, name: str, help_text: str, func) -> argparse.Argume
     p.add_argument("--paper-literal", action="store_true",
                    help="oat: use the originally printed Im(b) exponent "
                         "instead of the self-consistent one")
-    p.set_defaults(func=func)
-    return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _generate_arguments(p) -> None:
+    _family_arguments(p)
+    p.add_argument("--out", help="output path (stdout if omitted)")
+
+
+def _sweep_arguments(p) -> None:
+    _family_arguments(p)
+    p.add_argument("--m-ratio", type=float, help="dicke: set M = ratio * N per grid point")
+    p.add_argument("--out", required=True)
+    p.add_argument("--format", choices=("auto", "csv", "json"), default="auto")
+
+
+def _selftest_arguments(p) -> None:
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--count", type=int, default=500)
+    p.add_argument("--out", default=".", help="directory for counterexample files")
+
+
+#: The commands, in the order ``--help`` lists them: each name's help line,
+#: handler, and the function that adds the command's arguments.
+COMMANDS = {
+    "invariants": ("print all 18 invariants of a state file", cmd_invariants,
+                   _invariants_arguments),
+    "classify": ("separability verdict for a symmetric state", cmd_classify,
+                 _classify_arguments),
+    "generate": ("write the model state file of one grid point", cmd_generate,
+                 _generate_arguments),
+    "sweep": ("tabulate invariants over a parameter grid", cmd_sweep, _sweep_arguments),
+    "selftest": ("run the seeded property suites", cmd_selftest, _selftest_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qubitpair`` parser, with every command's arguments by default.
+
+    Every command gets its subparser, so the usage line, ``--help`` and the
+    command choices never change; given a ``command``, only its subparser
+    gets arguments.  argparse reads no other subparser, so a parser built
+    for the command that ``argv`` names parses ``argv`` as the full one does.
+    """
     parser = argparse.ArgumentParser(
         prog="qubitpair",
         description="Local-unitary invariants and separability analysis of "
                     "two-qubit states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_inv = sub.add_parser("invariants", help="print all 18 invariants of a state file")
-    p_inv.add_argument("state", help="path to a state JSON file")
-    p_inv.add_argument("--json", action="store_true", help="machine-readable output")
-    p_inv.set_defaults(func=cmd_invariants)
-
-    p_cls = sub.add_parser("classify", help="separability verdict for a symmetric state")
-    p_cls.add_argument("state")
-    p_cls.add_argument("--json", action="store_true")
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_gen = _add_family_command(
-        sub, "generate", "write the model state file of one grid point", cmd_generate)
-    p_sweep = _add_family_command(
-        sub, "sweep", "tabulate invariants over a parameter grid", cmd_sweep)
-    p_gen.add_argument("--out", help="output path (stdout if omitted)")
-    p_sweep.add_argument("--m-ratio", type=float,
-                         help="dicke: set M = ratio * N per grid point")
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--format", choices=("auto", "csv", "json"), default="auto")
-
-    p_self = sub.add_parser("selftest", help="run the seeded property suites")
-    p_self.add_argument("--seed", type=int, default=42)
-    p_self.add_argument("--count", type=int, default=500)
-    p_self.add_argument("--out", default=".",
-                        help="directory for counterexample files")
-    p_self.set_defaults(func=cmd_selftest)
+    for name, (help_text, func, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except NotSymmetricState as exc:

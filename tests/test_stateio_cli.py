@@ -1,3 +1,4 @@
+import argparse
 import functools
 import inspect
 import json
@@ -977,3 +978,112 @@ class TestClosedStdout:
                                  str(out_path)], True, subprocess.PIPE)
         assert done.returncode == 2 and done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr and not out_path.exists()
+
+
+#: Each command's arguments, by dest, as ``build_parser()`` adds them.
+FULL_ARGUMENTS = {
+    "invariants": ["help", "state", "json"],
+    "classify": ["help", "state", "json"],
+    "generate": ["help", "family", "n", "m", "chit", "paper_literal", "out"],
+    "sweep": ["help", "family", "n", "m", "chit", "paper_literal", "m_ratio", "out", "format"],
+    "selftest": ["help", "seed", "count", "out"],
+}
+
+
+@pytest.fixture
+def dicke_file(tmp_path):
+    path = tmp_path / "dicke.json"
+    write_state_file(path, dicke_pair(4, 1))
+    return path
+
+
+def _subparsers(parser) -> dict:
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestCliSurface:
+    """A call builds only the arguments of the command argv names, and every
+    argv ends as it does with the full parser: the same exit code (or
+    ``SystemExit`` code), stdout and stderr, byte for byte."""
+
+    ARGV = [
+        [], ["-h"], *[[command, "-h"] for command in FULL_ARGUMENTS],
+        ["bogus"], ["--"], ["classify", "{state}"], ["classify", "{state}", "--bogus"],
+        ["classify", "{state}", "--js"],
+        ["sweep", "oat", "--chit", "1", "--out", "{dir}/s.csv"],  # no --n
+        ["sweep", "oat", "--n", "4", "--chit", "1", "--out", "{dir}/s.csv", "--format", "xml"],
+        ["selftest", "--count", "x"],
+        ["classify", "{state}", "--json"], ["invariants", "{state}"],
+        ["generate", "oat", "--n", "6", "--chit", "0.7"],
+        ["sweep", "dicke", "--n", "4:12:4", "--m-ratio", "0.25", "--out", "{dir}/s.csv"],
+        ["selftest", "--seed", "5", "--count", "2", "--out", "{dir}"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv=None):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def full_parser_outcome(capsys, monkeypatch, argv):
+        full = cli.build_parser
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda *_: full())
+            return TestCliSurface.outcome(capsys, argv)
+
+    @pytest.mark.parametrize("template", ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_the_same_bytes_as_the_full_parser(
+            self, template, dicke_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [word.format(state=dicke_file, dir=tmp_path) for word in template]
+        assert self.outcome(capsys, argv) == self.full_parser_outcome(capsys, monkeypatch, argv)
+
+    def test_no_argv_reads_sys_argv(self, dicke_file, capsys, monkeypatch):
+        argv = ["classify", str(dicke_file), "--json"]
+        monkeypatch.setattr(sys, "argv", ["qubitpair", *argv])
+        code, out, err = self.outcome(capsys)
+        assert (code, out, err) == self.full_parser_outcome(capsys, monkeypatch, argv)
+        assert code == 0 and json.loads(out)["verdict"] == "Entangled"
+
+    def test_the_default_parser_has_every_argument(self):
+        subparsers = _subparsers(cli.build_parser())
+        assert {name: [a.dest for a in p._actions] for name, p in subparsers.items()} \
+            == FULL_ARGUMENTS
+
+
+class TestCliBuildsOnlyItsCommand:
+    """A call adds six ``-h`` arguments (the top level's and each
+    subparser's) and its own command's, not all 27."""
+
+    @pytest.mark.parametrize("argv, own", [
+        (["classify", "{state}", "--json"], ["state", "--json"]),
+        (["sweep", "oat", "--n", "4", "--chit", "1", "--out", "{dir}/s.csv"],
+         ["family", "--n", "--m", "--chit", "--paper-literal", "--m-ratio", "--out", "--format"]),
+    ], ids=["classify", "sweep"])
+    def test_arguments_added(self, argv, own, dicke_file, tmp_path, capsys, monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def spy(self, *names, **kwargs):
+            added.append(names[0])
+            return add_argument(self, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        cli.build_parser()
+        assert len(added) == 27
+        added.clear()
+        assert cli.main([word.format(state=dicke_file, dir=tmp_path) for word in argv]) == 0
+        assert sorted(added) == sorted(["-h"] * 6 + own)
+
+    @pytest.mark.parametrize("command", FULL_ARGUMENTS)
+    def test_a_named_parser_has_every_subparser_and_one_command(self, command):
+        subparsers = _subparsers(cli.build_parser(command))
+        assert list(subparsers) == list(FULL_ARGUMENTS)
+        for name, p in subparsers.items():
+            assert [a.dest for a in p._actions] == (
+                FULL_ARGUMENTS[name] if name == command else ["help"])
