@@ -1,4 +1,15 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the one rule by which a
+gate raises them.
+
+A gate is a ``(refused, error)`` pair: a ``(k,)`` mask of the rows (states,
+matrices, parameter sets) it refuses, and a function of the row index that
+builds its exception.  ``_raise_first`` refuses a stack by the error its
+first refused row raises alone, so a one-row call and a stack raise the
+same class and message; every gate of the library, ``qmat``'s included,
+is read through it.
+"""
+
+import numpy as np
 
 
 class QubitPairError(Exception):
@@ -55,3 +66,23 @@ class InconsistentClassification(QubitPairError):
 
 class StateFileError(QubitPairError):
     """State file cannot be parsed or violates its schema."""
+
+
+def _refused(gates) -> np.ndarray:
+    """The ``(k,)`` mask of the rows that any of ``_raise_first``'s gates refuses."""
+    return np.logical_or.reduce([mask for mask, _ in gates])
+
+
+def _raise_first(gates) -> None:
+    """Raise the error a stack's first refused row raises alone.
+
+    ``gates`` lists ``(refused, error)`` pairs in the order a single row
+    meets them: a ``(k,)`` mask of the rows the gate refuses, and a
+    function of the row index that builds the gate's exception.  The row
+    is the first that any gate refuses, and the error is that of the first
+    gate that refuses it.
+    """
+    refused = _refused(gates)
+    if refused.any():
+        j = int(refused.argmax())
+        raise next(error(j) for mask, error in gates if mask[j])

@@ -29,7 +29,8 @@ form is one whose matrix passes the triplet-support rule
 ``separability.evidence_stack`` runs it on a stack of states and
 ``symmetric_six`` on the matrix of one form.  The I4-zero rule is one gate
 too, ``_i4_zero_gate``, raising I4Zero wherever the criteria or the
-X-pattern relations would divide by or read a vanishing I4.
+X-pattern relations would divide by or read a vanishing I4.  Both gates
+raise through ``errors._raise_first``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import I4Zero, NoRealSpectrum
-from .states import BlochForm, XForm, _form_matrix, _raise_first, _triplet_gate
+from .errors import I4Zero, NoRealSpectrum, _raise_first
+from .states import BlochForm, XForm, _form_matrix, _triplet_gate
 from .tolerances import SIGN_ZERO_BAND, matches
 
 @dataclass(frozen=True)

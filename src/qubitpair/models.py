@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .errors import InvalidDicke
-from .states import XForm, _raise_first, _refused, _xform_gates
+from .errors import InvalidDicke, _raise_first, _refused
+from .states import XForm, _xform_gates
 
 FAMILIES = ("dicke", "oat", "ising")
 

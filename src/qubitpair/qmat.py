@@ -3,18 +3,26 @@
 Everything here is sized for 2x2 .. 4x4 matrices: Pauli basis, Kronecker
 products, Hermitian eigenvalues (numpy's LAPACK ``eigvalsh`` behind a
 Hermiticity gate and an overflow bound, on one ``(n, n)`` matrix or a
-``(..., n, n)`` stack; ``_solve`` is the solve without them, for stacks
-a caller's own gates have passed), Haar-random SU(2) and the SU(2) -> SO(3)
+``(..., n, n)`` stack; ``_solve`` is the one solve, which
+``hermitian_eigenvalues`` ends in and callers whose own gates have passed
+a stack call directly), Haar-random SU(2) and the SU(2) -> SO(3)
 covering map, and the power ``float_pow`` that the family closed forms
 take entry by entry.  All functions are pure; random sampling takes a
 caller-owned ``numpy.random.Generator``.
+
+The gates here are the library's: each is a mask and an error read
+through ``errors._raise_first``, so a stack raises the error of its first
+refused matrix.  Hermiticity and unitarity share one defect rule
+(``_defect``: the largest |entry| of a deviation, NaN or overflow read as
+``inf`` without a warning), and ``require_unitary`` and ``su2_to_so3``
+both gate on ``unitarity_defect``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EntryOverflow, NotHermitian, NotSpecialUnitary, NotUnitary
+from .errors import EntryOverflow, NotHermitian, NotSpecialUnitary, NotUnitary, _raise_first
 from .tolerances import HERMITICITY, UNITARITY
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -67,46 +75,35 @@ def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product.reshape(*product.shape[:-4], m * p, n * q)
 
 
-def hermiticity_defect(m: np.ndarray):
-    """Largest entrywise deviation of each matrix of ``m`` from its conjugate transpose.
+def _defect(deviation):
+    """Largest |entry| of each matrix that ``deviation()`` computes: a float
+    for one ``(n, n)`` matrix, a ``(...)`` array for a stack.
 
-    Takes one ``(n, n)`` matrix or a ``(..., n, n)`` stack and returns a
-    float or a ``(...)`` array.  A matrix with a non-finite entry has
-    defect ``inf``: its deviation would be NaN, which compares False
-    against every band, so each Hermiticity gate would let it through.
-    A deviation beyond the float range is ``inf`` as well.
+    The one defect rule of the gates.  A NaN (a non-finite entry, or
+    inf - inf) would compare False against every band, so each gate would
+    let its matrix through: it is ``inf``, as is a deviation beyond the
+    float range, and neither warns.
     """
-    m = np.asarray(m)
-    # inf - inf on the diagonal gives NaN, mapped below; an overflow gives inf.
     with np.errstate(invalid="ignore", over="ignore"):
-        defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        defect = np.abs(deviation()).max(axis=(-2, -1))
     return np.fmin(defect, np.inf)  # fmin passes over NaN: NaN -> inf, the rest as is
 
 
-def _first(refused: np.ndarray, ndim: int) -> tuple:
-    """The index of the first matrix a ``(...)`` mask refuses in a stack of
-    ``ndim`` axes, and the suffix that names it ("" for one matrix)."""
-    first = np.unravel_index(refused.argmax(), refused.shape)
-    return first, f" in matrix {', '.join(str(int(i)) for i in first)}" if ndim > 2 else ""
-
-
-def _not_hermitian(defect, where: str = "") -> NotHermitian:
-    """The error of the Hermiticity gate of :func:`hermitian_eigenvalues`."""
-    return NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {HERMITICITY:.1e}{where}")
+def hermiticity_defect(m: np.ndarray):
+    """Largest entrywise deviation of each matrix of ``m``, one ``(n, n)``
+    matrix or a ``(..., n, n)`` stack, from its conjugate transpose; ``inf``
+    for a non-finite matrix or an overflowing deviation (:func:`_defect`)."""
+    m = np.asarray(m)
+    return _defect(lambda: m - m.conj().swapaxes(-1, -2))
 
 
 def unitarity_defect(u: np.ndarray):
     """Largest entrywise deviation of U U^dag from the identity, for one
-    ``(n, n)`` matrix (a float) or each matrix of a ``(..., n, n)`` stack."""
+    ``(n, n)`` matrix (a float) or each matrix of a ``(..., n, n)`` stack;
+    ``inf`` for a non-finite matrix or an overflowing product
+    (:func:`_defect`)."""
     u = np.asarray(u, dtype=complex)
-    return np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max(axis=(-2, -1))
-
-
-def is_unitary(u: np.ndarray) -> bool:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return float(unitarity_defect(u)) <= UNITARITY
+    return _defect(lambda: u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -116,9 +113,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     ----------
     m : array_like, shape (..., n, n)
         One square Hermitian matrix of size at most 4x4, or a stack of
-        them.  After the gate the Hermitian part is handed to numpy's
-        LAPACK ``eigvalsh``, which solves a stack one matrix at a time, so
-        each matrix gets the values the 2-D call gives it.
+        them.  After the gates the stack is handed to :func:`_solve`.
 
     Returns
     -------
@@ -129,49 +124,47 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     Raises
     ------
     NotHermitian
-        If :func:`hermiticity_defect` exceeds ``tolerances.HERMITICITY``
-        for any matrix of the stack, a non-finite matrix included; the
-        message names the first such matrix.
+        If :func:`hermiticity_defect` exceeds ``tolerances.HERMITICITY``,
+        a non-finite matrix included.
     EntryOverflow
         If the real or imaginary part of an entry exceeds
         :data:`SOLVE_ENTRY`, where the Hermitian part overflows; the
-        message names the bound and the first such matrix.
+        message names the bound.
+
+    A stack is refused by the error its first refused matrix raises alone
+    (``errors._raise_first``), with the suffix ``in matrix i, j`` naming it.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] > 4:
         raise ValueError("only sizes up to 4x4 are supported")
-    defect = np.asarray(hermiticity_defect(m))
-    bad = defect > HERMITICITY
-    if bad.any():
-        first, where = _first(bad, m.ndim)
-        raise _not_hermitian(defect[first], where)
-    # An overflowing sum is inf, and inf times the complex 0.5 has a NaN
-    # part; both are refused below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = _hermitian_part(m)
-    if not np.isfinite(h).all():
-        first, where = _first(~np.isfinite(h).all(axis=(-2, -1)), m.ndim)
-        largest = max(np.abs(m[first].real).max(), np.abs(m[first].imag).max())
-        raise EntryOverflow(f"entry part {largest:.3e} exceeds the eigen solve's bound "
-                            f"{SOLVE_ENTRY:.3e}{where}")
-    return np.linalg.eigvalsh(h)
+    lead = m.shape[:-2]
+    flat = m.reshape(-1, *m.shape[-2:])
+    defect = hermiticity_defect(flat)
+    largest = np.maximum(np.abs(flat.real), np.abs(flat.imag)).max(axis=(-2, -1))
 
+    def where(j):
+        return f" in matrix {', '.join(str(i) for i in np.unravel_index(j, lead))}" if lead else ""
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag) / 2 of each matrix of a ``(..., n, n)`` stack: the matrix
-    every solve hands to LAPACK."""
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    _raise_first([
+        (defect > HERMITICITY, lambda j: NotHermitian(
+            f"Hermiticity defect {defect[j]:.3e} exceeds tol {HERMITICITY:.1e}{where(j)}")),
+        (largest > SOLVE_ENTRY, lambda j: EntryOverflow(
+            f"entry part {largest[j]:.3e} exceeds the eigen solve's bound "
+            f"{SOLVE_ENTRY:.3e}{where(j)}")),
+    ])
+    return _solve(m)
 
 
 def _solve(m: np.ndarray) -> np.ndarray:
-    """The solve of :func:`hermitian_eigenvalues` without its gates: the
-    ascending eigenvalues of the Hermitian part of each matrix of a
-    ``(..., n, n)`` stack, n at most 4, equal to that function's bit for
-    bit.  For a stack that a caller's own gates have passed, so that its
-    Hermitian part is finite."""
-    return np.linalg.eigvalsh(_hermitian_part(m))
+    """The solve of :func:`hermitian_eigenvalues` without its gates: numpy's
+    LAPACK ``eigvalsh`` of the Hermitian part (m + m^dag) / 2 of each matrix
+    of a ``(..., n, n)`` stack, n at most 4.  ``eigvalsh`` solves a stack one
+    matrix at a time, so each matrix gets the ascending values the 2-D call
+    gives it.  For a stack that gates have passed, so that its Hermitian
+    part is finite."""
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
 
 
 def su2_to_so3(u: np.ndarray) -> np.ndarray:
@@ -190,11 +183,14 @@ def su2_to_so3(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(u):
-        raise NotSpecialUnitary("matrix is not unitary")
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    if abs(det - 1.0) > UNITARITY:
-        raise NotSpecialUnitary(f"determinant {det:.12g} != 1")
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below if not finite
+        det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    _raise_first([
+        ((unitarity_defect(u) > UNITARITY).reshape(1),
+         lambda j: NotSpecialUnitary("matrix is not unitary")),
+        ((abs(det - 1.0) > UNITARITY).reshape(1),
+         lambda j: NotSpecialUnitary(f"determinant {det:.12g} != 1")),
+    ])
     return 0.5 * np.real(
         np.einsum("iab,bc,jcd,da->ij", _PAULI_STACK, u, _PAULI_STACK, u.conj().T)
     )
@@ -224,11 +220,23 @@ def su2_from_normals(v: np.ndarray) -> np.ndarray:
 
 
 def require_unitary(u: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return ``u``, one square matrix or a ``(..., n, n)`` stack, as a
-    complex array; NotUnitary if any matrix fails the gate."""
+    """Return ``u``, one 2x2 matrix or a ``(..., 2, 2)`` stack, as a complex
+    array.
+
+    Raises
+    ------
+    ValueError
+        If the last two axes of ``u`` are not (2, 2); the message names
+        ``name`` and the shape.
+    NotUnitary
+        If :func:`unitarity_defect` exceeds ``tolerances.UNITARITY`` for
+        any matrix, a non-finite matrix included.
+    """
     u = np.asarray(u, dtype=complex)
-    if u.ndim < 2 or u.shape[-1] != u.shape[-2] or not np.all(unitarity_defect(u) <= UNITARITY):
-        raise NotUnitary(f"{name} is not unitary within tol {UNITARITY:.1e}")
+    if u.shape[-2:] != (2, 2):
+        raise ValueError(f"{name} must be a 2x2 matrix or a stack of them, got shape {u.shape}")
+    _raise_first([((unitarity_defect(u) > UNITARITY).reshape(-1),
+                   lambda j: NotUnitary(f"{name} is not unitary within tol {UNITARITY:.1e}"))])
     return u
 
 

@@ -49,6 +49,7 @@ from dataclasses import FrozenInstanceError, dataclass
 import numpy as np
 
 from . import invariants as invariants_mod
+from .errors import _raise_first
 from .qmat import hermitian_eigenvalues, su2_from_normals
 from .sampling import _xform_draws, hilbert_schmidt_states
 from .separability import (
@@ -56,8 +57,8 @@ from .separability import (
     xform_equivalence_stack, xform_pt_eigenvalues_stack,
 )
 from .states import (
-    _abs, _raise_first, _xform_gates, apply_local_unitary, bloch_decompose,
-    bloch_decompose_stack, xform_matrices,
+    _abs, _xform_gates, apply_local_unitary, bloch_decompose, bloch_decompose_stack,
+    xform_matrices,
 )
 from .stateio import write_state_file
 from .tolerances import INVARIANCE_ABS, INVARIANCE_REL, SIGN_ZERO_BAND

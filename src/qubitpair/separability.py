@@ -9,12 +9,12 @@ and this module exposes that equivalence as a checkable predicate.
 
 ``evidence_stack`` reads a ``(k, 4, 4)`` stack with one call per stage
 and returns its numbers as arrays (``EvidenceStack``); it refuses a stack
-by the error of its first bad state.  ``evidence`` of one ``(4, 4)``
-state is its one-row case.  Its gates and the contraction come before
-one shared step, the criteria on the ``(k, 18)`` invariants
-(``_evidence``).  The sweep's X-pattern grids, which ``XForm``'s rule has
-checked as parameters, take that step without the gates:
-``_xform_evidence`` solves only their partial transposes, as
+by the error of its first bad state (``errors._raise_first``).
+``evidence`` of one ``(4, 4)`` state is its one-row case.  Its gates and
+the contraction come before one shared step, the criteria on the ``(k,
+18)`` invariants (``_evidence``).  The sweep's X-pattern grids, which
+``XForm``'s rule has checked as parameters, take that step without the
+gates: ``_xform_evidence`` solves only their partial transposes, as
 ``evidence_stack`` does bit for bit, and reads the invariants from the
 pattern's closed forms, within 8 eps of exact.  Each hypothesis
 of the criteria is one gate: triplet support is ``states._triplet_gate``,
@@ -43,14 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .errors import InconsistentClassification
+from .errors import InconsistentClassification, _raise_first, _refused
 from .invariants import (
     InvariantSet, SymmetricSix, _i4_zero_gate, _xform_criteria_invariants, makhlin_stack,
     makhlin_xform_stack,
 )
 from .states import (
-    XForm, _abs, _as_state, _decomposition, _psd_gate, _raise_first, _refused, _triplet_gate,
-    xform_matrices,
+    XForm, _abs, _as_state, _decomposition, _psd_gate, _triplet_gate, xform_matrices,
 )
 from .tolerances import SIGN_ZERO_BAND
 

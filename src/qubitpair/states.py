@@ -33,9 +33,11 @@ Hermitian part throughout.
 
 There is one Pauli decomposition, ``bloch_decompose_stack``: a ``(k, 4,
 4)`` stack to ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)``.  It refuses
-a stack by the error of its first bad state, so ``bloch_decompose`` (one
-``(4, 4)`` matrix to a ``BlochForm``) is its one-row case: it builds the
-form from the row the stack has gated, without a copy or a second check.
+a stack by the error of its first bad state (``errors._raise_first``, the
+one refusal rule of every gate, ``qmat``'s included), so
+``bloch_decompose`` (one ``(4, 4)`` matrix to a ``BlochForm``) is its
+one-row case: it builds the form from the row the stack has gated,
+without a copy or a second check.
 ``BlochForm`` and the stack share one entry rule; the decomposition
 itself, without the gates, is ``_pauli_decomposition``.  ``XForm``'s
 rule is written once, as arrays (``_xform_gates``, on k parameter sets):
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState, NotXForm
+from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState, NotXForm, _raise_first
 from .tolerances import HERMITICITY, PAULI_BOUND, PSD_FLOOR, SYMMETRY, TRACE, XFORM_PATTERN
 
 # Pauli tensor basis B[m, n] = sigma_m (x) sigma_n with sigma_0 = I, built once.
@@ -94,26 +96,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
-
-
-def _refused(gates) -> np.ndarray:
-    """The ``(k,)`` mask of the rows that any of ``_raise_first``'s gates refuses."""
-    return np.logical_or.reduce([mask for mask, _ in gates])
-
-
-def _raise_first(gates) -> None:
-    """Raise the error a stack's first refused row raises alone.
-
-    ``gates`` lists ``(refused, error)`` pairs in the order a single state
-    meets them: a ``(k,)`` mask of the rows the gate refuses, and a
-    function of the row index that builds the gate's exception.  The row
-    is the first that any gate refuses, and the error is that of the first
-    gate that refuses it.
-    """
-    refused = _refused(gates)
-    if refused.any():
-        j = int(refused.argmax())
-        raise next(error(j) for mask, error in gates if mask[j])
 
 
 def _entry_gates(largest: np.ndarray) -> list:
@@ -414,6 +396,10 @@ def apply_local_unitary(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.n
     for bit.  Trace-preserving; the Bloch parameters transform as
     s' = O(U1) s, r' = O(U2) r and T' = O(U1) T O(U2)^T for
     special-unitary factors.
+
+    Each factor meets ``qmat.require_unitary`` before any product: a
+    factor whose last two axes are not (2, 2) raises ValueError, one that
+    is not unitary NotUnitary.
     """
     u1 = qmat.require_unitary(u1, name="u1")
     u2 = qmat.require_unitary(u2, name="u2")

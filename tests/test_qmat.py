@@ -186,6 +186,17 @@ class TestSolveEntryBound:
         with pytest.raises(EntryOverflow, match=r"bound 8\.988e\+307 in matrix 1, 0$"):
             qmat.hermitian_eigenvalues(stack)
 
+    def test_the_first_refused_matrix_raises_its_own_error(self):
+        # Matrix 0 overflows and matrix 1 is not Hermitian: the stack raises
+        # the error matrix 0 raises alone, not the first gate's error.
+        stack = np.array([self.OVERFLOW, np.eye(4)], dtype=complex)
+        stack[1, 0, 1] = 1.0
+        with pytest.raises(EntryOverflow, match=r"^entry part 1\.500e\+308 exceeds the eigen "
+                                                r"solve's bound 8\.988e\+307 in matrix 0$"):
+            qmat.hermitian_eigenvalues(stack)
+        with pytest.raises(NotHermitian, match=r"in matrix 0$"):
+            qmat.hermitian_eigenvalues(stack[::-1])
+
     @pytest.mark.parametrize("entry", [qmat.SOLVE_ENTRY, qmat.SOLVE_ENTRY * (1 + 1j), 5e307j])
     def test_entries_up_to_the_bound_are_solved_as_before(self, entry):
         m = np.zeros((4, 4), dtype=complex)
@@ -267,10 +278,6 @@ class TestUnitarityGate:
         stack[4, 1, 1] = np.nan
         with pytest.raises(NotUnitary, match="^u1 is not unitary"):
             qmat.require_unitary(stack, name="u1")
-
-    def test_is_unitary_takes_one_matrix_only(self):
-        assert qmat.is_unitary(qmat.IDENTITY_2)
-        assert not qmat.is_unitary(np.array([qmat.IDENTITY_2] * 2))
 
 
 class TestSu2ToSo3:

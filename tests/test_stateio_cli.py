@@ -591,9 +591,9 @@ class TestInvariantsValidatesOnce:
     matrix or Bloch file (through ``bloch_compose``) takes one gated eigen
     solve for the validation; an X-pattern file takes none, since
     ``XForm``'s closed-form rule has checked it.  Then one solve of the
-    state and its partial transpose without the solve's gates
-    (``qmat._solve``), since the evidence's own gates have passed the
-    state."""
+    state and its partial transpose without the solve's gates, since the
+    evidence's own gates have passed the state.  Every solve runs through
+    ``qmat._solve``, the gated one included."""
 
     @staticmethod
     def _write(representation, path):
@@ -619,7 +619,7 @@ class TestInvariantsValidatesOnce:
         assert counts == {
             "assert_density_matrix": validations,
             "hermitian_eigenvalues": validations,
-            "_solve": 1,
+            "_solve": 1 + validations,
             "is_symmetric": 1,
         }
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from qubitpair.errors import (
     InconsistentClassification,
     InvalidDensityMatrix,
     NotPositive,
+    NotSpecialUnitary,
     NotUnitary,
     NotXForm,
 )
@@ -213,6 +216,29 @@ class TestApplyLocalUnitary:
         u2[2] *= 1.01
         with pytest.raises(NotUnitary, match="^u2 "):
             apply_local_unitary(random_density_matrix(rng), qmat.IDENTITY_2, u2)
+
+    # A 3x3 or 1x1 unitary passes a unitarity test of any size, and a
+    # non-square one fails it; each is refused by its shape before any product.
+    @pytest.mark.parametrize("factor", [np.eye(3), np.eye(1), np.ones((2, 3))])
+    @pytest.mark.parametrize("name", ["u1", "u2"])
+    def test_a_factor_that_is_not_2x2_is_refused_by_its_shape(self, ket00, factor, name):
+        factors = {"u1": qmat.IDENTITY_2, "u2": qmat.IDENTITY_2, name: factor}
+        message = f"{name} must be a 2x2 matrix or a stack of them, got shape {factor.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_local_unitary(ket00, factors["u1"], factors["u2"])
+
+    # A non-finite or huge entry is refused by the unitarity gate with its
+    # own class and message, and without a warning (the test configuration
+    # turns a RuntimeWarning into an error).
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e200, complex(0.0, np.nan)])
+    def test_a_non_finite_or_huge_factor_is_refused_without_a_warning(self, ket00, entry):
+        u = np.array([[entry, 0.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NotUnitary, match=r"^u1 is not unitary within tol 1\.0e-10$"):
+            apply_local_unitary(ket00, u, qmat.IDENTITY_2)
+        with pytest.raises(NotUnitary, match=r"^u2 is not unitary within tol 1\.0e-10$"):
+            apply_local_unitary(ket00, qmat.IDENTITY_2, np.array([qmat.IDENTITY_2, u]))
+        with pytest.raises(NotSpecialUnitary, match=r"^matrix is not unitary$"):
+            qmat.su2_to_so3(u)
 
 
 class TestAssertDensityMatrix:

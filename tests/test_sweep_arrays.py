@@ -19,12 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubitpair import cli
-from qubitpair.errors import InvalidDensityMatrix, InvalidDicke, NotPositive
+from qubitpair.errors import InvalidDensityMatrix, InvalidDicke, NotPositive, _raise_first, _refused
 from qubitpair.models import (
     dicke_pair, ising_invariants, ising_pair, oat_invariants, oat_pair, pair_parameters,
 )
 from qubitpair.separability import CRITERIA, EvidenceStack
-from qubitpair.states import XForm, _raise_first, _refused, _xform_gates, xform_matrices
+from qubitpair.states import XForm, _xform_gates, xform_matrices
 from qubitpair.tolerances import PSD_FLOOR, TRACE
 
 # ---------------------------------------------------------------------------
