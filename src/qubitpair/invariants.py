@@ -23,7 +23,10 @@ straight from their parameters, as short products of the Bloch entries,
 with no Pauli decomposition and no contraction; the sweep reads it.  Its
 contract is a distance from the exact invariants of the matrix itself,
 within 8 eps times the same polynomial on the absolute matrix entries.
-``xform_invariants`` keeps the paper's printed unit-trace forms.  A symmetric
+``xform_invariants`` is its one-row symmetric six, and
+``separability.xform_equivalence_stack`` reads its I4, I12 and I14, so
+every X-pattern route reads one closed form; the paper's printed
+unit-trace forms are its documentation and an exact test.  A symmetric
 form is one whose matrix passes the triplet-support rule
 (``states._triplet_gate``, raising NotSymmetricState):
 ``separability.evidence_stack`` runs it on a stack of states and
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import I4Zero, NoRealSpectrum, _raise_first
 from .states import BlochForm, XForm, _form_matrix, _triplet_gate
-from .tolerances import SIGN_ZERO_BAND, matches
+from .tolerances import REL_SWITCH, SIGN_ZERO_BAND
 
 @dataclass(frozen=True)
 class InvariantSet:
@@ -282,63 +285,49 @@ def i10_diagonal_frame(t_eigs, s_diag) -> float:
 
 
 def xform_invariants(x: XForm) -> SymmetricSix:
-    """Closed forms of the symmetric subset for the special pattern, as
-    the paper prints them.
+    """The symmetric subset of a special-pattern state: the six of the
+    one-row :func:`makhlin_xform_stack`, the closed forms the sweep reads.
 
-    They use the unit trace (t_zz = 1 - 4c) and |b|, so they are the
-    invariants of the pattern's state: the ``invariants`` command prints
-    them beside the computed set, and the self-test's X suite reads their
-    (I4, I12, I14) against the PT spectrum
-    (``separability.xform_equivalence_stack``).  They are not the
-    invariants of the float matrix: where a + d + 2c is 1 only within
-    rounding, or |b| rounds, they differ from those in the last bits, and
-    on OAT, where Re b = -c, the factor c^2 - |b|^2 loses all relative
-    accuracy.  The sweep reads :func:`makhlin_xform_stack` instead.
+    They are the invariants of the float matrix, within 8 eps of exact
+    (``tests/exact_oracle.py``): the ``invariants`` command prints them
+    beside the computed set, and they equal the sweep's cells of the same
+    parameters bit for bit.  On the unit trace (t_zz = 1 - 4c) they are the
+    paper's printed forms,
 
     I1  = (4c^2 - 4|b|^2)(1 - 4c)
     I2  = (2c + 2|b|)^2 + (2c - 2|b|)^2 + (1 - 4c)^2
     I4  = (a - d)^2
     I10 = 0
     I12 = (a - d)^2 (1 - 4c)
-    I14 = 8 (a - d)^2 (c^2 - |b|^2)
+    I14 = 8 (a - d)^2 (c^2 - |b|^2),
+
+    an identity that ``tests/test_invariants.py`` checks on exact
+    rationals; evaluated as printed in floats, c^2 - |b|^2 would lose all
+    relative accuracy on OAT, where Re b = -c.
     """
-    ab = abs(x.b)
-    c = x.c
-    i4, i12, i14 = _xform_criteria_invariants(x.a - x.d, ab, c)
-    # Squares as products, which IEEE arithmetic rounds correctly.
-    plus, minus, z = 2.0 * c + 2.0 * ab, 2.0 * c - 2.0 * ab, 1.0 - 4.0 * c
-    return SymmetricSix(
-        i1=(4.0 * c * c - 4.0 * ab * ab) * z,
-        i2=plus * plus + minus * minus + z * z,
-        i4=i4,
-        i10=0.0,
-        i12=i12,
-        i14=i14,
-    )
-
-
-def _xform_criteria_invariants(ad, ab, c) -> tuple:
-    """The closed forms of (I4, I12, I14) from a - d, |b| and c, as
-    :func:`xform_invariants` gives them: Python floats or ``(k,)`` arrays,
-    with the same bits either way (products and differences only)."""
-    return ad * ad, ad * ad * (1.0 - 4.0 * c), 8.0 * ad * ad * (c * c - ab * ab)
+    return SymmetricSix.from_full(InvariantSet(*makhlin_xform_stack(*x._columns())[0].tolist()))
 
 
 def xform_relation_check(six: SymmetricSix) -> bool:
     """Verify I1 = I14 I12 / (2 I4^2) and I2 = ((I4-I12)^2 - I4 I14 + I12^2) / I4^2.
 
-    These hold identically on special-pattern states with non-vanishing
-    I4, to SIGN_ZERO_BAND under ``tolerances.matches``.  Raises I4Zero
-    when |I4| is inside that band; callers then fall back to the (I1, I2)
-    pair.
+    These hold identically on special-pattern states of unit trace with
+    non-vanishing I4.  Each side is compared to SIGN_ZERO_BAND, relative to
+    the larger magnitude when that exceeds REL_SWITCH and absolute below.
+    Raises I4Zero when |I4| is inside that band; callers then fall back to
+    the (I1, I2) pair.
     """
     _raise_first([_i4_zero_gate(np.array([six.i4], dtype=float))])
     i4sq = six.i4 * six.i4
     i1_pred = six.i14 * six.i12 / (2.0 * i4sq)
     gap = six.i4 - six.i12
     i2_pred = (gap * gap - six.i4 * six.i14 + six.i12 * six.i12) / i4sq
-    return (matches(six.i1, i1_pred, SIGN_ZERO_BAND)
-            and matches(six.i2, i2_pred, SIGN_ZERO_BAND))
+
+    def close(value, reference):
+        scale = max(abs(value), abs(reference))
+        return abs(value - reference) <= SIGN_ZERO_BAND * (scale if scale > REL_SWITCH else 1.0)
+
+    return close(six.i1, i1_pred) and close(six.i2, i2_pred)
 
 
 def t_eigenvalues_from_invariants(i1: float, i2: float) -> np.ndarray:

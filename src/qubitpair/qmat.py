@@ -15,7 +15,8 @@ through ``errors._raise_first``, so a stack raises the error of its first
 refused matrix.  Hermiticity and unitarity share one defect rule
 (``_defect``: the largest |entry| of a deviation, NaN or overflow read as
 ``inf`` without a warning), and ``require_unitary`` and ``su2_to_so3``
-both gate on ``unitarity_defect``.
+both gate on ``unitarity_defect``.  A stack's refusal names its matrix
+with the suffix ``in matrix i, j`` (``_in_matrix``), empty for one matrix.
 """
 
 from __future__ import annotations
@@ -143,18 +144,21 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     flat = m.reshape(-1, *m.shape[-2:])
     defect = hermiticity_defect(flat)
     largest = np.maximum(np.abs(flat.real), np.abs(flat.imag)).max(axis=(-2, -1))
-
-    def where(j):
-        return f" in matrix {', '.join(str(i) for i in np.unravel_index(j, lead))}" if lead else ""
-
     _raise_first([
         (defect > HERMITICITY, lambda j: NotHermitian(
-            f"Hermiticity defect {defect[j]:.3e} exceeds tol {HERMITICITY:.1e}{where(j)}")),
+            f"Hermiticity defect {defect[j]:.3e} exceeds tol {HERMITICITY:.1e}"
+            f"{_in_matrix(j, lead)}")),
         (largest > SOLVE_ENTRY, lambda j: EntryOverflow(
             f"entry part {largest[j]:.3e} exceeds the eigen solve's bound "
-            f"{SOLVE_ENTRY:.3e}{where(j)}")),
+            f"{SOLVE_ENTRY:.3e}{_in_matrix(j, lead)}")),
     ])
     return _solve(m)
+
+
+def _in_matrix(j: int, lead: tuple) -> str:
+    """The suffix `` in matrix i, j`` that names matrix ``j`` of a flattened
+    stack with leading axes ``lead``; empty for one matrix."""
+    return f" in matrix {', '.join(str(i) for i in np.unravel_index(j, lead))}" if lead else ""
 
 
 def _solve(m: np.ndarray) -> np.ndarray:
@@ -230,13 +234,14 @@ def require_unitary(u: np.ndarray, name: str = "matrix") -> np.ndarray:
         ``name`` and the shape.
     NotUnitary
         If :func:`unitarity_defect` exceeds ``tolerances.UNITARITY`` for
-        any matrix, a non-finite matrix included.
+        any matrix, a non-finite matrix included; a stack's message ends
+        in ``in matrix i, j``, as :func:`hermitian_eigenvalues`' does.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape[-2:] != (2, 2):
         raise ValueError(f"{name} must be a 2x2 matrix or a stack of them, got shape {u.shape}")
-    _raise_first([((unitarity_defect(u) > UNITARITY).reshape(-1),
-                   lambda j: NotUnitary(f"{name} is not unitary within tol {UNITARITY:.1e}"))])
+    _raise_first([((unitarity_defect(u) > UNITARITY).reshape(-1), lambda j: NotUnitary(
+        f"{name} is not unitary within tol {UNITARITY:.1e}{_in_matrix(j, u.shape[:-2])}"))])
     return u
 
 

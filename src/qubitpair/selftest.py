@@ -8,7 +8,9 @@ Three suites mirror the library's central guarantees:
   drive I12, I14 or I12 - I4^2 below the zero band.
 * ``xform_pt_equivalence``: on random special-pattern states the
   criteria signs agree with the partial-transpose signs and the
-  closed-form PT spectrum matches the numeric one.
+  closed-form PT spectrum matches the numeric one.  The criteria read the
+  closed form the sweep prints (``invariants.makhlin_xform_stack``), so
+  the suite holds the sweep's numbers to the partial transpose.
 
 The suites take their draws from one generator in a fixed order, one
 generator call per kind of variate: the invariance suite's normals, the

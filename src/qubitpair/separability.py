@@ -33,6 +33,8 @@ special pattern's closed forms take ``(k,)`` parameter arrays as well:
 ``xform_pt_eigenvalues`` and ``xform_equivalence_check`` are the one-row
 cases of ``xform_pt_eigenvalues_stack`` and ``xform_equivalence_stack``,
 which the self-test's X-form suite calls once for all of its draws.
+``xform_equivalence_stack`` reads I4, I12 and I14 from
+``invariants.makhlin_xform_stack``, the closed form the sweep reads.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ import numpy as np
 from . import qmat
 from .errors import InconsistentClassification, _raise_first, _refused
 from .invariants import (
-    InvariantSet, SymmetricSix, _i4_zero_gate, _xform_criteria_invariants, makhlin_stack,
-    makhlin_xform_stack,
+    InvariantSet, SymmetricSix, _i4_zero_gate, makhlin_stack, makhlin_xform_stack,
 )
 from .states import (
     XForm, _abs, _as_state, _decomposition, _psd_gate, _triplet_gate, xform_matrices,
@@ -461,19 +462,19 @@ def xform_equivalence_stack(
     """:func:`xform_equivalence_check` of k special-pattern states, from their
     ``(k,)`` parameter arrays, as a ``(k,)`` mask.
 
-    The parameters are not checked.  A row whose I4 = (a-d)^2 is inside the
-    zero band, where the one-state check raises I4Zero, carries no
-    information; its entry is meaningless.
+    I4, I12 and I14 are the columns of :func:`makhlin_xform_stack`, the
+    closed forms the sweep prints, so the check holds the sweep's numbers
+    to the PT spectrum.  The parameters are not checked.  A row whose
+    I4 = (a-d)^2 is inside the zero band, where the one-state check raises
+    I4Zero, carries no information; its entry is meaningless.
     """
-    ad = a - d
-    ad_sq = ad * ad
+    i4, i12, i14 = makhlin_xform_stack(a, b, c, d)[:, [3, 11, 13]].T
     ab = _abs(b)
-    i4, i12, i14 = _xform_criteria_invariants(ad, ab, c)
     c_plus_b = c + ab
     with np.errstate(divide="ignore", invalid="ignore"):  # the rows that carry no information
-        lhs12 = (i12 - i4 * i4) / ad_sq
-        lhs14 = i14 / (8.0 * ad_sq * c_plus_b)
-    ok12 = _band_signs_agree(lhs12, (1.0 - 4.0 * c) - ad_sq)
+        lhs12 = (i12 - i4 * i4) / i4
+        lhs14 = i14 / (8.0 * i4 * c_plus_b)
+    ok12 = _band_signs_agree(lhs12, (1.0 - 4.0 * c) - i4)
     # Where c + |b| is inside the band, I14 and lambda_3 both are.
     ok14 = (c_plus_b <= SIGN_ZERO_BAND) | _band_signs_agree(lhs14, c - ab)
     return ok12 & ok14

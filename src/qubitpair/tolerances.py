@@ -4,7 +4,9 @@ The matrix, symmetry, pattern and sign gates read their bands from here
 (one band per rule: triplet support is SYMMETRY wherever it is decided,
 and a vanishing I4 is SIGN_ZERO_BAND),
 and none of them takes a per-call override, so the tolerance policy can
-be audited (and tightened) in one place.
+be audited (and tightened) in one place.  The table holds bands only: a
+rule that reads one, such as the relation check's relative-or-absolute
+comparison on REL_SWITCH, is written where it is used.
 
 Positivity has one band, PSD_FLOOR, on every path: the eigen solve of
 ``assert_density_matrix`` and of ``evidence_stack``, and ``XForm``'s
@@ -51,15 +53,6 @@ SIGN_ZERO_BAND = 1e-10
 INVARIANCE_REL = 1e-9
 INVARIANCE_ABS = 1e-12
 
-# Crossover for the relative-vs-absolute comparison rule used in checks:
-# compare relatively when the reference magnitude exceeds this, absolutely
-# otherwise.
+# Crossover of invariants.xform_relation_check's comparison: relative when
+# the larger magnitude exceeds this, absolute otherwise.
 REL_SWITCH = 1e-6
-
-
-def matches(value: float, reference: float, tol: float) -> bool:
-    """Compare `value` to `reference` relatively above REL_SWITCH, absolutely below."""
-    scale = max(abs(value), abs(reference))
-    if scale > REL_SWITCH:
-        return abs(value - reference) <= tol * scale
-    return abs(value - reference) <= tol

@@ -26,10 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracle as eo
-from qubitpair.invariants import makhlin_stack, makhlin_xform_stack
+from qubitpair.invariants import makhlin_stack, makhlin_xform_stack, xform_invariants
 from qubitpair.models import dicke_pair, ising_pair, oat_pair
 from qubitpair.separability import _xform_evidence
-from qubitpair.states import _pauli_decomposition, bloch_decompose_stack, xform_matrices
+from qubitpair.states import XForm, _pauli_decomposition, bloch_decompose_stack, xform_matrices
 
 UNIT = st.floats(-1.0, 1.0)
 
@@ -191,15 +191,17 @@ def test_xform_i14_keeps_its_relative_accuracy_on_oat(family):
     """On OAT, Re b = -c exactly, so T_xx = 0 and D = -T_xy T_xy has one
     rounding: I14 = 2 z^2 D is then within gamma_5 (2.5 eps) of exact
     relative to itself, which c^2 - |b|^2 would not keep (it cancels).
-    Rows whose I14 lies within 2^22 of the subnormal range are not read:
-    there a factor can underflow."""
+    ``xform_invariants`` of each row's pair, the ``invariants`` command's
+    closed form, keeps it too.  Rows whose I14 lies within 2^22 of the
+    subnormal range are not read: there a factor can underflow."""
     a, b, c, d = eo.family_grids(stride=4)[family]
     assert np.array_equal(b.real, -c)
     i14 = makhlin_xform_stack(a, b, c, d)[:, 13]
     read = 0
-    for value, params in zip(i14.tolist(), zip(a, b, c, d)):
+    for value, params in zip(i14.tolist(), zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())):
         exact = eo.exact_xform_invariants(*eo._xform_rationals(*params))[13]
         if abs(exact) >= Fraction(1, 2 ** 1000):
             read += 1
-            assert abs(Fraction(value) - exact) <= 3 * eo.EPS * abs(exact)
+            for got in (value, xform_invariants(XForm(*params)).i14):
+                assert abs(Fraction(got) - exact) <= 3 * eo.EPS * abs(exact), params
     assert read > len(i14) // 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import exact_oracle as eo
 from qubitpair import qmat
 from qubitpair.errors import I4Zero, NoRealSpectrum, NotSymmetricState
 from qubitpair.invariants import (
@@ -233,29 +234,38 @@ class TestXFormInvariants:
             pipeline = symmetric_six(bloch_decompose(x.to_matrix()))
             assert_allclose(closed.as_array(), pipeline.as_array(), atol=1e-12)
 
-    def test_within_4_eps_of_the_exact_rationals(self):
-        # Every closed form is a polynomial in a, d, c and |b|^2, so the exact
-        # value of the given floats is a Fraction.  The scale of each is its
-        # polynomial on absolute values, every difference a sum.  The worst
-        # over 20,000 draws is 1.8 eps (I1); |b| carries hypot's rounding.
+    # The columns of SymmetricSix in the exact oracle's 18.
+    SIX_COLUMNS = (0, 1, 3, 9, 11, 13)
+
+    def test_within_the_x_bound_of_the_exact_oracle(self):
+        # The six are those of makhlin_xform_stack, the invariants of the
+        # float matrix, so the oracle holds them as it holds the sweep's.
         from qubitpair.states import XForm
 
-        eps = Fraction(1, 2 ** 52)
         rng = np.random.default_rng(7)
-        xforms = [random_xform(rng) for _ in range(2000)] + [
+        xforms = [random_xform(rng) for _ in range(500)] + [
             XForm(a=0.5, b=0j, c=0.25, d=0.0), XForm(a=0.3, b=0.2j, c=0.2, d=0.3),
             XForm(a=0.6, b=-0.1 + 0.1j, c=0.1, d=0.2)]
         for x in xforms:
-            a, d, c = Fraction(x.a), Fraction(x.d), Fraction(x.c)
-            b2 = Fraction(x.b.real) ** 2 + Fraction(x.b.imag) ** 2
-            ad2, ad2_abs = (a - d) ** 2, (abs(a) + abs(d)) ** 2
-            z, z_abs = 1 - 4 * c, 1 + 4 * abs(c)
-            exact = [(4 * c * c - 4 * b2) * z, 8 * c * c + 8 * b2 + z * z, ad2, 0, ad2 * z,
-                     8 * ad2 * (c * c - b2)]
-            scale = [(4 * c * c + 4 * b2) * z_abs, 8 * c * c + 8 * b2 + z_abs * z_abs, ad2_abs,
-                     1, ad2_abs * z_abs, 8 * ad2_abs * (c * c + b2)]
-            for value, want, size in zip(xform_invariants(x).as_array(), exact, scale):
-                assert abs(Fraction(float(value)) - want) <= 4 * eps * size, x
+            errors = eo.xform_errors_in_eps(
+                xform_invariants(x).as_array(), x.a, x.b, x.c, x.d, self.SIX_COLUMNS)
+            assert max(errors) <= eo.XFORM_BOUND, (x, errors)
+
+    def test_the_printed_forms_are_the_oracle_on_the_unit_trace(self):
+        # The paper's unit-trace forms, in a, d, c and |b|^2, equal the exact
+        # invariants of the matrix wherever a + d + 2c = 1 exactly.
+        rng = np.random.default_rng(11)
+        params = [[Fraction(int(n), 97) for n in rng.integers(-97, 98, size=4)]
+                  for _ in range(300)]
+        params += [[Fraction(v) for v in (x.a, x.b.real, x.b.imag, x.c)]
+                   for x in (random_xform(rng) for _ in range(100))]
+        for a, re_b, im_b, c in params:
+            d = 1 - a - 2 * c
+            b2, ad2, z = re_b * re_b + im_b * im_b, (a - d) ** 2, 1 - 4 * c
+            printed = [(4 * c * c - 4 * b2) * z, 8 * c * c + 8 * b2 + z * z, ad2, 0, ad2 * z,
+                       8 * ad2 * (c * c - b2)]
+            exact = eo.exact_xform_invariants(a, re_b, im_b, c, d)
+            assert [exact[j] for j in self.SIX_COLUMNS] == printed
 
 
 class TestXFormRelationCheck:

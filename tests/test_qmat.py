@@ -276,8 +276,11 @@ class TestUnitarityGate:
         stack = np.array([qmat.haar_su2(rng) for _ in range(5)])
         assert qmat.require_unitary(stack, name="u1") is stack  # already complex: no copy
         stack[4, 1, 1] = np.nan
-        with pytest.raises(NotUnitary, match="^u1 is not unitary"):
+        with pytest.raises(NotUnitary, match=r"^u1 is not unitary within tol 1\.0e-10 in matrix 4$"):
             qmat.require_unitary(stack, name="u1")
+        # A stack of more than one leading axis is named by every index.
+        with pytest.raises(NotUnitary, match=r"^u1 is not unitary within tol 1\.0e-10 in matrix 0, 1$"):
+            qmat.require_unitary(stack[1:].reshape(2, 2, 2, 2)[::-1], name="u1")
 
 
 class TestSu2ToSo3:

@@ -451,9 +451,9 @@ class TestGenerateIsOneSweepPoint:
     """``generate`` and ``sweep`` share one family grammar and one family check."""
 
     POINTS = {
-        "dicke": ["--n", "6", "--m", "2"],
-        "oat": ["--n", "5", "--chit", "0.7", "--paper-literal"],
-        "ising": ["--n", "4", "--chit", "1.1"],
+        "dicke": (["--n", "6", "--m", "2"], ["--n", "8", "--m", "1"]),
+        "oat": (["--n", "5", "--chit", "0.7", "--paper-literal"], ["--n", "40", "--chit", "1.3"]),
+        "ising": (["--n", "4", "--chit", "1.1"], ["--n", "5", "--chit", "1.1"]),
     }
     FOREIGN = [
         ("oat", ["--chit", "1", "--m", "1"]),
@@ -469,24 +469,32 @@ class TestGenerateIsOneSweepPoint:
 
     @pytest.mark.parametrize("family", ["dicke", "oat", "ising"])
     def test_state_file_is_the_sweep_row_pair(self, family, tmp_path, capsys):
-        flags = self.POINTS[family]
-        state, rows = tmp_path / "state.json", tmp_path / "rows.json"
-        assert run_cli(["generate", family, *flags, "--out", str(state)], capsys)[0] == 0
-        assert run_cli(["sweep", family, *flags, "--out", str(rows), "--format", "json"],
-                       capsys)[0] == 0
-        (row,) = json.loads(rows.read_text())
-        x = {
-            "dicke": lambda: dicke_pair(row["N"], row["M"]),
-            "oat": lambda: oat_pair(row["N"], row["chi_t"], paper_literal="--paper-literal" in flags),
-            "ising": lambda: ising_pair(row["N"], row["chi_t"]),
-        }[family]()
-        assert json.loads(state.read_text()) == state_payload(x)
-        code, out, _ = run_cli(["classify", str(state), "--json"], capsys)
-        assert code == 0
-        verdict = json.loads(out)
-        assert verdict["verdict"] == row["verdict"]
-        assert verdict["criteria"] == row["criteria"]
-        assert verdict["ppt_min_eigenvalue"] == row["ppt_min_eig"]
+        # The invariants command's X block and the sweep read one closed
+        # form, so the state file of a point reports the row's cells bit
+        # for bit.
+        for flags in self.POINTS[family]:
+            state, rows = tmp_path / "state.json", tmp_path / "rows.json"
+            assert run_cli(["generate", family, *flags, "--out", str(state)], capsys)[0] == 0
+            assert run_cli(["sweep", family, *flags, "--out", str(rows), "--format", "json"],
+                           capsys)[0] == 0
+            (row,) = json.loads(rows.read_text())
+            x = {
+                "dicke": lambda: dicke_pair(row["N"], row["M"]),
+                "oat": lambda: oat_pair(row["N"], row["chi_t"],
+                                        paper_literal="--paper-literal" in flags),
+                "ising": lambda: ising_pair(row["N"], row["chi_t"]),
+            }[family]()
+            assert json.loads(state.read_text()) == state_payload(x)
+            code, out, _ = run_cli(["classify", str(state), "--json"], capsys)
+            assert code == 0
+            verdict = json.loads(out)
+            assert verdict["verdict"] == row["verdict"]
+            assert verdict["criteria"] == row["criteria"]
+            assert verdict["ppt_min_eigenvalue"] == row["ppt_min_eig"]
+            code, out, _ = run_cli(["invariants", str(state), "--json"], capsys)
+            assert code == 0
+            six = json.loads(out)["xform_six"]
+            assert [float(v).hex() for v in six.values()] == [float(row[k]).hex() for k in six]
 
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     @pytest.mark.parametrize("family, flags", FOREIGN)

@@ -235,7 +235,7 @@ class TestApplyLocalUnitary:
         u = np.array([[entry, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(NotUnitary, match=r"^u1 is not unitary within tol 1\.0e-10$"):
             apply_local_unitary(ket00, u, qmat.IDENTITY_2)
-        with pytest.raises(NotUnitary, match=r"^u2 is not unitary within tol 1\.0e-10$"):
+        with pytest.raises(NotUnitary, match=r"^u2 is not unitary within tol 1\.0e-10 in matrix 1$"):
             apply_local_unitary(ket00, qmat.IDENTITY_2, np.array([qmat.IDENTITY_2, u]))
         with pytest.raises(NotSpecialUnitary, match=r"^matrix is not unitary$"):
             qmat.su2_to_so3(u)
