@@ -12,7 +12,8 @@ The commands are one table, ``COMMANDS``.  A call builds every command's
 subparser, so the usage line, ``--help`` and the command choices are
 always the same, but adds arguments only to the command its first word
 names; any other first word (help, ``--``, a typo, none) builds them all,
-as ``build_parser()`` does.
+as ``build_parser()`` does.  ``cmd_selftest`` imports ``selftest`` when it
+runs, so the other commands never load it or ``sampling``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from .errors import InvalidDensityMatrix, NotSymmetricState, NotXForm, QubitPairError
 from .invariants import makhlin_all, xform_invariants
 from .models import FAMILIES, pair_parameters
-from .selftest import format_report, run_selftest
 from .separability import (
     CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classification, _classification_error,
     _gated_evidence, _xform_evidence, classify,
@@ -270,6 +270,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import format_report, run_selftest
+
     report = run_selftest(seed=args.seed, count=args.count, out_dir=args.out)
     print(format_report(report))
     return 1 if report.failures else 0

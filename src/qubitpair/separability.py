@@ -50,7 +50,7 @@ from .invariants import (
     InvariantSet, SymmetricSix, _i4_zero_gate, makhlin_stack, makhlin_xform_stack,
 )
 from .states import (
-    XForm, _abs, _as_state, _decomposition, _psd_gate, _triplet_gate, xform_matrices,
+    XForm, _abs, _as_state, _as_states, _decomposition, _psd_gate, _triplet_gate, xform_matrices,
 )
 from .tolerances import SIGN_ZERO_BAND
 
@@ -196,9 +196,10 @@ def separable_mixtures(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
     """Transpose the second qubit's indices: rho[ij, kl] -> rho[il, kj].
 
-    Takes one ``(4, 4)`` matrix or a ``(..., 4, 4)`` stack.
+    Takes one ``(4, 4)`` matrix or a ``(..., 4, 4)`` stack; any other shape
+    raises InvalidDensityMatrix.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_states(rho)
     lead = rho.shape[:-2]
     return rho.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
 

@@ -131,6 +131,15 @@ def _as_state(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _as_states(rho: np.ndarray) -> np.ndarray:
+    """``rho`` as a complex ``(..., 4, 4)`` array, one state or a stack of
+    them; InvalidDensityMatrix for any other shape."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise InvalidDensityMatrix(f"expected shape (..., 4, 4), got {rho.shape}")
+    return rho
+
+
 @dataclass(frozen=True)
 class BlochForm:
     """Average spins ``s``, ``r`` and correlation matrix ``t`` of a two-qubit state."""
@@ -358,7 +367,7 @@ def _triplet_gate(rhos: np.ndarray) -> tuple:
 def is_symmetric(rho: np.ndarray) -> bool:
     """True iff the state is supported on the triplet subspace: the
     one-row mask of the triplet-support rule."""
-    refused, _ = _triplet_gate(np.asarray(rho, dtype=complex)[None])
+    refused, _ = _triplet_gate(_as_state(rho)[None])
     return not refused[0]
 
 
@@ -397,11 +406,13 @@ def apply_local_unitary(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.n
     s' = O(U1) s, r' = O(U2) r and T' = O(U1) T O(U2)^T for
     special-unitary factors.
 
-    Each factor meets ``qmat.require_unitary`` before any product: a
-    factor whose last two axes are not (2, 2) raises ValueError, one that
-    is not unitary NotUnitary.
+    A ``rho`` whose last two axes are not (4, 4) raises
+    InvalidDensityMatrix.  Each factor then meets ``qmat.require_unitary``
+    before any product: a factor whose last two axes are not (2, 2) raises
+    ValueError, one that is not unitary NotUnitary.
     """
+    rho = _as_states(rho)
     u1 = qmat.require_unitary(u1, name="u1")
     u2 = qmat.require_unitary(u2, name="u2")
     u = qmat.kron_stack(u1, u2)
-    return u @ np.asarray(rho, dtype=complex) @ u.conj().swapaxes(-1, -2)
+    return u @ rho @ u.conj().swapaxes(-1, -2)

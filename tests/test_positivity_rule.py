@@ -248,9 +248,13 @@ class TestRepros:
         rho[2, 2] -= 0.45e-10
         x = xform_extract(rho)
         assert abs(x.a + x.d + 2.0 * x.c - np.trace(rho).real) < 1e-16
-        code, out, err = _cli(["invariants", self._file(tmp_path, rho), "--json"])
+        path = self._file(tmp_path, rho)
+        code, out, err = _cli(["invariants", path, "--json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["xform"]["c"] == x.c
+        code, out, err = _cli(["invariants", path])
+        assert (code, err) == (0, "")
+        assert "xform: yes" in out.splitlines()
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_an_extracted_form_below_the_floor_is_no_x_form(self, as_json, tmp_path):

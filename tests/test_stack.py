@@ -596,6 +596,19 @@ class TestStackedGates:
         for one_state in (bloch_decompose, evidence):
             with pytest.raises(InvalidDensityMatrix, match=r"expected shape \(4, 4\), got \(1, 4, 4\)"):
                 one_state(np.eye(4)[None] / 4)
+        # Wrong shapes meet the library's own error, naming the shape, and
+        # never numpy's matmul, reshape or index error.
+        for rho in (np.eye(3) / 3, np.ones(16) / 4):
+            got = re.escape(str(rho.shape))
+            with pytest.raises(InvalidDensityMatrix, match=rf"expected shape \(4, 4\), got {got}"):
+                is_symmetric(rho)
+            for stack_function in (
+                partial_transpose, ppt_check,
+                lambda r: apply_local_unitary(r, np.eye(2), np.eye(2)),
+            ):
+                with pytest.raises(InvalidDensityMatrix,
+                                   match=rf"expected shape \(\.\.\., 4, 4\), got {got}"):
+                    stack_function(rho)
 
 
 class TestBlochDecomposeForm:

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import functools
+import importlib
 import inspect
 import json
 import operator
@@ -848,6 +850,9 @@ class TestTripletSupportIsOneRule:
         code, out, _ = run_cli(["invariants", str(path), "--json"], capsys)
         assert code == 0
         assert json.loads(out)["symmetric"] is symmetric
+        code, out, _ = run_cli(["invariants", str(path)], capsys)
+        assert code == 0
+        assert f"symmetric: {'yes' if symmetric else 'no'}" in out.splitlines()
 
 
 class TestToleranceKnobsGone:
@@ -883,6 +888,127 @@ class TestToleranceKnobsGone:
             cli.main([command, str(path), "--tol", "1e-6"])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+
+class TestPublicSurface:
+    """``qubitpair`` exports one table of names and resolves each on use,
+    from the module that defines it."""
+
+    #: The public names, by defining module, as the package exported them
+    #: when each was imported eagerly.
+    NAMES = {
+        "errors": {
+            "EntryOverflow", "I4Zero", "InconsistentClassification", "InvalidDensityMatrix",
+            "InvalidDicke", "NoRealSpectrum", "NotHermitian", "NotPositive",
+            "NotSpecialUnitary", "NotSymmetricState", "NotUnitary", "NotXForm",
+            "QubitPairError", "StateFileError",
+        },
+        "invariants": {
+            "InvariantSet", "SymmetricSix", "i10_diagonal_frame", "makhlin_all",
+            "symmetric_six", "t_eigenvalues_from_invariants", "xform_invariants",
+            "xform_relation_check",
+        },
+        "models": {
+            "DickeInvariants", "FamilyInvariants", "dicke_invariants", "dicke_pair",
+            "ising_invariants", "ising_pair", "oat_invariants", "oat_pair",
+        },
+        "qmat": {"haar_su2", "hermitian_eigenvalues", "kron", "su2_to_so3"},
+        "sampling": {"random_density_matrix", "random_symmetric_density_matrix", "random_xform"},
+        "selftest": {"SelfTestReport", "format_report", "run_selftest"},
+        "separability": {
+            "CRITERION_I12", "CRITERION_I12_MINUS_I4SQ", "CRITERION_I14", "Classification",
+            "EvidenceStack", "PptResult", "SeparableEnsemble", "classify", "evidence",
+            "evidence_stack", "invariant_criteria", "partial_transpose", "ppt_check",
+            "sample_separable_symmetric", "xform_equivalence_check", "xform_pt_eigenvalues",
+        },
+        "states": {
+            "BlochForm", "XForm", "apply_local_unitary", "assert_density_matrix",
+            "bloch_compose", "bloch_decompose", "is_symmetric", "xform_extract",
+        },
+        "stateio": {"read_state_file", "write_state_file"},
+    }
+    MODULES = {*NAMES, "tolerances"}
+
+    def test_all_is_the_frozen_set_of_names(self):
+        frozen = set().union(*self.NAMES.values())
+        assert len(frozen) == 66
+        assert len(qubitpair.__all__) == 66
+        assert set(qubitpair.__all__) == frozen
+
+    def test_each_name_is_its_module_binding(self):
+        for module, names in self.NAMES.items():
+            defining = importlib.import_module(f"qubitpair.{module}")
+            for name in names:
+                assert getattr(qubitpair, name) is getattr(defining, name), name
+
+    def test_module_names_resolve(self):
+        for module in self.MODULES:
+            assert getattr(qubitpair, module) is importlib.import_module(f"qubitpair.{module}")
+        assert callable(qubitpair.selftest.run_selftest)
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from qubitpair import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(qubitpair.__all__)
+
+    def test_an_unknown_name_raises_the_standard_error(self):
+        with pytest.raises(AttributeError) as exc:
+            qubitpair.no_such_name
+        with pytest.raises(AttributeError) as standard:
+            json.no_such_name
+        assert str(exc.value) == str(standard.value).replace("'json'", "'qubitpair'")
+        assert str(exc.value) == "module 'qubitpair' has no attribute 'no_such_name'"
+
+    def test_dir_covers_all_and_the_modules(self):
+        assert set(dir(qubitpair)) >= set(qubitpair.__all__) | self.MODULES | {"__version__"}
+
+    def test_a_name_is_read_on_each_use(self, monkeypatch):
+        from qubitpair import separability
+
+        original = separability.classify
+
+        def stand_in(rho):
+            return original(rho)
+
+        monkeypatch.setattr(separability, "classify", stand_in)
+        assert qubitpair.classify is stand_in
+        monkeypatch.undo()
+        assert qubitpair.classify is original
+        assert "classify" not in vars(qubitpair)
+
+
+class TestImportBoundary:
+    """A fresh interpreter loads a module of the package only when it is used."""
+
+    @staticmethod
+    def loaded_after(script, *args) -> list:
+        """The ``qubitpair.*`` modules a fresh interpreter has loaded after
+        ``script``, which may print; the list is its last line."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qubitpair.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        report = ("\nimport sys\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('qubitpair.')))\n")
+        done = subprocess.run([sys.executable, "-c", script + report, *map(str, args)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return ast.literal_eval(done.stdout.splitlines()[-1])
+
+    def test_import_loads_no_module(self):
+        assert self.loaded_after("import qubitpair") == []
+
+    def test_classify_loads_neither_selftest_nor_sampling(self, dicke_file):
+        loaded = self.loaded_after(
+            "import sys\nfrom qubitpair import cli\n"
+            "assert cli.main(['classify', sys.argv[1], '--json']) == 0", dicke_file)
+        assert "qubitpair.separability" in loaded
+        assert "qubitpair.selftest" not in loaded
+        assert "qubitpair.sampling" not in loaded
+
+    def test_selftest_loads_both(self, tmp_path):
+        loaded = self.loaded_after(
+            "import sys\nfrom qubitpair import cli\n"
+            "assert cli.main(['selftest', '--count', '1', '--out', sys.argv[1]]) == 0", tmp_path)
+        assert {"qubitpair.selftest", "qubitpair.sampling"} <= set(loaded)
 
 
 class TestCliSelftest:
@@ -939,6 +1065,13 @@ class TestCliSelftest:
         assert code == 2
         assert out == ""
         assert "count must be >= 0" in err
+
+    @pytest.mark.parametrize("count", ["1", "20"])
+    def test_a_seeded_run_passes(self, count, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["selftest", "--seed", "5", "--count", count, "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert "result: PASS" in out
 
     def test_zero_count_passes_with_empty_suites(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -1050,6 +1183,18 @@ class TestCliSurface:
         monkeypatch.setenv("COLUMNS", "80")
         argv = [word.format(state=dicke_file, dir=tmp_path) for word in template]
         assert self.outcome(capsys, argv) == self.full_parser_outcome(capsys, monkeypatch, argv)
+
+    def test_help_exits_0_and_a_usage_error_2(self, dicke_file, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = self.outcome(capsys, ["sweep", "--help"])
+        assert (code, err) == (("SystemExit", 0), "")
+        assert out.startswith("usage: qubitpair sweep ")
+        # A usage error after a command's own arguments prints the top-level
+        # usage line, whose choices every command feeds.
+        code, out, err = self.outcome(capsys, ["classify", str(dicke_file), "--bogus"])
+        assert (code, out) == (("SystemExit", 2), "")
+        assert err.splitlines()[0] == (
+            "usage: qubitpair [-h] {invariants,classify,generate,sweep,selftest} ...")
 
     def test_no_argv_reads_sys_argv(self, dicke_file, capsys, monkeypatch):
         argv = ["classify", str(dicke_file), "--json"]
