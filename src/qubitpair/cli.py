@@ -2,11 +2,15 @@
 
 Subcommands: ``invariants``, ``classify``, ``generate``, ``sweep`` and
 ``selftest``.  ``generate`` is the one-point case of ``sweep``: both take a
-model family and the same family flags.  Exit codes: 0 ok, 1
-self-test/property failure, 2 input validation or an unwritable output
-path, 3 domain precondition (e.g. non-symmetric input to classify).  A
-reader that closes standard output early (``| head``) ends the command
-with exit 0 and nothing on standard error.
+model family and the same family flags.  ``classify`` and ``invariants``
+read a file with ``stateio.read_state``, so an ``xform`` file is
+evaluated as ``sweep`` evaluates a row, by ``_xform_evidence``.  Exit
+codes: 0 ok, 1 self-test/property failure, 2 input validation, an
+unwritable output path or an input too large to allocate, 3 domain
+precondition (e.g. non-symmetric input to classify).  A reader that
+closes standard output early (``| head``) ends the command with exit 0
+and nothing on standard error.  The console command (``entry``) prints
+a warning as one ``warning: <message>`` line.
 
 The commands are one table, ``COMMANDS``.  A call builds every command's
 subparser, so the usage line, ``--help`` and the command choices are
@@ -22,19 +26,20 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 
 from .errors import InvalidDensityMatrix, NotSymmetricState, NotXForm, QubitPairError
-from .invariants import makhlin_all, xform_invariants
+from .invariants import xform_invariants
 from .models import FAMILIES, pair_parameters
 from .separability import (
     CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classification, _classification_error,
     _gated_evidence, _xform_evidence, classify,
 )
-from .states import XForm, bloch_decompose, is_symmetric, xform_extract
-from .stateio import read_state_file, state_text, write_state_file, xform_fields
+from .states import XForm, is_symmetric, xform_extract
+from .stateio import read_state, state_text, write_state_file, xform_fields
 from .tolerances import SIGN_ZERO_BAND
 
 #: Sweep columns: the CSV header, the order of each CSV line and of each JSON
@@ -63,39 +68,42 @@ def _classification_payload(cls) -> dict:
     }
 
 
-def _invariants_payload(rho: np.ndarray) -> dict:
-    """The ``invariants`` report of a state that ``read_state_file`` validated.
+def _invariants_payload(state) -> dict:
+    """The ``invariants`` report of a state that ``read_state`` validated,
+    from one evaluation of it.
 
-    A symmetric state's 18 invariants are the ones ``classify`` read its
-    verdict from, so the state is decomposed once, and its triplet support
-    is decided once, by ``is_symmetric``.  A symmetric state that
-    ``classify`` refuses because a criterion fires while its PT minimum
-    eigenvalue is inside the zero band is reported with its invariants and
-    no classification; a criterion firing on a PT spectrum positive beyond
-    the band contradicts the theorem and is raised as ``classify`` raises it.
+    An ``XForm`` takes the sweep's route, ``_xform_evidence``: it is
+    symmetric by construction, and its X block is the form itself.  A
+    matrix takes the evidence without its triplet gate, whose mask
+    ``is_symmetric`` reads once, so the 18 invariants come from one Pauli
+    decomposition whether the state is symmetric or not.  Only a symmetric
+    state gets a classification.  One that ``classify`` refuses because a
+    criterion fires while its PT minimum eigenvalue is inside the zero band
+    is reported with its invariants and no classification; a criterion
+    firing on a PT spectrum positive beyond the band contradicts the
+    theorem and is raised as ``classify`` raises it.
     """
-    ev = cls = None
-    if is_symmetric(rho):
-        ev = cls = _classification(_gated_evidence(rho[None], triplet=False))
-    error = _classification_error(ev) if ev else None
-    if error is not None:
-        if ev.ppt_min_eigenvalue > SIGN_ZERO_BAND:
-            raise error
-        cls = None
-    inv = ev.invariants if ev else makhlin_all(bloch_decompose(rho))
+    if isinstance(state, XForm):
+        x, symmetric, ev = state, True, _xform_evidence(*state._columns())
+    else:
+        x, symmetric, ev = None, is_symmetric(state), _gated_evidence(state[None], triplet=False)
+    cls = _classification(ev)
+    error = _classification_error(cls) if symmetric else None
+    if error is not None and cls.ppt_min_eigenvalue > SIGN_ZERO_BAND:
+        raise error
     payload: dict = {
-        "invariants": {f"i{k}": getattr(inv, f"i{k}") for k in range(1, 19)},
-        "symmetric": ev is not None,
-        "symmetric_six": asdict(ev.six) if ev else None,
+        "invariants": {f"i{k}": getattr(cls.invariants, f"i{k}") for k in range(1, 19)},
+        "symmetric": symmetric,
+        "symmetric_six": asdict(cls.six) if symmetric else None,
         "xform": None,
         "xform_six": None,
-        "classification": _classification_payload(cls) if cls else None,
+        "classification": _classification_payload(cls) if symmetric and error is None else None,
     }
     # A matrix off the pattern has no X form, and so has one whose extracted
     # form XForm's rule refuses: c, the mean of the middle block's diagonal,
     # can lie below the floor although no eigenvalue of the matrix does.
     try:
-        x = xform_extract(rho)
+        x = x or xform_extract(state)
     except (NotXForm, InvalidDensityMatrix):
         return payload
     payload["xform"] = {**xform_fields(x), "d": x.d}
@@ -109,8 +117,7 @@ def _print_six(label: str, six: dict) -> None:
 
 
 def cmd_invariants(args) -> int:
-    rho = read_state_file(args.state)
-    payload = _invariants_payload(rho)
+    payload = _invariants_payload(read_state(args.state))
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
@@ -135,8 +142,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    rho = read_state_file(args.state)
-    cls = classify(rho)
+    cls = classify(read_state(args.state))
     if args.json:
         print(json.dumps(_classification_payload(cls), indent=2))
         return 0
@@ -360,17 +366,17 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except NotSymmetricState as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:  # a closed standard output, handled by entry()
         raise
-    except (QubitPairError, ValueError, OSError) as exc:  # OSError: an unwritable --out
+    # OSError: an unwritable --out; MemoryError: a grid or count too large to allocate.
+    except (QubitPairError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NotSymmetricState) else 2
 
 
 def entry() -> None:
+    # A warning prints as one line that names no path of the install.
+    warnings.formatwarning = lambda message, *rest, **kwargs: f"warning: {message}\n"
     try:
         code = main()
         # Flush here, so that a reader who closed the pipe is seen in this try

@@ -16,7 +16,9 @@ the contraction come before one shared step, the criteria on the ``(k,
 ``XForm``'s rule has checked as parameters, take that step without the
 gates: ``_xform_evidence`` solves only their partial transposes, as
 ``evidence_stack`` does bit for bit, and reads the invariants from the
-pattern's closed forms, within 8 eps of exact.  Each hypothesis
+pattern's closed forms, within 8 eps of exact.  ``evidence`` and
+``classify`` of an ``XForm`` (an ``xform`` state file, say) take that
+route too, so they equal the sweep row of its parameters.  Each hypothesis
 of the criteria is one gate: triplet support is ``states._triplet_gate``,
 which ``evidence_stack`` runs after the density-matrix rule, the entry
 rule and the positivity gate ``states._psd_gate`` (read on the same eigen
@@ -254,15 +256,20 @@ def invariant_criteria(six: SymmetricSix) -> frozenset:
     return frozenset(itertools.compress(CRITERIA, fired[0].tolist()))
 
 
-def evidence(rho: np.ndarray) -> Classification:
+def evidence(rho: np.ndarray | XForm) -> Classification:
     """PT verdict, fired criteria and invariants of a valid symmetric state:
-    the one-row case of :func:`evidence_stack`, with its gates.
+    the one-row case of :func:`evidence_stack`, with its gates.  An
+    ``XForm`` takes the sweep's route instead, the one-row case of
+    ``_xform_evidence``, whose one gate is the form's own rule, run when
+    the form was constructed.
 
     The verdict is the PT ground truth.  When I4 is inside the zero band
     no criterion is read and ``i4_zero_fallback_used`` is set.  A
     criterion that fires on a PT-positive state is returned as is;
     :func:`classify` adds that check.
     """
+    if isinstance(rho, XForm):
+        return _classification(_xform_evidence(*rho._columns()))
     return _classification(evidence_stack(_as_state(rho)[None]))
 
 
@@ -367,11 +374,12 @@ def _classification_error(result: Classification) -> InconsistentClassification 
     return None
 
 
-def classify(rho: np.ndarray) -> Classification:
-    """Full verdict for a symmetric state: PT ground truth plus fired criteria.
+def classify(rho: np.ndarray | XForm) -> Classification:
+    """Full verdict for a symmetric state, a matrix or an ``XForm``: PT
+    ground truth plus fired criteria.
 
-    Reads the :func:`evidence` of ``rho``, whose gates validate it as a
-    state and refuse non-symmetric inputs with NotSymmetricState (the
+    Reads the :func:`evidence` of ``rho``, whose gates validate a matrix
+    as a state and refuse non-symmetric inputs with NotSymmetricState (the
     invariant criteria are defined only on the triplet subspace).  If a
     criterion fires while the PT verdict is separable (minimum eigenvalue
     >= -SIGN_ZERO_BAND, so a PT minimum inside the zero band counts too),

@@ -18,6 +18,12 @@ form's four fields to every output that shows them.  From Python::
 
     write_state_file("state.json", XForm.from_abc(0.5, 0.1j, 0.2))
 
+``read_state`` returns the state as its file holds it, checked by its
+representation's one validity rule: the ``XForm`` of an ``xform`` file,
+which ``classify`` and ``invariants`` evaluate by the sweep's closed
+forms, and the density matrix otherwise.  ``read_state_file`` is the
+public matrix view of every file.
+
 Every value is a JSON number (an integer or a float): a string, a
 boolean or null where a number belongs makes the file malformed.
 Floats are serialized with Python's shortest exact-round-trip decimal
@@ -97,10 +103,11 @@ def _numbers(value):
     return value
 
 
-def parse_state_payload(payload: dict) -> np.ndarray:
-    """Decode a payload into a density matrix that has passed one validity
-    rule: ``assert_density_matrix`` for a matrix, ``bloch_compose``'s for a
-    Bloch form and ``XForm``'s closed-form rule for an X-pattern form."""
+def parse_state_payload(payload: dict) -> XForm | np.ndarray:
+    """Decode a payload into a state that has passed one validity rule: the
+    density matrix of a matrix (``assert_density_matrix``) or of a Bloch
+    form (``bloch_compose``'s rule), and the ``XForm`` of an X-pattern form
+    (its closed-form rule)."""
     if not isinstance(payload, dict):
         raise StateFileError("state file must contain a JSON object")
     version = payload.get("schema_version")
@@ -124,7 +131,7 @@ def parse_state_payload(payload: dict) -> np.ndarray:
         if present[0] == "xform":
             a, b_re, b_im, c = (float(_numbers(payload["xform"][key]))
                                 for key in ("a", "b_re", "b_im", "c"))
-            return XForm.from_abc(a=a, b=complex(b_re, b_im), c=c).to_matrix()
+            return XForm.from_abc(a=a, b=complex(b_re, b_im), c=c)
         raw = np.asarray(_numbers(payload["matrix"]), dtype=float)
         if raw.shape != (4, 4, 2):
             raise StateFileError(f"matrix must be 4x4 [re, im] pairs, got {raw.shape}")
@@ -137,8 +144,9 @@ def parse_state_payload(payload: dict) -> np.ndarray:
         raise StateFileError(f"invalid state: {exc}") from exc
 
 
-def read_state_file(path: str | os.PathLike) -> np.ndarray:
-    """The density matrix of the state file at ``path``.
+def read_state(path: str | os.PathLike) -> XForm | np.ndarray:
+    """The state file at ``path`` as ``parse_state_payload`` decodes it: an
+    ``XForm`` for an ``xform`` file, the density matrix otherwise.
 
     Each representation is read with one validity rule: a ``matrix``
     with ``assert_density_matrix``, a ``bloch`` form with
@@ -155,3 +163,10 @@ def read_state_file(path: str | os.PathLike) -> np.ndarray:
     except (ValueError, RecursionError) as exc:
         raise StateFileError(f"{path} is not valid JSON: {exc}") from exc
     return parse_state_payload(payload)
+
+
+def read_state_file(path: str | os.PathLike) -> np.ndarray:
+    """The density matrix of the state file at ``path``: :func:`read_state`,
+    with an ``XForm`` laid out as its matrix."""
+    state = read_state(path)
+    return state.to_matrix() if isinstance(state, XForm) else state

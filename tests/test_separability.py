@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -7,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qubitpair import cli, qmat
+from qubitpair import cli, invariants, qmat, states
 from qubitpair.errors import (
     I4Zero,
     InconsistentClassification,
     NotSymmetricState,
 )
 from qubitpair.invariants import symmetric_six, xform_invariants
-from qubitpair.models import dicke_pair, ising_pair
+from qubitpair.models import dicke_pair, ising_pair, oat_pair
 from qubitpair.sampling import random_density_matrix, random_xform
 from qubitpair.separability import (
     CRITERION_I12_MINUS_I4SQ,
@@ -210,7 +211,7 @@ class TestCriterionBandVersusPtBand:
     def test_cli_invariants_reports_the_evidence_without_a_verdict(self, tmp_path, capsys):
         path = tmp_path / "band.json"
         write_state_file(path, BAND_REFUSED)
-        ev = evidence(BAND_REFUSED.to_matrix())
+        ev = evidence(BAND_REFUSED)  # an xform file's evidence is its XForm's
         assert cli.main(["invariants", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["invariants"] == asdict(ev.invariants)
@@ -227,9 +228,7 @@ class TestCriterionBandVersusPtBand:
             self, tmp_path, capsys, monkeypatch):
         # A criterion firing on a PT spectrum positive beyond the zero band
         # contradicts the theorem: invariants refuses it as classify does.
-        from qubitpair import separability
-        ev = replace(evidence(BAND_REFUSED.to_matrix()), ppt_min_eigenvalue=0.5)
-        monkeypatch.setattr(separability, "evidence", lambda rho: ev)
+        ev = replace(evidence(BAND_REFUSED), ppt_min_eigenvalue=0.5)
         monkeypatch.setattr(cli, "_classification", lambda stack: ev)
         path = tmp_path / "band.json"
         write_state_file(path, BAND_REFUSED)
@@ -241,6 +240,78 @@ class TestCriterionBandVersusPtBand:
         assert cls.ppt_min_eigenvalue == pytest.approx(-1.23e-10, rel=0.01)
         assert cls.verdict == "Entangled"
         assert cls.criteria_fired == frozenset({CRITERION_I12_MINUS_I4SQ})
+
+
+class TestEvidenceOfAnXForm:
+    """``evidence`` and ``classify`` of an ``XForm`` take the sweep's route:
+    the pattern's closed-form invariants and one solve, of the partial
+    transpose, with no gate beyond the rule the form passed when it was
+    constructed."""
+
+    GRIDS = {
+        "oat": ["--n", "2,5,40", "--chit", "0.3,1.3,2.9"],
+        "ising": ["--n", "3,4,7", "--chit", "0.5,1.1,3"],
+        "dicke": ["--n", "4,6,8", "--m", "0,1,2"],
+    }
+    PAIRS = {
+        "oat": lambda row: oat_pair(row["N"], row["chi_t"]),
+        "ising": lambda row: ising_pair(row["N"], row["chi_t"]),
+        "dicke": lambda row: dicke_pair(row["N"], row["M"]),
+    }
+
+    @pytest.mark.parametrize("family", GRIDS)
+    def test_family_points_equal_the_sweep_rows(self, family, tmp_path, capsys):
+        out = tmp_path / "rows.json"
+        assert cli.main(["sweep", family, *self.GRIDS[family], "--out", str(out)]) == 0
+        capsys.readouterr()
+        for row in json.loads(out.read_text()):
+            x = self.PAIRS[family](row)
+            ev = evidence(x)
+            assert classify(x) == ev
+            six = asdict(ev.six)
+            assert [float(six[k]).hex() for k in six] == [float(row[k]).hex() for k in six], row
+            assert (six["i12"] - six["i4"] * six["i4"]).hex() == row["i12_minus_i4sq"].hex()
+            assert ev.ppt_min_eigenvalue.hex() == row["ppt_min_eig"].hex(), row
+            assert (ev.verdict, sorted(ev.criteria_fired)) == (row["verdict"], row["criteria"])
+
+    def test_draws_outside_the_band_equal_the_matrix_verdict(self):
+        rng = np.random.default_rng(32)
+        compared = 0
+        for _ in range(300):
+            x = random_xform(rng)
+            matrix_ev = evidence(x.to_matrix())
+            six = matrix_ev.six
+            margins = [matrix_ev.ppt_min_eigenvalue, six.i4, six.i12, six.i14,
+                       six.i12 - six.i4 * six.i4]
+            if min(abs(v) for v in margins) <= 1e-8:
+                continue
+            compared += 1
+            by_form, by_matrix = classify(x), classify(x.to_matrix())
+            assert by_form.verdict == by_matrix.verdict
+            assert by_form.criteria_fired == by_matrix.criteria_fired
+            assert by_form.ppt_min_eigenvalue.hex() == by_matrix.ppt_min_eigenvalue.hex()
+            assert by_form.i4_zero_fallback_used is by_matrix.i4_zero_fallback_used is False
+        assert compared >= 200
+
+    @pytest.mark.parametrize("function", [evidence, classify])
+    def test_no_matrix_gate_and_one_solve(self, function):
+        watched = [states._decomposition, invariants.makhlin_stack, states._triplet_gate,
+                   states.assert_density_matrix, qmat._solve]
+        names = {f.__code__: f.__name__ for f in watched}
+        counts = dict.fromkeys(names.values(), 0)
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                counts[names[frame.f_code]] += 1
+
+        x = dicke_pair(4, 1)
+        sys.setprofile(hook)
+        try:
+            function(x)
+        finally:
+            sys.setprofile(None)
+        assert counts == {"_decomposition": 0, "makhlin_stack": 0, "_triplet_gate": 0,
+                          "assert_density_matrix": 0, "_solve": 1}
 
 
 class TestSeparableEnsemble:

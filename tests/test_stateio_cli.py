@@ -453,7 +453,9 @@ class TestGenerateIsOneSweepPoint:
     """``generate`` and ``sweep`` share one family grammar and one family check."""
 
     POINTS = {
-        "dicke": (["--n", "6", "--m", "2"], ["--n", "8", "--m", "1"]),
+        # At N = 4, M = 0 the exact I4 is 0, and Pauli traces of the matrix
+        # round it otherwise than the closed form (a - d)^2 does.
+        "dicke": (["--n", "6", "--m", "2"], ["--n", "8", "--m", "1"], ["--n", "4", "--m", "0"]),
         "oat": (["--n", "5", "--chit", "0.7", "--paper-literal"], ["--n", "40", "--chit", "1.3"]),
         "ising": (["--n", "4", "--chit", "1.1"], ["--n", "5", "--chit", "1.1"]),
     }
@@ -471,9 +473,14 @@ class TestGenerateIsOneSweepPoint:
 
     @pytest.mark.parametrize("family", ["dicke", "oat", "ising"])
     def test_state_file_is_the_sweep_row_pair(self, family, tmp_path, capsys):
-        # The invariants command's X block and the sweep read one closed
-        # form, so the state file of a point reports the row's cells bit
-        # for bit.
+        # classify and invariants evaluate an xform file as the sweep does a
+        # row, by the closed forms and one PT solve, so the state file of a
+        # point reports the row's cells bit for bit.
+        six_keys = ("i1", "i2", "i4", "i10", "i12", "i14")
+
+        def bits(values):
+            return [float(v).hex() for v in values]
+
         for flags in self.POINTS[family]:
             state, rows = tmp_path / "state.json", tmp_path / "rows.json"
             assert run_cli(["generate", family, *flags, "--out", str(state)], capsys)[0] == 0
@@ -492,11 +499,13 @@ class TestGenerateIsOneSweepPoint:
             verdict = json.loads(out)
             assert verdict["verdict"] == row["verdict"]
             assert verdict["criteria"] == row["criteria"]
-            assert verdict["ppt_min_eigenvalue"] == row["ppt_min_eig"]
+            assert bits([verdict["ppt_min_eigenvalue"]]) == bits([row["ppt_min_eig"]])
             code, out, _ = run_cli(["invariants", str(state), "--json"], capsys)
             assert code == 0
-            six = json.loads(out)["xform_six"]
-            assert [float(v).hex() for v in six.values()] == [float(row[k]).hex() for k in six]
+            report = json.loads(out)
+            for six in (report["invariants"], report["symmetric_six"], report["xform_six"]):
+                assert bits(six[k] for k in six_keys) == bits(row[k] for k in six_keys), flags
+            assert report["classification"] == verdict
 
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     @pytest.mark.parametrize("family, flags", FOREIGN)
@@ -558,8 +567,9 @@ def profiled_calls(argv, capsys, functions) -> dict:
 
 
 class TestInvariantsDecomposesOnce:
-    """``invariants`` reads a symmetric state's 18 invariants off the evidence
-    of its verdict: one Pauli decomposition and one contraction per call.
+    """``invariants`` reads a matrix's 18 invariants off the evidence of its
+    verdict, symmetric or not: one Pauli decomposition and one contraction
+    per call.  An ``xform`` file takes neither (``TestXFormFilesTakeTheSweepRoute``).
 
     The decomposition is counted at ``states._decomposition``, the body that
     ``bloch_decompose_stack`` and ``evidence_stack`` share (the latter
@@ -576,7 +586,7 @@ class TestInvariantsDecomposesOnce:
     def test_one_decomposition(self, symmetric, as_json, rng, tmp_path, capsys):
         path = tmp_path / "state.json"
         if symmetric:
-            write_state_file(path, oat_pair(6, 0.7))
+            write_state_file(path, oat_pair(6, 0.7).to_matrix())
         else:
             write_state_file(path, random_density_matrix(rng))
         argv = ["invariants", str(path)] + (["--json"] if as_json else [])
@@ -592,17 +602,19 @@ class TestInvariantsDecomposesOnce:
         else:
             TestInvariantsValidatesOnce._write(representation, path)
         counts = profiled_calls(["invariants", str(path)], capsys, [states._triplet_gate])
-        assert counts == {"_triplet_gate": 1}
+        # An XForm is symmetric by construction: its support needs no decision.
+        assert counts == {"_triplet_gate": 0 if representation == "xform" else 1}
 
 
 class TestInvariantsValidatesOnce:
-    """``read_state_file`` validates the state once, whatever its
-    representation, and ``invariants`` does not validate it again.  A
-    matrix or Bloch file (through ``bloch_compose``) takes one gated eigen
-    solve for the validation; an X-pattern file takes none, since
-    ``XForm``'s closed-form rule has checked it.  Then one solve of the
-    state and its partial transpose without the solve's gates, since the
-    evidence's own gates have passed the state.  Every solve runs through
+    """``read_state`` validates the state once, whatever its representation,
+    and ``invariants`` does not validate it again.  A matrix or Bloch file
+    (through ``bloch_compose``) takes one gated eigen solve for the
+    validation, then one solve of the state and its partial transpose
+    without the solve's gates, since the evidence's own gates have passed
+    the state.  An X-pattern file takes no validation solve, since
+    ``XForm``'s closed-form rule has checked it, and one gated solve, of its
+    partial transpose alone, as a sweep row does.  Every solve runs through
     ``qmat._solve``, the gated one included."""
 
     @staticmethod
@@ -625,13 +637,42 @@ class TestInvariantsValidatesOnce:
             ["invariants", str(path), "--json"], capsys,
             [states.assert_density_matrix, qmat.hermitian_eigenvalues, qmat._solve,
              states.is_symmetric])
-        validations = 0 if representation == "xform" else 1
-        assert counts == {
-            "assert_density_matrix": validations,
-            "hermitian_eigenvalues": validations,
-            "_solve": 1 + validations,
-            "is_symmetric": 1,
-        }
+        if representation == "xform":
+            expected = {"assert_density_matrix": 0, "hermitian_eigenvalues": 1, "_solve": 1,
+                        "is_symmetric": 0}
+        else:
+            expected = {"assert_density_matrix": 1, "hermitian_eigenvalues": 1, "_solve": 2,
+                        "is_symmetric": 1}
+        assert counts == expected
+
+
+class TestXFormFilesTakeTheSweepRoute:
+    """``classify`` and ``invariants`` evaluate an ``xform`` file as ``sweep``
+    evaluates a row: the reader's ``XForm`` rule is the one check, and the
+    one solve is the partial transpose's, with no density-matrix gate, no
+    Pauli decomposition, no contraction and no triplet-support decision."""
+
+    @pytest.mark.parametrize("argv", [["classify"], ["classify", "--json"], ["invariants"],
+                                      ["invariants", "--json"]], ids=" ".join)
+    def test_no_matrix_gate_and_one_pt_solve(self, argv, tmp_path, capsys, monkeypatch):
+        from qubitpair import invariants, qmat, separability, states
+
+        path = tmp_path / "state.json"
+        write_state_file(path, dicke_pair(4, 1))
+        solve, shapes = qmat.hermitian_eigenvalues, []
+
+        def recording(m):
+            shapes.append(np.shape(m))
+            return solve(m)
+
+        monkeypatch.setattr(qmat, "hermitian_eigenvalues", recording)
+        counts = profiled_calls(
+            [argv[0], str(path), *argv[1:]], capsys,
+            [states._decomposition, invariants.makhlin_stack, states._triplet_gate,
+             states.assert_density_matrix, separability._xform_evidence, qmat._solve])
+        assert counts == {"_decomposition": 0, "makhlin_stack": 0, "_triplet_gate": 0,
+                          "assert_density_matrix": 0, "_xform_evidence": 1, "_solve": 1}
+        assert shapes == [(1, 4, 4)]
 
 
 class TestSweepChecksOnce:
@@ -1119,6 +1160,51 @@ class TestClosedStdout:
                                  str(out_path)], True, subprocess.PIPE)
         assert done.returncode == 2 and done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr and not out_path.exists()
+
+
+class TestConsoleWarning:
+    """The console command prints a warning as one line, ``warning: <message>``,
+    which names no path of the install."""
+
+    @pytest.mark.parametrize("command", ["sweep", "generate"])
+    def test_the_ising_n2_warning_is_one_line(self, command, tmp_path):
+        out_path = tmp_path / "out.json"
+        done = TestClosedStdout.run_console(
+            [command, "ising", "--n", "2", "--chit", "3.141592653589793", "--out",
+             str(out_path)], False, subprocess.PIPE)
+        assert (done.returncode, done.stderr) == (
+            0, "warning: ising_pair with n=2: the closed form assumes a pair embedded in a "
+               "longer chain\n")
+        assert out_path.exists()
+
+
+class TestTooLargeToAllocate:
+    """An input too large to allocate is an input error: exit 2 and numpy's
+    one-line message, no traceback.  The allocation is refused by a patch;
+    nothing that large is allocated."""
+
+    MESSAGE = ("Unable to allocate 745. GiB for an array with shape (100000000000,) and "
+               "data type float64")
+
+    def _refuse(self, *args, **kwargs):
+        raise MemoryError(self.MESSAGE)
+
+    def test_a_sweep_grid_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np, "linspace", self._refuse)
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run_cli(["sweep", "oat", "--n", "4", "--chit", "0:1:100000000000",
+                                  "--out", str(out_path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {self.MESSAGE}\n")
+        assert not out_path.exists()
+
+    def test_a_selftest_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        from qubitpair import selftest
+
+        monkeypatch.setattr(selftest, "_invariance_states", self._refuse)
+        code, out, err = run_cli(["selftest", "--count", "100000000000", "--out",
+                                  str(tmp_path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {self.MESSAGE}\n")
+        assert not list(tmp_path.iterdir())
 
 
 #: Each command's arguments, by dest, as ``build_parser()`` adds them.
