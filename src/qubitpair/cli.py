@@ -4,10 +4,11 @@ Subcommands: ``invariants``, ``classify``, ``generate``, ``sweep`` and
 ``selftest``.  ``generate`` is the one-point case of ``sweep``: both take a
 model family and the same family flags.  ``classify`` and ``invariants``
 read a file with ``stateio.read_state``, so an ``xform`` file is
-evaluated as ``sweep`` evaluates a row, by ``_xform_evidence``.  Exit
+evaluated as ``sweep`` evaluates a row, by ``_xform_evidence``, and a
+``bloch`` file by its own (s, r, T), as ``makhlin_all`` reads it.  Exit
 codes: 0 ok, 1 self-test/property failure, 2 input validation, an
-unwritable output path or an input too large to allocate, 3 domain
-precondition (e.g. non-symmetric input to classify).  A reader that
+unwritable output path or an input too large to allocate or to index,
+3 domain precondition (e.g. non-symmetric input to classify).  A reader that
 closes standard output early (``| head``) ends the command with exit 0
 and nothing on standard error.  The console command (``entry``) prints
 a warning as one ``warning: <message>`` line.
@@ -38,7 +39,7 @@ from .separability import (
     CRITERIA, VERDICT_ENTANGLED, VERDICT_SEPARABLE, _classification, _classification_error,
     _gated_evidence, _xform_evidence, classify,
 )
-from .states import XForm, is_symmetric, xform_extract
+from .states import BlochForm, XForm, is_symmetric, xform_extract
 from .stateio import read_state, state_text, write_state_file, xform_fields
 from .tolerances import SIGN_ZERO_BAND
 
@@ -76,7 +77,10 @@ def _invariants_payload(state) -> dict:
     symmetric by construction, and its X block is the form itself.  A
     matrix takes the evidence without its triplet gate, whose mask
     ``is_symmetric`` reads once, so the 18 invariants come from one Pauli
-    decomposition whether the state is symmetric or not.  Only a symmetric
+    decomposition whether the state is symmetric or not.  A ``BlochForm``
+    takes the same evidence on its matrix, with the form's own invariants
+    in place of the decomposition (``makhlin_all`` of the form); its X
+    block, like a matrix's, is read off that matrix.  Only a symmetric
     state gets a classification.  One that ``classify`` refuses because a
     criterion fires while its PT minimum eigenvalue is inside the zero band
     is reported with its invariants and no classification; a criterion
@@ -86,7 +90,9 @@ def _invariants_payload(state) -> dict:
     if isinstance(state, XForm):
         x, symmetric, ev = state, True, _xform_evidence(*state._columns())
     else:
-        x, symmetric, ev = None, is_symmetric(state), _gated_evidence(state[None], triplet=False)
+        form = state if isinstance(state, BlochForm) else None
+        state = state if form is None else form.to_matrix()
+        x, symmetric, ev = None, is_symmetric(state), _gated_evidence(state[None], False, form)
     cls = _classification(ev)
     error = _classification_error(cls) if symmetric else None
     if error is not None and cls.ppt_min_eigenvalue > SIGN_ZERO_BAND:
@@ -213,8 +219,8 @@ def _sweep_grid(args) -> list:
         if (args.m is None) == (m_ratio is None):
             raise ValueError(f"dicke {args.command} needs " + (
                 "exactly one of --m / --m-ratio" if args.command == "sweep" else "--m"))
-        if m_ratio is not None:
-            return [(n, m_ratio * n, None) for n in ns]
+        if m_ratio is not None:  # an N beyond the float range is left to the family rule
+            return [(n, m_ratio * min(n, sys.float_info.max), None) for n in ns]
         return [(n, m, None) for n in ns for m in _parse_float_list(args.m)]
     if args.chit is None:
         raise ValueError(f"{family} {args.command} needs --chit")
@@ -368,8 +374,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:  # a closed standard output, handled by entry()
         raise
-    # OSError: an unwritable --out; MemoryError: a grid or count too large to allocate.
-    except (QubitPairError, ValueError, OSError, MemoryError) as exc:
+    # OSError: an unwritable --out; MemoryError: a grid or count too large to
+    # allocate; OverflowError: a grid too large to index (an --n range).
+    except (QubitPairError, ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NotSymmetricState) else 2
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import I4Zero, NoRealSpectrum, _raise_first
-from .states import BlochForm, XForm, _form_matrix, _triplet_gate
+from .states import BlochForm, XForm, _triplet_gate
 from .tolerances import REL_SWITCH, SIGN_ZERO_BAND
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ def symmetric_six(form: BlochForm) -> SymmetricSix:
     on one row.  The matrix is not checked for positivity.  The returned
     entries agree with :func:`makhlin_all` exactly.
     """
-    _raise_first([_triplet_gate(_form_matrix(form)[None])])
+    _raise_first([_triplet_gate(form.to_matrix()[None])])
     return SymmetricSix.from_full(makhlin_all(form))
 
 

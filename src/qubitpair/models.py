@@ -24,6 +24,7 @@ to five sites for ising.  They live with the tests
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +35,13 @@ from .errors import InvalidDicke, _raise_first, _refused
 from .states import XForm, _xform_gates
 
 FAMILIES = ("dicke", "oat", "ising")
+
+#: The exponent e of each family's range N <= 2**e, where every product of
+#: its closed forms is finite: N^2 (N-1) in ``dicke_invariants``, 2 (N-1) as
+#: a float exponent in ``oat_invariants`` and (N-1)^2 in ``ising_invariants``.
+_N_RANGE = {"dicke": 340, "oat": 1022, "ising": 511}
+#: |chi t| <= 2**1022, where oat's 2 chi t is finite (ising's range is wider).
+_CHI_T_RANGE = 1022
 
 
 @dataclass(frozen=True)
@@ -51,28 +59,45 @@ class DickeInvariants:
     i12_minus_i4sq: float
 
 
+def _floats(values) -> np.ndarray:
+    """``values`` as a float array, an int beyond the float range read as the
+    largest float of its sign (``np.array`` raises OverflowError on it), so
+    that a range gate refuses it by the value it names."""
+    big = sys.float_info.max
+    return np.array([min(max(v, -big), big) if isinstance(v, int) else v for v in values],
+                    dtype=float)
+
+
 def _family_gates(family: str, ns, ms, chi_ts) -> tuple:
     """The family rule of k grid points in ``_raise_first``'s form, with N and
     the family parameter (M, or chi t) as float arrays.
 
-    The rule: N a whole number (finite), N >= 2; then for dicke M finite,
-    2M an integer (within 1e-12), |M| <= N/2 and N + 2M even, and for oat
-    and ising chi t finite.  A bad N raises InvalidDicke for dicke and
+    The rule: N a whole number (finite), N >= 2, N within the family's
+    range (``_N_RANGE``); then for dicke M finite, 2M an integer (within
+    1e-12), |M| <= N/2 and N + 2M even, and for oat and ising chi t finite
+    and |chi t| <= 2**1022.  Within the rule every closed form of the family
+    is finite in floats.  A bad N raises InvalidDicke for dicke and
     ValueError otherwise.  ``ns``, ``ms`` and ``chi_ts`` hold the values
     the messages name.
     """
-    n = np.array(ns, dtype=float)
+    n, e = _floats(ns), _N_RANGE[family]
     error = InvalidDicke if family == "dicke" else ValueError
     n_gates = [
         (~(np.isfinite(n) & (np.floor(n) == n)),
          lambda j: error(f"N must be a whole number, got N = {ns[j]}")),
         (n < 2, lambda j: error("need at least two qubits")),
+        (n > 2.0 ** e, lambda j: error(f"N must be at most 2**{e} for {family}, got N = {ns[j]}")),
     ]
     if family != "dicke":
-        chi_t = np.array(chi_ts, dtype=float)
-        return [*n_gates, (~np.isfinite(chi_t), lambda j: ValueError(
-            f"chi_t must be finite, got chi_t = {chi_ts[j]}"))], n, chi_t
-    m = np.array(ms, dtype=float)
+        chi_t = _floats(chi_ts)
+        return [
+            *n_gates,
+            (~np.isfinite(chi_t), lambda j: ValueError(
+                f"chi_t must be finite, got chi_t = {chi_ts[j]}")),
+            (np.abs(chi_t) > 2.0 ** _CHI_T_RANGE, lambda j: ValueError(
+                f"|chi_t| must be at most 2**{_CHI_T_RANGE}, got chi_t = {chi_ts[j]}")),
+        ], n, chi_t
+    m = _floats(ms)
     finite = np.isfinite(m)
     with np.errstate(over="ignore", invalid="ignore"):  # 2M of a huge M is inf
         two_m = 2.0 * np.where(finite, m, 0.0)

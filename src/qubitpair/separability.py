@@ -18,7 +18,12 @@ gates: ``_xform_evidence`` solves only their partial transposes, as
 ``evidence_stack`` does bit for bit, and reads the invariants from the
 pattern's closed forms, within 8 eps of exact.  ``evidence`` and
 ``classify`` of an ``XForm`` (an ``xform`` state file, say) take that
-route too, so they equal the sweep row of its parameters.  Each hypothesis
+route too, so they equal the sweep row of its parameters.  Those of a
+``BlochForm`` (a ``bloch`` state file) take the form route: the
+invariants of its own (s, r, T), as ``makhlin_all`` gives them, and one
+solve of its matrix and partial transpose under the positivity and
+triplet gates, with no Pauli decomposition and no density-matrix or
+entry gate (``_gated_evidence`` given the form).  Each hypothesis
 of the criteria is one gate: triplet support is ``states._triplet_gate``,
 which ``evidence_stack`` runs after the density-matrix rule, the entry
 rule and the positivity gate ``states._psd_gate`` (read on the same eigen
@@ -52,7 +57,8 @@ from .invariants import (
     InvariantSet, SymmetricSix, _i4_zero_gate, makhlin_stack, makhlin_xform_stack,
 )
 from .states import (
-    XForm, _abs, _as_state, _as_states, _decomposition, _psd_gate, _triplet_gate, xform_matrices,
+    BlochForm, XForm, _abs, _as_state, _as_states, _decomposition, _psd_gate, _triplet_gate,
+    xform_matrices,
 )
 from .tolerances import SIGN_ZERO_BAND
 
@@ -256,12 +262,14 @@ def invariant_criteria(six: SymmetricSix) -> frozenset:
     return frozenset(itertools.compress(CRITERIA, fired[0].tolist()))
 
 
-def evidence(rho: np.ndarray | XForm) -> Classification:
+def evidence(rho: np.ndarray | XForm | BlochForm) -> Classification:
     """PT verdict, fired criteria and invariants of a valid symmetric state:
     the one-row case of :func:`evidence_stack`, with its gates.  An
     ``XForm`` takes the sweep's route instead, the one-row case of
     ``_xform_evidence``, whose one gate is the form's own rule, run when
-    the form was constructed.
+    the form was constructed.  A ``BlochForm`` takes the form route: its
+    invariants are those of its own (s, r, T), as ``makhlin_all`` gives
+    them, and its matrix meets only the positivity and triplet gates.
 
     The verdict is the PT ground truth.  When I4 is inside the zero band
     no criterion is read and ``i4_zero_fallback_used`` is set.  A
@@ -270,6 +278,8 @@ def evidence(rho: np.ndarray | XForm) -> Classification:
     """
     if isinstance(rho, XForm):
         return _classification(_xform_evidence(*rho._columns()))
+    if isinstance(rho, BlochForm):
+        return _classification(_gated_evidence(rho.to_matrix()[None], True, rho))
     return _classification(evidence_stack(_as_state(rho)[None]))
 
 
@@ -313,17 +323,29 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     return _gated_evidence(np.asarray(rhos, dtype=complex), triplet=True)
 
 
-def _gated_evidence(rhos: np.ndarray, triplet: bool) -> EvidenceStack:
+def _gated_evidence(rhos: np.ndarray, triplet: bool,
+                    form: BlochForm | None = None) -> EvidenceStack:
     """:func:`evidence_stack` of a complex stack, with its triplet gate only
     if ``triplet``: the ``invariants`` command reads that gate's mask once,
-    with ``is_symmetric``, and evaluates only a row it accepts."""
-    s, r, t, gates = _decomposition(rhos)
-    # A row that an earlier gate refuses is solved as I/4, so the solve
-    # needs no gates of its own: the density-matrix rule bounds the
-    # Hermiticity defect of the rest (the PT permutes the entries of
-    # rho - rho^dag, so its defect is the state's), and the entry rule
-    # bounds every entry far below the solve's overflow bound.
-    solved = np.where(_refused(gates)[:, None, None], np.eye(4) / 4.0, rhos)
+    with ``is_symmetric``, and evaluates only a row it accepts.
+
+    Given the ``form`` whose matrix (``form.to_matrix()``) is the stack's
+    one row, the invariants are ``makhlin_stack`` of the form's own arrays,
+    with no Pauli decomposition, and the density-matrix and entry gates do
+    not run: the matrix is Hermitian by construction, and the entry rule
+    ran when the form was made.  Positivity and triplet support are gated
+    as for any stack.
+    """
+    if form is None:
+        s, r, t, gates = _decomposition(rhos)
+        # A row that an earlier gate refuses is solved as I/4, so the solve
+        # needs no gates of its own: the density-matrix rule bounds the
+        # Hermiticity defect of the rest (the PT permutes the entries of
+        # rho - rho^dag, so its defect is the state's), and the entry rule
+        # bounds every entry far below the solve's overflow bound.
+        solved = np.where(_refused(gates)[:, None, None], np.eye(4) / 4.0, rhos)
+    else:
+        s, r, t, gates, solved = form.s[None], form.r[None], form.t[None], [], rhos
     spectra = qmat._solve(np.stack([solved, partial_transpose(solved)], axis=1))
     support = [_triplet_gate(rhos)] if triplet else []
     _raise_first([*gates, _psd_gate(spectra[:, 0, 0]), *support])
@@ -374,9 +396,9 @@ def _classification_error(result: Classification) -> InconsistentClassification 
     return None
 
 
-def classify(rho: np.ndarray | XForm) -> Classification:
-    """Full verdict for a symmetric state, a matrix or an ``XForm``: PT
-    ground truth plus fired criteria.
+def classify(rho: np.ndarray | XForm | BlochForm) -> Classification:
+    """Full verdict for a symmetric state, a matrix, an ``XForm`` or a
+    ``BlochForm``: PT ground truth plus fired criteria.
 
     Reads the :func:`evidence` of ``rho``, whose gates validate a matrix
     as a state and refuse non-symmetric inputs with NotSymmetricState (the

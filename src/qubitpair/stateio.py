@@ -21,8 +21,9 @@ form's four fields to every output that shows them.  From Python::
 ``read_state`` returns the state as its file holds it, checked by its
 representation's one validity rule: the ``XForm`` of an ``xform`` file,
 which ``classify`` and ``invariants`` evaluate by the sweep's closed
-forms, and the density matrix otherwise.  ``read_state_file`` is the
-public matrix view of every file.
+forms, the ``BlochForm`` of a ``bloch`` file, whose invariants they read
+off its own (s, r, T), and the density matrix of a ``matrix`` file.
+``read_state_file`` is the public matrix view of every file.
 
 Every value is a JSON number (an integer or a float): a string, a
 boolean or null where a number belongs makes the file malformed.
@@ -103,11 +104,11 @@ def _numbers(value):
     return value
 
 
-def parse_state_payload(payload: dict) -> XForm | np.ndarray:
+def parse_state_payload(payload: dict) -> XForm | BlochForm | np.ndarray:
     """Decode a payload into a state that has passed one validity rule: the
-    density matrix of a matrix (``assert_density_matrix``) or of a Bloch
-    form (``bloch_compose``'s rule), and the ``XForm`` of an X-pattern form
-    (its closed-form rule)."""
+    density matrix of a matrix (``assert_density_matrix``), the
+    ``BlochForm`` of a Bloch form (its entry rule, then ``bloch_compose``'s
+    rule) and the ``XForm`` of an X-pattern form (its closed-form rule)."""
     if not isinstance(payload, dict):
         raise StateFileError("state file must contain a JSON object")
     version = payload.get("schema_version")
@@ -123,11 +124,9 @@ def parse_state_payload(payload: dict) -> XForm | np.ndarray:
     try:
         if present[0] == "bloch":
             spec = payload["bloch"]
-            return bloch_compose(BlochForm(
-                s=np.asarray(_numbers(spec["s"]), dtype=float),
-                r=np.asarray(_numbers(spec["r"]), dtype=float),
-                t=np.asarray(_numbers(spec["t"]), dtype=float),
-            ))
+            form = BlochForm(*(_numbers(spec[key]) for key in ("s", "r", "t")))
+            bloch_compose(form)
+            return form
         if present[0] == "xform":
             a, b_re, b_im, c = (float(_numbers(payload["xform"][key]))
                                 for key in ("a", "b_re", "b_im", "c"))
@@ -144,9 +143,10 @@ def parse_state_payload(payload: dict) -> XForm | np.ndarray:
         raise StateFileError(f"invalid state: {exc}") from exc
 
 
-def read_state(path: str | os.PathLike) -> XForm | np.ndarray:
+def read_state(path: str | os.PathLike) -> XForm | BlochForm | np.ndarray:
     """The state file at ``path`` as ``parse_state_payload`` decodes it: an
-    ``XForm`` for an ``xform`` file, the density matrix otherwise.
+    ``XForm`` for an ``xform`` file, a ``BlochForm`` for a ``bloch`` file
+    and the density matrix of a ``matrix`` file.
 
     Each representation is read with one validity rule: a ``matrix``
     with ``assert_density_matrix``, a ``bloch`` form with
@@ -167,6 +167,6 @@ def read_state(path: str | os.PathLike) -> XForm | np.ndarray:
 
 def read_state_file(path: str | os.PathLike) -> np.ndarray:
     """The density matrix of the state file at ``path``: :func:`read_state`,
-    with an ``XForm`` laid out as its matrix."""
+    with an ``XForm`` or a ``BlochForm`` laid out as its matrix."""
     state = read_state(path)
-    return state.to_matrix() if isinstance(state, XForm) else state
+    return state.to_matrix() if isinstance(state, (XForm, BlochForm)) else state

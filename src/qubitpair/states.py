@@ -23,7 +23,8 @@ The density-matrix rule is written once, as a stack rule
 within TRACE.  Positivity is one gate on one band (``_psd_gate``: the
 minimum eigenvalue at least PSD_FLOOR).  ``assert_density_matrix`` is
 the rule's one-row case, one eigen solve and that gate;
-``bloch_compose`` ends in ``assert_density_matrix``; the Pauli
+``bloch_compose`` checks ``BlochForm.to_matrix()`` (the form's matrix,
+Hermitian by construction) with ``assert_density_matrix``; the Pauli
 decomposition reads the same rule, and ``separability.evidence_stack``
 the rule and the gate.  Every other positivity bound is derived from
 the floor: the entry rule bounds each Pauli expectation by PAULI_BOUND,
@@ -155,6 +156,13 @@ class BlochForm:
             raise ValueError("BlochForm needs s, r of shape (3,) and t of shape (3, 3)")
         entries = np.concatenate((self.s, self.r, self.t.ravel()))
         _raise_first(_entry_gates(np.abs(entries).max(keepdims=True)))
+
+    def to_matrix(self) -> np.ndarray:
+        """The ``(4, 4)`` matrix of the form, Hermitian and unit-trace by
+        construction and not checked further."""
+        c = np.empty((4, 4))
+        c[0, 0], c[0, 1:], c[1:, 0], c[1:, 1:] = 1.0, self.r, self.s, self.t
+        return 0.25 * np.einsum("mn,mnij->ij", c, _BASIS)
 
     @classmethod
     def _gated(cls, s: np.ndarray, r: np.ndarray, t: np.ndarray) -> "BlochForm":
@@ -330,20 +338,13 @@ def bloch_decompose_stack(rhos: np.ndarray) -> tuple:
     return s, r, t
 
 
-def _form_matrix(form: BlochForm) -> np.ndarray:
-    """The ``(4, 4)`` matrix of a Bloch form, Hermitian and unit-trace by
-    construction and not checked further."""
-    c = np.block([[np.ones((1, 1)), form.r[None, :]], [form.s[:, None], form.t]])
-    return 0.25 * np.einsum("mn,mnij->ij", c, _BASIS)
-
-
 def bloch_compose(form: BlochForm) -> np.ndarray:
     """Rebuild the density matrix from (s, r, T); inverse of bloch_decompose.
 
-    ``_form_matrix`` validated by :func:`assert_density_matrix`, which
+    ``form.to_matrix()`` validated by :func:`assert_density_matrix`, which
     raises NotPositive when the parameters do not describe a physical state.
     """
-    return assert_density_matrix(_form_matrix(form))
+    return assert_density_matrix(form.to_matrix())
 
 
 def _triplet_gate(rhos: np.ndarray) -> tuple:

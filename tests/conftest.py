@@ -21,6 +21,16 @@ def rng():
 
 
 @pytest.fixture
+def symmetric_forms():
+    """The Bloch forms of 60 seeded triplet-supported states."""
+    from qubitpair.sampling import random_symmetric_density_matrix
+    from qubitpair.states import bloch_decompose
+
+    rng = np.random.default_rng(1)
+    return [bloch_decompose(random_symmetric_density_matrix(rng)) for _ in range(60)]
+
+
+@pytest.fixture
 def bell_symmetric():
     """Projector onto (|01> + |10>) / sqrt(2)."""
     psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)

@@ -3,12 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import family_oracles as fo
-from qubitpair.errors import InvalidDicke
+from qubitpair.errors import InvalidDensityMatrix, InvalidDicke
 from qubitpair.invariants import xform_invariants
 from qubitpair.models import (
+    FAMILIES,
+    _N_RANGE,
     dicke_invariants,
     dicke_pair,
     ising_invariants,
@@ -406,3 +410,88 @@ class TestFamilyRule:
             warnings.simplefilter("error")
             out = FAMILY_ENTRY_POINTS[entry](n)
         assert _float_bits(out) == _float_bits(FAMILY_ENTRY_POINTS[entry](4))
+
+
+def _range_calls(family, n, m, chi_t) -> list:
+    """The family's entry points on one point ``(N, M, chi_t)``: the pair, the
+    analytic invariants and ``pair_parameters``."""
+    if family == "dicke":
+        return [lambda: dicke_pair(n, m), lambda: dicke_invariants(n, m),
+                lambda: pair_parameters("dicke", [(n, m, None)])]
+    pair, invariants = {"oat": (oat_pair, oat_invariants),
+                        "ising": (ising_pair, ising_invariants)}[family]
+    return [lambda: pair(n, chi_t), lambda: invariants(n, chi_t),
+            lambda: pair_parameters(family, [(n, None, chi_t)])]
+
+
+def _accepted_and_finite(family, n, m=None, chi_t=None) -> int:
+    """How many of the family's entry points accept the point.  Each must
+    return finite values or raise the family's error (for a pair, also
+    ``XForm``'s rule on Ising's unphysical N = 2), with no RuntimeWarning
+    and no OverflowError."""
+    error = InvalidDicke if family == "dicke" else ValueError
+    accepted = 0
+    for call in _range_calls(family, n, m, chi_t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "ising_pair with n=2", UserWarning)
+            try:
+                out = call()
+            except error as exc:
+                assert "XForm parameters must be finite" not in str(exc)
+                continue
+            except InvalidDensityMatrix:
+                assert family == "ising" and n == 2
+                continue
+        assert all(np.isfinite(float.fromhex(v)) for v in _float_bits(out)), out
+        accepted += 1
+    return accepted
+
+
+class TestFamilyRange:
+    """The family rule refuses every N and chi t that a family's closed forms
+    cannot evaluate in floats (``models._N_RANGE``): every point it accepts
+    gives finite values, with no numpy warning and no OverflowError."""
+
+    FLOAT_MAX = float(np.finfo(float).max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(FAMILIES),
+           n=st.one_of(st.integers(2, 10 ** 400),
+                        st.builds(lambda e, k: 2 ** e + k, st.integers(1, 1330), st.integers(-2, 2)),
+                        st.floats(2.0, float(np.finfo(float).max)).map(lambda x: float(int(x)))),
+           chi_t=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([2.0 ** 1022, float(np.nextafter(2.0 ** 1022, np.inf)),
+                                            float(np.finfo(float).max)])),
+           k=st.integers(0, 64))
+    def test_an_accepted_point_is_finite(self, family, n, chi_t, k):
+        m = (n - 2 * k) // 2 if n > 2 ** 1000 else (n - 2 * k) / 2  # a valid M when N >= 2k
+        _accepted_and_finite(family, n, m, chi_t)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_the_edge_of_the_range(self, family):
+        e = _N_RANGE[family]
+        assert _accepted_and_finite(family, 2 ** e, 0, 0.3) == 3
+        assert _accepted_and_finite(family, 2 ** e + 2 ** (e - 50), 0, 0.3) == 0
+        assert _accepted_and_finite(family, 10 ** 400, 0, 0.3) == 0
+
+    @pytest.mark.parametrize("family", ["oat", "ising"])
+    def test_the_edge_of_the_chi_t_range(self, family):
+        assert _accepted_and_finite(family, 4, chi_t=2.0 ** 1022) == 3
+        assert _accepted_and_finite(family, 4, chi_t=float(np.nextafter(2.0 ** 1022, np.inf))) == 0
+        assert _accepted_and_finite(family, 4, chi_t=-self.FLOAT_MAX) == 0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_the_message_names_n(self, family):
+        for call in _range_calls(family, 10 ** 400, 0, 0.3):
+            with pytest.raises(InvalidDicke if family == "dicke" else ValueError) as info:
+                call()
+            assert str(info.value) == (
+                f"N must be at most 2**{_N_RANGE[family]} for {family}, got N = {10 ** 400}")
+
+    @pytest.mark.parametrize("family", ["oat", "ising"])
+    def test_the_message_names_chi_t(self, family):
+        for call in _range_calls(family, 4, None, 1e308):
+            with pytest.raises(ValueError, match=(
+                    r"^\|chi_t\| must be at most 2\*\*1022, got chi_t = 1e\+308$")):
+                call()

@@ -12,9 +12,10 @@ from qubitpair import cli, invariants, qmat, states
 from qubitpair.errors import (
     I4Zero,
     InconsistentClassification,
+    NotPositive,
     NotSymmetricState,
 )
-from qubitpair.invariants import symmetric_six, xform_invariants
+from qubitpair.invariants import makhlin_all, symmetric_six, xform_invariants
 from qubitpair.models import dicke_pair, ising_pair, oat_pair
 from qubitpair.sampling import random_density_matrix, random_xform
 from qubitpair.separability import (
@@ -32,7 +33,7 @@ from qubitpair.separability import (
     xform_equivalence_check,
     xform_pt_eigenvalues,
 )
-from qubitpair.states import XForm, bloch_decompose, xform_extract
+from qubitpair.states import BlochForm, XForm, bloch_decompose, xform_extract
 from qubitpair.stateio import write_state_file
 
 # Frozen closed-form values: lambda_1 = ((a+d) - sqrt((a-d)^2 + 4c^2)) / 2.
@@ -312,6 +313,77 @@ class TestEvidenceOfAnXForm:
             sys.setprofile(None)
         assert counts == {"_decomposition": 0, "makhlin_stack": 0, "_triplet_gate": 0,
                           "assert_density_matrix": 0, "_solve": 1}
+
+
+class TestEvidenceOfABlochForm:
+    """``evidence`` and ``classify`` of a ``BlochForm`` take the form route:
+    the form's own invariants, as ``makhlin_all`` gives them, and one solve
+    of its matrix and that matrix's partial transpose, with no Pauli
+    decomposition and no density-matrix or entry gate."""
+
+    def test_the_invariants_are_the_forms(self, symmetric_forms):
+        for form in symmetric_forms:
+            ev = evidence(form)
+            assert [v.hex() for v in ev.invariants.as_array().tolist()] == [
+                v.hex() for v in makhlin_all(form).as_array().tolist()]
+            assert [v.hex() for v in ev.six.as_array().tolist()] == [
+                v.hex() for v in symmetric_six(form).as_array().tolist()]
+
+    def test_forms_outside_the_band_equal_the_matrix_verdict(self, symmetric_forms):
+        compared = 0
+        for form in symmetric_forms:
+            by_matrix = evidence(form.to_matrix())
+            six = by_matrix.six
+            margins = [by_matrix.ppt_min_eigenvalue, six.i4, six.i12, six.i14,
+                       six.i12 - six.i4 * six.i4]
+            if min(abs(v) for v in margins) <= 1e-8:
+                continue
+            compared += 1
+            by_form = classify(form)
+            assert by_form.verdict == by_matrix.verdict
+            assert by_form.criteria_fired == by_matrix.criteria_fired
+            assert by_form.ppt_min_eigenvalue.hex() == by_matrix.ppt_min_eigenvalue.hex()
+            assert by_form.i4_zero_fallback_used is by_matrix.i4_zero_fallback_used is False
+        assert compared >= 50
+        assert {evidence(form).verdict for form in symmetric_forms} == {
+            "Separable", "Entangled"}
+
+    def test_a_non_positive_form_is_refused_as_its_matrix(self):
+        # rho = (I + sigma_x (x) I + I (x) sigma_x) / 4 has the eigenvalue -1/4.
+        form = BlochForm(s=[1.0, 0.0, 0.0], r=[1.0, 0.0, 0.0], t=np.zeros((3, 3)))
+        with pytest.raises(NotPositive) as by_form:
+            classify(form)
+        with pytest.raises(NotPositive) as by_matrix:
+            classify(form.to_matrix())
+        assert str(by_form.value) == str(by_matrix.value) == (
+            "not positive semidefinite: min eigenvalue -2.500e-01")
+
+    def test_a_non_symmetric_form_is_refused_as_its_matrix(self, singlet_state):
+        form = bloch_decompose(singlet_state)
+        with pytest.raises(NotSymmetricState) as by_form:
+            classify(form)
+        with pytest.raises(NotSymmetricState) as by_matrix:
+            classify(singlet_state)
+        assert str(by_form.value) == str(by_matrix.value)
+
+    @pytest.mark.parametrize("function", [evidence, classify])
+    def test_no_decomposition_and_one_solve(self, function, symmetric_forms):
+        watched = [states._decomposition, states._state_gates, invariants.makhlin_stack,
+                   states._triplet_gate, states.assert_density_matrix, qmat._solve]
+        names = {f.__code__: f.__name__ for f in watched}
+        counts = dict.fromkeys(names.values(), 0)
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                counts[names[frame.f_code]] += 1
+
+        sys.setprofile(hook)
+        try:
+            function(symmetric_forms[0])
+        finally:
+            sys.setprofile(None)
+        assert counts == {"_decomposition": 0, "_state_gates": 0, "makhlin_stack": 1,
+                          "_triplet_gate": 1, "assert_density_matrix": 0, "_solve": 1}
 
 
 class TestSeparableEnsemble:

@@ -19,7 +19,7 @@ import exact_oracle as eo
 import qubitpair
 from qubitpair import cli
 from qubitpair.errors import NotSymmetricState, StateFileError
-from qubitpair.invariants import symmetric_six
+from qubitpair.invariants import makhlin_all, symmetric_six
 from qubitpair.models import dicke_pair, ising_pair, oat_pair, pair_parameters
 from qubitpair.separability import classify, evidence, evidence_stack
 from qubitpair.sampling import random_density_matrix, random_xform
@@ -675,6 +675,44 @@ class TestXFormFilesTakeTheSweepRoute:
         assert shapes == [(1, 4, 4)]
 
 
+class TestBlochFilesTakeTheFormRoute:
+    """``classify`` and ``invariants`` evaluate a ``bloch`` file as the form it
+    holds: its 18 invariants are ``makhlin_all`` of the form, its symmetric
+    six ``symmetric_six`` of the form, and no Pauli decomposition runs."""
+
+    def test_invariants_are_the_forms(self, symmetric_forms, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        for form in symmetric_forms:
+            write_state_file(path, form)
+            code, out, _ = run_cli(["invariants", str(path), "--json"], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert [float(v).hex() for v in payload["invariants"].values()] == [
+                v.hex() for v in makhlin_all(form).as_array().tolist()]
+            assert [float(v).hex() for v in payload["symmetric_six"].values()] == [
+                v.hex() for v in symmetric_six(form).as_array().tolist()]
+
+    def test_classify_is_the_forms(self, symmetric_forms, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        for form in symmetric_forms[:10]:
+            write_state_file(path, form)
+            code, out, _ = run_cli(["classify", str(path), "--json"], capsys)
+            assert (code, json.loads(out)) == (0, cli._classification_payload(classify(form)))
+
+    @pytest.mark.parametrize("argv", [["classify"], ["classify", "--json"], ["invariants"],
+                                      ["invariants", "--json"]], ids=" ".join)
+    def test_no_decomposition_and_one_triplet_gate(self, argv, symmetric_forms, tmp_path,
+                                                   capsys):
+        from qubitpair import invariants, states
+
+        path = tmp_path / "state.json"
+        write_state_file(path, symmetric_forms[0])
+        counts = profiled_calls([argv[0], str(path), *argv[1:]], capsys,
+                                [states._decomposition, states._triplet_gate,
+                                 invariants.makhlin_stack])
+        assert counts == {"_decomposition": 0, "_triplet_gate": 1, "makhlin_stack": 1}
+
+
 class TestSweepChecksOnce:
     """``sweep`` checks its grid once, with ``XForm``'s rule in
     ``pair_parameters``, and evaluates it once: one gated solve, of the
@@ -1205,6 +1243,48 @@ class TestTooLargeToAllocate:
                                   str(tmp_path)], capsys)
         assert (code, out, err) == (2, "", f"error: {self.MESSAGE}\n")
         assert not list(tmp_path.iterdir())
+
+
+class TestBeyondTheFamilyRange:
+    """An N or chi t beyond what a family's closed forms evaluate in floats
+    is an input error of the family rule: exit 2 and one ``error:`` line."""
+
+    BIG_N = str(10 ** 400)
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    @pytest.mark.parametrize("family, flags, limit", [
+        ("dicke", ["--m", "0"], 340), ("oat", ["--chit", "0.3"], 1022),
+        ("ising", ["--chit", "0.3"], 511)])
+    def test_a_400_digit_n_exits_2(self, command, family, flags, limit, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "rows.csv")] if command == "sweep" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli([command, family, "--n", self.BIG_N, *flags, *out],
+                                        capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: N must be at most 2**{limit} for {family}, got N = {self.BIG_N}\n"
+
+    def test_an_m_ratio_grid_of_a_400_digit_n_exits_2(self, tmp_path, capsys):
+        code, stdout, err = run_cli(["sweep", "dicke", "--n", self.BIG_N, "--m-ratio", "0.5",
+                                     "--out", str(tmp_path / "rows.csv")], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: N must be at most 2**340 for dicke, got N = {self.BIG_N}\n"
+
+    def test_an_n_range_too_large_to_index_exits_2(self, tmp_path, capsys):
+        code, stdout, err = run_cli(["sweep", "oat", "--n", f"4:{self.BIG_N}:1", "--chit", "0.3",
+                                     "--out", str(tmp_path / "rows.csv")], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_an_oat_chi_t_whose_double_overflows_exits_2(self, command, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "rows.csv")] if command == "sweep" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli([command, "oat", "--n", "4", "--chit", "1e308", *out],
+                                        capsys)
+        assert (code, stdout, err) == (
+            2, "", "error: |chi_t| must be at most 2**1022, got chi_t = 1e+308\n")
 
 
 #: Each command's arguments, by dest, as ``build_parser()`` adds them.

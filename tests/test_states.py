@@ -71,6 +71,16 @@ class TestBlochCompose:
         form = BlochForm(s=[0, 0, 1], r=[0, 0, 1], t=np.diag([0.0, 0.0, 1.0]))
         assert_allclose(bloch_compose(form), ket00, atol=1e-15)
 
+    def test_to_matrix_is_the_block_assembly(self, symmetric_forms, rng):
+        # The coefficient array c[m, n] of sigma_m (x) sigma_n, assembled with np.block.
+        sigmas = (np.eye(2),) + qmat.PAULIS
+        basis = np.array([qmat.kron(p, q) for p in sigmas for q in sigmas]).reshape(4, 4, 4, 4)
+        forms = symmetric_forms + [bloch_decompose(random_density_matrix(rng)) for _ in range(60)]
+        for form in forms:
+            c = np.block([[np.ones((1, 1)), form.r[None, :]], [form.s[:, None], form.t]])
+            expected = 0.25 * np.einsum("mn,mnij->ij", c, basis)
+            assert form.to_matrix().tobytes() == expected.astype(complex).tobytes()
+
     def test_unphysical_parameters_rejected(self):
         # T = diag(1, 1, 1) with s = r = 0 has an eigenvalue below zero.
         form = BlochForm(s=np.zeros(3), r=np.zeros(3), t=np.eye(3))
