@@ -13,12 +13,15 @@ closes standard output early (``| head``) ends the command with exit 0
 and nothing on standard error.  The console command (``entry``) prints
 a warning as one ``warning: <message>`` line.
 
-The commands are one table, ``COMMANDS``.  A call builds every command's
+The commands are one table, ``COMMANDS``.  A call creates every command's
 subparser, so the usage line, ``--help`` and the command choices are
-always the same, but adds arguments only to the command its first word
-names; any other first word (help, ``--``, a typo, none) builds them all,
-as ``build_parser()`` does.  ``cmd_selftest`` imports ``selftest`` when it
-runs, so the other commands never load it or ``sampling``.
+always the same, but gives a full subparser (``-h`` and arguments) only
+to the command its first word names; the other four are bare names,
+which argparse never parses or formats.  Any other first word (help,
+``--``, a typo, none) builds them all in full, as ``build_parser()``
+does.  The subcommand prefix ``qubitpair`` is written, not formatted.
+``cmd_selftest`` imports ``selftest`` when it runs, so the other commands
+never load it or ``sampling``.
 """
 
 from __future__ import annotations
@@ -349,19 +352,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     Every command gets its subparser, so the usage line, ``--help`` and the
     command choices never change; given a ``command``, only its subparser
-    gets arguments.  argparse reads no other subparser, so a parser built
-    for the command that ``argv`` names parses ``argv`` as the full one does.
+    is full (``-h``, arguments and handler), and the others are bare names
+    with no arguments, not even ``-h``.  argparse parses and formats no
+    subparser but the one ``argv`` names, so a parser built for that
+    command parses ``argv`` as the full one does.  The subcommand prefix
+    is written as ``prog``: argparse would format the same ``qubitpair``
+    from a top-level usage with no positionals, at any terminal width.
     """
     parser = argparse.ArgumentParser(
         prog="qubitpair",
         description="Local-unitary invariants and separability analysis of "
                     "two-qubit states.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, (help_text, func, add_arguments) in COMMANDS.items():
+        if command not in (None, name):
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
         p = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_arguments(p)
+        add_arguments(p)
         p.set_defaults(func=func)
     return parser
 

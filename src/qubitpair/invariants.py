@@ -24,7 +24,8 @@ with no Pauli decomposition and no contraction; the sweep reads it.  Its
 contract is a distance from the exact invariants of the matrix itself,
 within 8 eps times the same polynomial on the absolute matrix entries.
 ``xform_invariants`` is its one-row symmetric six, and
-``separability.xform_equivalence_stack`` reads its I4, I12 and I14, so
+``separability.xform_equivalence_stack`` reads its I4, I12 and I14
+(``_xform_z_columns``, which it computes them with), so
 every X-pattern route reads one closed form; the paper's printed
 unit-trace forms are its documentation and an exact test.  A symmetric
 form is one whose matrix passes the triplet-support rule
@@ -217,10 +218,8 @@ def makhlin_xform_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarr
     invariant of the matrix (``tests/exact_oracle.py``, the scale being
     the polynomial on the absolute matrix entries).
     """
-    t_xx, t_yy, t_xy = 2.0 * c + 2.0 * b.real, 2.0 * c - 2.0 * b.real, -2.0 * b.imag
-    t_zz, z = a + d - 2.0 * c, a - d
-    det = t_xx * t_yy - t_xy * t_xy
-    xx, yy, xy, zz, z2 = t_xx * t_xx, t_yy * t_yy, t_xy * t_xy, t_zz * t_zz, z * z
+    (z2, i12, i14), (t_xx, t_yy, t_xy, t_zz, det) = _xform_z_columns(a, b, c, d)
+    xx, yy, xy, zz = t_xx * t_xx, t_yy * t_yy, t_xy * t_xy, t_zz * t_zz
     p, q, u = xx + xy, yy + xy, t_xx + t_yy
     inv = np.zeros((len(a), 18))
     inv[:, 0] = det * t_zz
@@ -229,11 +228,24 @@ def makhlin_xform_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarr
     inv[:, 3] = inv[:, 6] = z2
     inv[:, 4] = inv[:, 7] = z2 * zz
     inv[:, 5] = inv[:, 8] = z2 * (zz * zz)
-    inv[:, 11] = z2 * t_zz
+    inv[:, 11] = i12
     inv[:, 12] = z2 * (zz * t_zz)
-    inv[:, 13] = 2.0 * z2 * det
+    inv[:, 13] = i14
     inv += 0.0
     return inv
+
+
+def _xform_z_columns(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple:
+    """The columns I4, I12 and I14 of :func:`makhlin_xform_stack`, with its
+    ``+ 0.0``, and the Bloch entries (T_xx, T_yy, T_xy, t_zz, D) its other
+    columns read; ``separability.xform_equivalence_stack`` reads the three
+    columns alone.  z^2 is never -0.0, so the I4 column is z^2 bit for bit
+    and the other columns that read z^2 read it."""
+    t_xx, t_yy, t_xy = 2.0 * c + 2.0 * b.real, 2.0 * c - 2.0 * b.real, -2.0 * b.imag
+    t_zz, z = a + d - 2.0 * c, a - d
+    det = t_xx * t_yy - t_xy * t_xy
+    z2 = z * z
+    return (z2 + 0.0, z2 * t_zz + 0.0, 2.0 * z2 * det + 0.0), (t_xx, t_yy, t_xy, t_zz, det)
 
 
 def makhlin_all(form: BlochForm) -> InvariantSet:

@@ -18,7 +18,9 @@ positivity suite's ensembles, then the X-form suite's parameters.  The
 invariance suite draws all of its normals as one block, on the stream
 the scalar samplers take draw by draw, and builds its states, references
 and rotations, as one ``(2 count, 4, 4)`` stack; both Haar factors of
-every draw come from one ``su2_from_normals`` call.  The positivity suite
+every draw come from one ``su2_from_normals`` call, unitary by
+construction, so the rotation is ``states._conjugate``, the product of
+``apply_local_unitary`` without its unitarity gates.  The positivity suite
 draws its term counts in one call and its ensembles with
 ``separability._ensemble_draws``, and builds its separable states as one
 ``(count, 4, 4)`` stack.  ``run_selftest`` evaluates the two stacks as
@@ -59,7 +61,7 @@ from .separability import (
     xform_equivalence_stack, xform_pt_eigenvalues_stack,
 )
 from .states import (
-    _abs, _xform_gates, apply_local_unitary, bloch_decompose, bloch_decompose_stack,
+    _abs, _conjugate, _xform_gates, bloch_decompose, bloch_decompose_stack,
     xform_matrices,
 )
 from .stateio import write_state_file
@@ -118,7 +120,7 @@ def _invariance_states(count, rng) -> np.ndarray:
     normals = rng.normal(size=(count, 40))
     rhos = hilbert_schmidt_states(normals[:, :32].reshape(count, 2, 4, 4))
     u = su2_from_normals(normals[:, 32:].reshape(count, 2, 4))
-    return np.stack([rhos, apply_local_unitary(rhos, u[:, 0], u[:, 1])], axis=1).reshape(-1, 4, 4)
+    return np.stack([rhos, _conjugate(rhos, u[:, 0], u[:, 1])], axis=1).reshape(-1, 4, 4)
 
 
 def _positivity_states(count, rng) -> np.ndarray:

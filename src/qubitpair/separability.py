@@ -40,8 +40,9 @@ special pattern's closed forms take ``(k,)`` parameter arrays as well:
 ``xform_pt_eigenvalues`` and ``xform_equivalence_check`` are the one-row
 cases of ``xform_pt_eigenvalues_stack`` and ``xform_equivalence_stack``,
 which the self-test's X-form suite calls once for all of its draws.
-``xform_equivalence_stack`` reads I4, I12 and I14 from
-``invariants.makhlin_xform_stack``, the closed form the sweep reads.
+``xform_equivalence_stack`` reads I4, I12 and I14 of
+``invariants.makhlin_xform_stack``, the closed form the sweep reads, from
+``invariants._xform_z_columns`` without the other 15 columns.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ import numpy as np
 from . import qmat
 from .errors import InconsistentClassification, _raise_first, _refused
 from .invariants import (
-    InvariantSet, SymmetricSix, _i4_zero_gate, makhlin_stack, makhlin_xform_stack,
+    InvariantSet, SymmetricSix, _i4_zero_gate, _xform_z_columns, makhlin_stack,
+    makhlin_xform_stack,
 )
 from .states import (
     BlochForm, XForm, _abs, _as_state, _as_states, _decomposition, _psd_gate, _triplet_gate,
@@ -494,12 +496,13 @@ def xform_equivalence_stack(
     ``(k,)`` parameter arrays, as a ``(k,)`` mask.
 
     I4, I12 and I14 are the columns of :func:`makhlin_xform_stack`, the
-    closed forms the sweep prints, so the check holds the sweep's numbers
+    closed forms the sweep prints, computed alone
+    (``invariants._xform_z_columns``), so the check holds the sweep's numbers
     to the PT spectrum.  The parameters are not checked.  A row whose
     I4 = (a-d)^2 is inside the zero band, where the one-state check raises
     I4Zero, carries no information; its entry is meaningless.
     """
-    i4, i12, i14 = makhlin_xform_stack(a, b, c, d)[:, [3, 11, 13]].T
+    (i4, i12, i14), _ = _xform_z_columns(a, b, c, d)
     ab = _abs(b)
     c_plus_b = c + ab
     with np.errstate(divide="ignore", invalid="ignore"):  # the rows that carry no information

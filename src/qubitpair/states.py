@@ -410,10 +410,18 @@ def apply_local_unitary(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.n
     A ``rho`` whose last two axes are not (4, 4) raises
     InvalidDensityMatrix.  Each factor then meets ``qmat.require_unitary``
     before any product: a factor whose last two axes are not (2, 2) raises
-    ValueError, one that is not unitary NotUnitary.
+    ValueError, one that is not unitary NotUnitary.  The product itself,
+    without the gates, is ``_conjugate``.
     """
     rho = _as_states(rho)
     u1 = qmat.require_unitary(u1, name="u1")
     u2 = qmat.require_unitary(u2, name="u2")
+    return _conjugate(rho, u1, u2)
+
+
+def _conjugate(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The product of :func:`apply_local_unitary` without its gates, for a
+    complex ``(..., 4, 4)`` stack and factors that are unitary by
+    construction, as the self-test's ``su2_from_normals`` factors are."""
     u = qmat.kron_stack(u1, u2)
     return u @ rho @ u.conj().swapaxes(-1, -2)

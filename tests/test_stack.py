@@ -36,7 +36,8 @@ from qubitpair.errors import (
     I4Zero, InvalidDensityMatrix, NotPositive, NotSymmetricState, StateFileError,
 )
 from qubitpair.invariants import (
-    InvariantSet, SymmetricSix, makhlin_all, makhlin_stack, makhlin_xform_stack, symmetric_six,
+    InvariantSet, SymmetricSix, _xform_z_columns, makhlin_all, makhlin_stack, makhlin_xform_stack,
+    symmetric_six,
 )
 from qubitpair.models import dicke_pair, ising_pair, oat_pair, pair_parameters
 from qubitpair.sampling import (
@@ -1278,6 +1279,15 @@ class TestXformClosedFormStacks:
             want = reference_xform_pt_eigenvalues(x)
             assert_bits_equal(row, want)
             assert_bits_equal(xform_pt_eigenvalues(x), want)
+
+    def test_the_equivalence_columns_are_the_closed_forms(self):
+        # a = d with t_zz = a + d - 2c < 0 makes z^2 t_zz and 2 z^2 D a -0.0
+        # before the closed forms' + 0.0.
+        xs = closed_form_draws() + [XForm.from_abc(0.2, 0j, 0.3), XForm.from_abc(0.2, 0.1j, 0.3)]
+        a, b, c, d = (np.array([getattr(x, f) for x in xs]) for f in "abcd")
+        assert np.signbit((a - d) * (a - d) * (a + d - 2.0 * c)).any()
+        three, _ = _xform_z_columns(a, b, c, d)
+        assert_bits_equal(np.stack(three, axis=1), makhlin_xform_stack(a, b, c, d)[:, [3, 11, 13]])
 
     def test_equivalence_is_the_one_state_check(self):
         xs = closed_form_draws()

@@ -1376,8 +1376,9 @@ class TestCliSurface:
 
 
 class TestCliBuildsOnlyItsCommand:
-    """A call adds six ``-h`` arguments (the top level's and each
-    subparser's) and its own command's, not all 27."""
+    """A call adds two ``-h`` arguments (the top level's and its own
+    command's) and its own command's arguments, not all 27; the four
+    commands it does not run are bare names with no arguments."""
 
     @pytest.mark.parametrize("argv, own", [
         (["classify", "{state}", "--json"], ["state", "--json"]),
@@ -1397,12 +1398,55 @@ class TestCliBuildsOnlyItsCommand:
         assert len(added) == 27
         added.clear()
         assert cli.main([word.format(state=dicke_file, dir=tmp_path) for word in argv]) == 0
-        assert sorted(added) == sorted(["-h"] * 6 + own)
+        assert sorted(added) == sorted(["-h"] * 2 + own)
 
     @pytest.mark.parametrize("command", FULL_ARGUMENTS)
     def test_a_named_parser_has_every_subparser_and_one_command(self, command):
         subparsers = _subparsers(cli.build_parser(command))
         assert list(subparsers) == list(FULL_ARGUMENTS)
         for name, p in subparsers.items():
-            assert [a.dest for a in p._actions] == (
-                FULL_ARGUMENTS[name] if name == command else ["help"])
+            assert [a.dest for a in p._actions] == (FULL_ARGUMENTS[name] if name == command else [])
+
+
+class TestCliWrittenPrefix:
+    """``build_parser`` writes the subcommand prefix ``qubitpair``; argparse
+    would format the same prefix from the top-level usage, at any width."""
+
+    @staticmethod
+    def formatted_prefix(monkeypatch):
+        """Patch ``add_subparsers`` to drop ``prog``, so argparse formats the
+        prefix itself, as it did before the prefix was written."""
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def formatting(self, **kwargs):
+            assert kwargs.pop("prog") == "qubitpair"
+            return add_subparsers(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", formatting)
+
+    @pytest.mark.parametrize("columns", ["20", "80", "200"])
+    @pytest.mark.parametrize("command", [None, *FULL_ARGUMENTS])
+    def test_every_subparser_prog(self, command, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        written = {name: p.prog for name, p in _subparsers(cli.build_parser(command)).items()}
+        assert written == {name: f"qubitpair {name}" for name in FULL_ARGUMENTS}
+        with monkeypatch.context() as patch:
+            self.formatted_prefix(patch)
+            formatted = {name: p.prog for name, p in _subparsers(cli.build_parser()).items()}
+        assert written == formatted
+
+    @pytest.mark.parametrize("columns", ["20", "80", "200"])
+    @pytest.mark.parametrize("template", [
+        ["classify", "-h"], ["sweep", "-h"], ["classify", "{state}", "--bogus"],
+        ["sweep", "oat", "--chit", "1", "--out", "{dir}/s.csv"],  # no --n
+    ], ids=lambda argv: " ".join(argv))
+    def test_the_same_bytes_as_a_formatted_prefix(
+            self, template, columns, dicke_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = [word.format(state=dicke_file, dir=tmp_path) for word in template]
+        written = TestCliSurface.outcome(capsys, argv)
+        with monkeypatch.context() as patch:
+            self.formatted_prefix(patch)
+            formatted = TestCliSurface.full_parser_outcome(capsys, patch, argv)
+        assert written == formatted
+        assert written[0] == ("SystemExit", 0 if "-h" in argv else 2)

@@ -21,6 +21,7 @@ from qubitpair.sampling import random_density_matrix, random_symmetric_density_m
 from qubitpair.states import (
     BlochForm,
     XForm,
+    _conjugate,
     apply_local_unitary,
     assert_density_matrix,
     bloch_compose,
@@ -220,6 +221,14 @@ class TestApplyLocalUnitary:
         # One state under a stack of rotations.
         assert np.array_equal(apply_local_unitary(rhos[0], u1, u2[0])[5],
                               apply_local_unitary(rhos[0], u1[5], u2[0]))
+
+    def test_the_gate_free_product_is_the_gated_one(self, rng):
+        # The self-test rotates by su2_from_normals factors through _conjugate.
+        rhos = np.array([random_density_matrix(rng) for _ in range(8)])
+        u = qmat.su2_from_normals(rng.normal(size=(8, 2, 4)))
+        got = _conjugate(rhos, u[:, 0], u[:, 1])
+        want = apply_local_unitary(rhos, u[:, 0], u[:, 1])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_stack_with_one_non_unitary_factor_is_refused(self, rng):
         u2 = np.array([qmat.haar_su2(rng) for _ in range(4)])
