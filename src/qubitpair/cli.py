@@ -5,7 +5,11 @@ Subcommands: ``invariants``, ``classify``, ``generate``, ``sweep`` and
 model family and the same family flags.  ``classify`` and ``invariants``
 read a file with ``stateio.read_state``, so an ``xform`` file is
 evaluated as ``sweep`` evaluates a row, by ``_xform_evidence``, and a
-``bloch`` file by its own (s, r, T), as ``makhlin_all`` reads it.  Exit
+``bloch`` file by its own (s, r, T), as ``makhlin_all`` reads it.  The
+reader runs the checks that need no eigen solve; a ``matrix`` or
+``bloch`` file meets the density-matrix rule and positivity once, in the
+gates of the one solve that evaluates it, and a refusal there is an
+invalid state file, as the reader's own refusals are (``_evaluate``).  Exit
 codes: 0 ok, 1 self-test/property failure, 2 input validation, an
 unwritable output path or an input too large to allocate or to index,
 3 domain precondition (e.g. non-symmetric input to classify).  A reader that
@@ -35,7 +39,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import InvalidDensityMatrix, NotSymmetricState, NotXForm, QubitPairError
+from .errors import (
+    EntryOverflow, InvalidDensityMatrix, NotSymmetricState, NotXForm, QubitPairError,
+)
 from .invariants import xform_invariants
 from .models import FAMILIES, pair_parameters
 from .separability import (
@@ -43,7 +49,7 @@ from .separability import (
     _gated_evidence, _xform_evidence, classify,
 )
 from .states import BlochForm, XForm, is_symmetric, xform_extract
-from .stateio import read_state, state_text, write_state_file, xform_fields
+from .stateio import _invalid_state, read_state, state_text, write_state_file, xform_fields
 from .tolerances import SIGN_ZERO_BAND
 
 #: Sweep columns: the CSV header, the order of each CSV line and of each JSON
@@ -73,8 +79,8 @@ def _classification_payload(cls) -> dict:
 
 
 def _invariants_payload(state) -> dict:
-    """The ``invariants`` report of a state that ``read_state`` validated,
-    from one evaluation of it.
+    """The ``invariants`` report of a state that ``read_state`` decoded, from
+    one evaluation of it, whose gates are a matrix's one validity pass.
 
     An ``XForm`` takes the sweep's route, ``_xform_evidence``: it is
     symmetric by construction, and its X block is the form itself.  A
@@ -125,8 +131,23 @@ def _print_six(label: str, six: dict) -> None:
     print(f"{label}: {parts}")
 
 
+def _evaluate(path: str, evaluate):
+    """``evaluate`` of the state in the file at ``path``.
+
+    ``read_state`` leaves the density-matrix rule and positivity of a
+    matrix or a Bloch form to the gates of the evaluation's eigen solve,
+    in the order ``assert_density_matrix`` meets them, so a state they
+    refuse raises a StateFileError with the reader's message for it.
+    """
+    state = read_state(path)
+    try:
+        return evaluate(state)
+    except (InvalidDensityMatrix, EntryOverflow) as exc:
+        raise _invalid_state(exc) from exc
+
+
 def cmd_invariants(args) -> int:
-    payload = _invariants_payload(read_state(args.state))
+    payload = _evaluate(args.state, _invariants_payload)
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
@@ -151,7 +172,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cls = classify(read_state(args.state))
+    cls = _evaluate(args.state, classify)
     if args.json:
         print(json.dumps(_classification_payload(cls), indent=2))
         return 0

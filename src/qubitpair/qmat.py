@@ -5,7 +5,8 @@ products, Hermitian eigenvalues (numpy's LAPACK ``eigvalsh`` behind a
 Hermiticity gate and an overflow bound, on one ``(n, n)`` matrix or a
 ``(..., n, n)`` stack; ``_solve`` is the one solve, which
 ``hermitian_eigenvalues`` ends in and callers whose own gates have passed
-a stack call directly), Haar-random SU(2) and the SU(2) -> SO(3)
+a stack call directly, the solve's entry bound ``_entry_bound_gate``
+among them), Haar-random SU(2) and the SU(2) -> SO(3)
 covering map, and the power ``float_pow`` that the family closed forms
 take entry by entry.  All functions are pure; random sampling takes a
 caller-owned ``numpy.random.Generator``.
@@ -143,16 +144,25 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     lead = m.shape[:-2]
     flat = m.reshape(-1, *m.shape[-2:])
     defect = hermiticity_defect(flat)
-    largest = np.maximum(np.abs(flat.real), np.abs(flat.imag)).max(axis=(-2, -1))
     _raise_first([
         (defect > HERMITICITY, lambda j: NotHermitian(
             f"Hermiticity defect {defect[j]:.3e} exceeds tol {HERMITICITY:.1e}"
             f"{_in_matrix(j, lead)}")),
-        (largest > SOLVE_ENTRY, lambda j: EntryOverflow(
-            f"entry part {largest[j]:.3e} exceeds the eigen solve's bound "
-            f"{SOLVE_ENTRY:.3e}{_in_matrix(j, lead)}")),
+        _entry_bound_gate(flat, lead),
     ])
     return _solve(m)
+
+
+def _entry_bound_gate(flat: np.ndarray, lead: tuple = ()) -> tuple:
+    """The solve's entry bound on a ``(k, n, n)`` stack, as a gate in
+    ``_raise_first``'s form: the real and imaginary part of every entry at
+    most :data:`SOLVE_ENTRY` (EntryOverflow, naming the part and the
+    bound).  ``lead`` names a refused matrix as :func:`_in_matrix` does;
+    by default the message has no suffix, as for one matrix."""
+    largest = np.maximum(np.abs(flat.real), np.abs(flat.imag)).max(axis=(-2, -1))
+    return largest > SOLVE_ENTRY, lambda j: EntryOverflow(
+        f"entry part {largest[j]:.3e} exceeds the eigen solve's bound "
+        f"{SOLVE_ENTRY:.3e}{_in_matrix(j, lead)}")
 
 
 def _in_matrix(j: int, lead: tuple) -> str:

@@ -23,11 +23,15 @@ route too, so they equal the sweep row of its parameters.  Those of a
 invariants of its own (s, r, T), as ``makhlin_all`` gives them, and one
 solve of its matrix and partial transpose under the positivity and
 triplet gates, with no Pauli decomposition and no density-matrix or
-entry gate (``_gated_evidence`` given the form).  Each hypothesis
-of the criteria is one gate: triplet support is ``states._triplet_gate``,
-which ``evidence_stack`` runs after the density-matrix rule, the entry
-rule and the positivity gate ``states._psd_gate`` (read on the same eigen
-solve as the partial transpose's spectrum), and a vanishing I4 is
+entry gate (``_gated_evidence`` given the form).  The state reader
+leaves the density-matrix rule and positivity of a ``matrix`` or
+``bloch`` file to these gates, which refuse a state in the order
+``assert_density_matrix`` does, so each file is checked on one solve.
+Each hypothesis of the criteria is one gate: triplet support is
+``states._triplet_gate``, which ``evidence_stack`` runs after the
+density-matrix rule, the solve's entry bound, the positivity gate
+``states._psd_gate`` (read on the same eigen solve as the partial
+transpose's spectrum) and the entry rule, and a vanishing I4 is
 ``invariants._i4_zero_gate``, which raises I4Zero in
 ``invariant_criteria``, ``xform_equivalence_check`` and
 ``invariants.xform_relation_check`` alike.  The criteria rule is written
@@ -59,8 +63,8 @@ from .invariants import (
     makhlin_xform_stack,
 )
 from .states import (
-    BlochForm, XForm, _abs, _as_state, _as_states, _decomposition, _psd_gate, _triplet_gate,
-    xform_matrices,
+    BlochForm, XForm, _abs, _as_stack, _as_state, _as_states, _decomposition, _psd_gate,
+    _state_gates, _triplet_gate, xform_matrices,
 )
 from .tolerances import SIGN_ZERO_BAND
 
@@ -272,6 +276,7 @@ def evidence(rho: np.ndarray | XForm | BlochForm) -> Classification:
     the form was constructed.  A ``BlochForm`` takes the form route: its
     invariants are those of its own (s, r, T), as ``makhlin_all`` gives
     them, and its matrix meets only the positivity and triplet gates.
+    A matrix meets every gate of :func:`evidence_stack`, in its order.
 
     The verdict is the PT ground truth.  When I4 is inside the zero band
     no criterion is read and ``i4_zero_fallback_used`` is set.  A
@@ -316,41 +321,53 @@ def evidence_stack(rhos: np.ndarray) -> EvidenceStack:
     partial transpose), one Pauli decomposition and one invariant
     contraction for the whole stack.
 
-    The gates, in the order a single state meets them: the gates of
-    ``states.bloch_decompose_stack`` (the density-matrix rule, then the
-    entry rule), positivity (``states._psd_gate``, NotPositive) and
+    The gates, in the order a single state meets them, are those of
+    ``states.assert_density_matrix`` and then the rest of the criteria's
+    hypotheses: the density-matrix rule (``states._state_gates``,
+    InvalidDensityMatrix), the solve's entry bound (EntryOverflow),
+    positivity (``states._psd_gate``, NotPositive), ``BlochForm``'s entry
+    rule on the Pauli traces (ValueError or NotPositive; a state the
+    earlier gates pass meets it only by rounding at PAULI_BOUND) and
     triplet support (``states._triplet_gate``, NotSymmetricState).  For
-    the first row that a gate refuses, the first gate refusing it raises.
+    the first row that a gate refuses, the first gate refusing it raises,
+    so a state refused before the triplet gate raises what
+    ``assert_density_matrix`` raises.
     """
-    return _gated_evidence(np.asarray(rhos, dtype=complex), triplet=True)
+    return _gated_evidence(_as_stack(rhos), triplet=True)
 
 
 def _gated_evidence(rhos: np.ndarray, triplet: bool,
                     form: BlochForm | None = None) -> EvidenceStack:
-    """:func:`evidence_stack` of a complex stack, with its triplet gate only
-    if ``triplet``: the ``invariants`` command reads that gate's mask once,
-    with ``is_symmetric``, and evaluates only a row it accepts.
+    """:func:`evidence_stack` of a complex ``(k, 4, 4)`` stack, with its
+    triplet gate only if ``triplet``: the ``invariants`` command reads that
+    gate's mask once, with ``is_symmetric``, and evaluates only a row it
+    accepts.  It is the one validity pass of a ``matrix`` state file, which
+    the reader decodes without a solve: one eigen solve of each state and
+    its partial transpose, under the gates of ``assert_density_matrix``.
 
     Given the ``form`` whose matrix (``form.to_matrix()``) is the stack's
     one row, the invariants are ``makhlin_stack`` of the form's own arrays,
-    with no Pauli decomposition, and the density-matrix and entry gates do
-    not run: the matrix is Hermitian by construction, and the entry rule
+    with no Pauli decomposition, and the density-matrix, entry-bound and
+    entry gates do not run: the matrix is Hermitian by construction, and
+    the entry rule, which bounds every entry far below the solve's bound,
     ran when the form was made.  Positivity and triplet support are gated
-    as for any stack.
+    as for any stack, so this is the one validity pass of a ``bloch``
+    state file too.
     """
     if form is None:
-        s, r, t, gates = _decomposition(rhos)
+        s, r, t, entry = _decomposition(rhos)
+        gates = [*_state_gates(rhos), qmat._entry_bound_gate(rhos)]
         # A row that an earlier gate refuses is solved as I/4, so the solve
         # needs no gates of its own: the density-matrix rule bounds the
         # Hermiticity defect of the rest (the PT permutes the entries of
-        # rho - rho^dag, so its defect is the state's), and the entry rule
-        # bounds every entry far below the solve's overflow bound.
+        # rho - rho^dag, so its defect is the state's), and the entry bound
+        # keeps their Hermitian parts finite.
         solved = np.where(_refused(gates)[:, None, None], np.eye(4) / 4.0, rhos)
     else:
-        s, r, t, gates, solved = form.s[None], form.r[None], form.t[None], [], rhos
+        s, r, t, entry, gates, solved = form.s[None], form.r[None], form.t[None], [], [], rhos
     spectra = qmat._solve(np.stack([solved, partial_transpose(solved)], axis=1))
     support = [_triplet_gate(rhos)] if triplet else []
-    _raise_first([*gates, _psd_gate(spectra[:, 0, 0]), *support])
+    _raise_first([*gates, _psd_gate(spectra[:, 0, 0]), *entry, *support])
     return _evidence(makhlin_stack(s, r, t), spectra[:, 1, 0])
 
 

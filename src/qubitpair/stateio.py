@@ -18,12 +18,17 @@ form's four fields to every output that shows them.  From Python::
 
     write_state_file("state.json", XForm.from_abc(0.5, 0.1j, 0.2))
 
-``read_state`` returns the state as its file holds it, checked by its
-representation's one validity rule: the ``XForm`` of an ``xform`` file,
-which ``classify`` and ``invariants`` evaluate by the sweep's closed
-forms, the ``BlochForm`` of a ``bloch`` file, whose invariants they read
-off its own (s, r, T), and the density matrix of a ``matrix`` file.
-``read_state_file`` is the public matrix view of every file.
+``read_state`` returns the state as its file holds it, checked by the
+rules that need no eigen solve: the ``XForm`` of an ``xform`` file, by
+its closed-form rule, which ``classify`` and ``invariants`` evaluate by
+the sweep's closed forms; the ``BlochForm`` of a ``bloch`` file, by its
+entry rule, whose invariants they read off its own (s, r, T); and the
+complex matrix of a ``matrix`` file, by its shape.  The density-matrix
+rule and positivity of a ``matrix`` or ``bloch`` file run once, on the
+eigen solve of ``separability._gated_evidence``, whose refusals the
+commands report as the reader reports its own (``_invalid_state``).
+``read_state_file`` is the public matrix view of every file, checked in
+full.
 
 Every value is a JSON number (an integer or a float): a string, a
 boolean or null where a number belongs makes the file malformed.
@@ -104,14 +109,25 @@ def _numbers(value):
     return value
 
 
+def _invalid_state(exc: QubitPairError) -> StateFileError:
+    """The StateFileError of a file whose state a validity rule refuses with ``exc``."""
+    return StateFileError(f"invalid state: {exc}")
+
+
 def parse_state_payload(payload: dict) -> XForm | BlochForm | np.ndarray:
-    """Decode a payload into a state that has passed one validity rule: the
-    density matrix of a matrix (``assert_density_matrix``), the
-    ``BlochForm`` of a Bloch form (its entry rule, then ``bloch_compose``'s
-    rule) and the ``XForm`` of an X-pattern form (its closed-form rule)."""
+    """Decode a payload into a state that has passed the rules that need no
+    eigen solve: the complex ``(4, 4)`` matrix of a matrix (its shape), the
+    ``BlochForm`` of a Bloch form (its entry rule) and the ``XForm`` of an
+    X-pattern form (its closed-form rule, positivity included).  A matrix
+    or a Bloch form meets the density-matrix rule and positivity where it
+    is solved: in ``separability._gated_evidence``, or in
+    ``assert_density_matrix`` for ``read_state_file``."""
     if not isinstance(payload, dict):
         raise StateFileError("state file must contain a JSON object")
     version = payload.get("schema_version")
+    if type(version) in (int, float):  # json reads true as a bool, not an int
+        raise StateFileError(
+            f"schema_version must be the string {SCHEMA_VERSION!r}, got the number {version!r}")
     if version != SCHEMA_VERSION:
         raise StateFileError(
             f"schema_version {version!r} not supported (expected {SCHEMA_VERSION!r})"
@@ -124,9 +140,7 @@ def parse_state_payload(payload: dict) -> XForm | BlochForm | np.ndarray:
     try:
         if present[0] == "bloch":
             spec = payload["bloch"]
-            form = BlochForm(*(_numbers(spec[key]) for key in ("s", "r", "t")))
-            bloch_compose(form)
-            return form
+            return BlochForm(*(_numbers(spec[key]) for key in ("s", "r", "t")))
         if present[0] == "xform":
             a, b_re, b_im, c = (float(_numbers(payload["xform"][key]))
                                 for key in ("a", "b_re", "b_im", "c"))
@@ -134,25 +148,29 @@ def parse_state_payload(payload: dict) -> XForm | BlochForm | np.ndarray:
         raw = np.asarray(_numbers(payload["matrix"]), dtype=float)
         if raw.shape != (4, 4, 2):
             raise StateFileError(f"matrix must be 4x4 [re, im] pairs, got {raw.shape}")
-        return assert_density_matrix(raw[..., 0] + 1j * raw[..., 1])
+        return raw[..., 0] + 1j * raw[..., 1]
     except StateFileError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge int
         raise StateFileError(f"malformed {present[0]} representation: {exc}") from exc
     except QubitPairError as exc:
-        raise StateFileError(f"invalid state: {exc}") from exc
+        raise _invalid_state(exc) from exc
 
 
 def read_state(path: str | os.PathLike) -> XForm | BlochForm | np.ndarray:
     """The state file at ``path`` as ``parse_state_payload`` decodes it: an
     ``XForm`` for an ``xform`` file, a ``BlochForm`` for a ``bloch`` file
-    and the density matrix of a ``matrix`` file.
+    and the complex ``(4, 4)`` matrix of a ``matrix`` file.
 
-    Each representation is read with one validity rule: a ``matrix``
-    with ``assert_density_matrix``, a ``bloch`` form with
-    ``bloch_compose``'s, and an ``xform`` with ``XForm``'s closed-form
-    rule.  Raises StateFileError when the file cannot be read, is not
-    UTF-8 JSON, breaks the schema or holds no valid state.
+    Each representation is read with the rules that need no eigen solve:
+    a ``matrix`` with its shape, a ``bloch`` form with ``BlochForm``'s
+    entry rule, and an ``xform`` with ``XForm``'s closed-form rule.  The
+    density-matrix rule and positivity of a matrix or a Bloch form are
+    left to the one solve that evaluates it (``classify`` and
+    ``invariants`` read the evidence's gates; ``read_state_file`` reads
+    ``assert_density_matrix``).  Raises StateFileError when the file
+    cannot be read, is not UTF-8 JSON, breaks the schema or fails one of
+    those rules.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -167,6 +185,15 @@ def read_state(path: str | os.PathLike) -> XForm | BlochForm | np.ndarray:
 
 def read_state_file(path: str | os.PathLike) -> np.ndarray:
     """The density matrix of the state file at ``path``: :func:`read_state`,
-    with an ``XForm`` or a ``BlochForm`` laid out as its matrix."""
+    with an ``XForm`` laid out as its matrix, a ``BlochForm`` composed by
+    ``bloch_compose`` and a matrix checked by ``assert_density_matrix``.
+    Raises StateFileError (``invalid state: ...``) for a matrix or a form
+    that is not a density matrix."""
     state = read_state(path)
-    return state.to_matrix() if isinstance(state, (XForm, BlochForm)) else state
+    if isinstance(state, XForm):
+        return state.to_matrix()
+    check = bloch_compose if isinstance(state, BlochForm) else assert_density_matrix
+    try:
+        return check(state)
+    except QubitPairError as exc:
+        raise _invalid_state(exc) from exc

@@ -14,9 +14,8 @@ population is reported non-symmetric, because the unit-trace constraint
 on T holds only for triplet support.  That rule is written once, as a
 stack gate on the matrix (``_triplet_gate``): the singlet population and
 every singlet-triplet coherence within SYMMETRY.  ``is_symmetric`` is its
-one-row mask, ``separability.evidence_stack`` runs it after the
-density-matrix and entry rules, and ``invariants.symmetric_six`` runs it
-on the matrix of a form.
+one-row mask, ``separability.evidence_stack`` runs it after every other
+gate, and ``invariants.symmetric_six`` runs it on the matrix of a form.
 
 The density-matrix rule is written once, as a stack rule
 (``_state_gates``): Hermiticity within HERMITICITY, then unit trace
@@ -26,11 +25,12 @@ the rule's one-row case, one eigen solve and that gate;
 ``bloch_compose`` checks ``BlochForm.to_matrix()`` (the form's matrix,
 Hermitian by construction) with ``assert_density_matrix``; the Pauli
 decomposition reads the same rule, and ``separability.evidence_stack``
-the rule and the gate.  Every other positivity bound is derived from
-the floor: the entry rule bounds each Pauli expectation by PAULI_BOUND,
-and ``XForm`` compares its pattern's closed-form minimum eigenvalue with
-PSD_FLOOR.  A matrix inside the Hermiticity band is read as its
-Hermitian part throughout.
+the rule, the solve's entry bound and the gate, in the order of
+``assert_density_matrix``, on its one solve.  Every other positivity
+bound is derived from the floor: the entry rule bounds each Pauli
+expectation by PAULI_BOUND, and ``XForm`` compares its pattern's
+closed-form minimum eigenvalue with PSD_FLOOR.  A matrix inside the
+Hermiticity band is read as its Hermitian part throughout.
 
 There is one Pauli decomposition, ``bloch_decompose_stack``: a ``(k, 4,
 4)`` stack to ``s``, ``r`` ``(k, 3)`` and ``t`` ``(k, 3, 3)``.  It refuses
@@ -130,6 +130,15 @@ def _as_state(rho: np.ndarray) -> np.ndarray:
     if rho.shape != (4, 4):
         raise InvalidDensityMatrix(f"expected shape (4, 4), got {rho.shape}")
     return rho
+
+
+def _as_stack(rhos: np.ndarray) -> np.ndarray:
+    """``rhos`` as a complex ``(k, 4, 4)`` stack; InvalidDensityMatrix for any
+    other shape."""
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        raise InvalidDensityMatrix(f"expected shape (k, 4, 4), got {rhos.shape}")
+    return rhos
 
 
 def _as_states(rho: np.ndarray) -> np.ndarray:
@@ -308,19 +317,18 @@ def _pauli_decomposition(rhos: np.ndarray) -> tuple:
 
 
 def _decomposition(rhos: np.ndarray) -> tuple:
-    """The Pauli decomposition of a ``(k, 4, 4)`` stack before its gates run.
+    """The Pauli decomposition of a complex ``(k, 4, 4)`` stack before its
+    entry rule runs.
 
     Returns ``(s, r, t, gates)``: the Bloch arrays of
-    :func:`_pauli_decomposition` and, in ``_raise_first``'s form, the
-    density-matrix rule followed by the entry rule on the 15 traces after
-    the identity's.
+    :func:`_pauli_decomposition` and, in ``_raise_first``'s form, the entry
+    rule on the 15 traces after the identity's.  A trace of a non-finite
+    or huge row is NaN or inf without a warning; the caller's earlier
+    gates refuse such a row first.
     """
-    rhos = np.asarray(rhos, dtype=complex)
-    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
-        raise InvalidDensityMatrix(f"expected shape (k, 4, 4), got {rhos.shape}")
     s, r, t = _pauli_decomposition(rhos)
     largest = np.abs(np.concatenate([s, r, t.reshape(-1, 9)], axis=1)).max(axis=1)
-    return s, r, t, [*_state_gates(rhos), *_entry_gates(largest)]
+    return s, r, t, _entry_gates(largest)
 
 
 def bloch_decompose_stack(rhos: np.ndarray) -> tuple:
@@ -333,8 +341,9 @@ def bloch_decompose_stack(rhos: np.ndarray) -> tuple:
     row that a gate refuses, the first gate refusing it raises:
     InvalidDensityMatrix, or ValueError or NotPositive from the entry rule.
     """
-    s, r, t, gates = _decomposition(rhos)
-    _raise_first(gates)
+    rhos = _as_stack(rhos)
+    s, r, t, entry = _decomposition(rhos)
+    _raise_first([*_state_gates(rhos), *entry])
     return s, r, t
 
 

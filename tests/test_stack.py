@@ -33,7 +33,7 @@ from numpy.testing import assert_allclose
 import exact_oracle as eo
 from qubitpair import cli, selftest
 from qubitpair.errors import (
-    I4Zero, InvalidDensityMatrix, NotPositive, NotSymmetricState, StateFileError,
+    EntryOverflow, I4Zero, InvalidDensityMatrix, NotPositive, NotSymmetricState, StateFileError,
 )
 from qubitpair.invariants import (
     InvariantSet, SymmetricSix, _xform_z_columns, makhlin_all, makhlin_stack, makhlin_xform_stack,
@@ -459,9 +459,12 @@ class TestXformEvidence:
 
 
 def _bad_rows(rng):
-    """One state per gate of ``evidence``, each refused by that gate only, and
-    ``non_finite_entry``, whose overflowing Pauli trace the decomposition's
-    entry rule refuses."""
+    """One state per gate of the decomposition, each refused there by that
+    gate only, and ``non_finite_entry``, whose overflowing Pauli trace the
+    decomposition's entry rule refuses.  The evidence solves before its
+    entry rule, so it refuses ``bloch_bound`` by positivity and
+    ``non_finite_entry`` by the solve's entry bound, as
+    ``assert_density_matrix`` does."""
     clean = separable_symmetric_states(rng, 1)[0]
     non_hermitian = clean.copy()
     non_hermitian[0, 1] += 1e-6
@@ -480,24 +483,33 @@ def _bad_rows(rng):
     }
 
 
-# Class and message of the error each gate's row of ``_bad_rows`` raises.
-# The evidence and the decomposition read one density-matrix rule
-# (``states._state_gates``), so they raise alike on every row but the
-# exchange row, which only the evidence's triplet-support gate refuses.
-# A non-finite matrix has Hermiticity defect inf.
+# Class and message of the error each row of ``_bad_rows`` raises in the
+# evidence.  The evidence and the decomposition read one density-matrix rule
+# (``states._state_gates``), so they raise alike on its rows.  The evidence
+# then meets the gates of ``assert_density_matrix`` (the solve's entry
+# bound, positivity) before the entry rule, and the exchange row only its
+# triplet-support gate refuses.  A non-finite matrix has Hermiticity defect inf.
 EVIDENCE_ERRORS = {
     "hermiticity": (InvalidDensityMatrix, "not Hermitian: defect 1.000e-06"),
     "trace": (InvalidDensityMatrix, "trace invariant violated: trace = 1.001"),
-    "bloch_bound": (NotPositive,
-                    "not positive semidefinite: Pauli expectation 3 exceeds 1.0000000061"),
+    "bloch_bound": (NotPositive, "not positive semidefinite: min eigenvalue -1.000e+00"),
     "exchange": (NotSymmetricState,
                  "state has singlet support: singlet population 2.586e-01, largest "
                  "singlet-triplet coherence 1.615e-01, band 1.0e-10; "
                  "the criteria require triplet support"),
     "non_finite": (InvalidDensityMatrix, "not Hermitian: defect inf"),
+    "non_finite_entry": (EntryOverflow,
+                         "entry part 1.500e+308 exceeds the eigen solve's bound 8.988e+307"),
+}
+# The decomposition has no solve and no triplet gate: its entry rule refuses
+# the two rows the evidence refuses by the solve's gates.
+DECOMPOSITION_ERRORS = {
+    **EVIDENCE_ERRORS,
+    "bloch_bound": (NotPositive,
+                    "not positive semidefinite: Pauli expectation 3 exceeds 1.0000000061"),
+    "exchange": None,
     "non_finite_entry": (ValueError, "BlochForm entries must be finite"),
 }
-DECOMPOSITION_ERRORS = {**EVIDENCE_ERRORS, "exchange": None}  # the decomposition has no triplet gate
 GATES = list(EVIDENCE_ERRORS)
 
 

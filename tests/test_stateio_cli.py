@@ -82,6 +82,19 @@ class TestStateFiles:
         with pytest.raises(StateFileError, match="schema_version"):
             read_state_file(path)
 
+    @pytest.mark.parametrize("version, message", [
+        (1, "schema_version must be the string '1', got the number 1"),
+        (1.0, "schema_version must be the string '1', got the number 1.0"),
+        ("2", "schema_version '2' not supported (expected '1')"),
+        (True, "schema_version True not supported (expected '1')"),
+    ])
+    def test_schema_version_is_the_string_1(self, version, message, tmp_path, capsys):
+        path = tmp_path / "version.json"
+        path.write_text(json.dumps({**state_payload(np.eye(4) / 4), "schema_version": version}))
+        with pytest.raises(StateFileError, match=f"^{re.escape(message)}$"):
+            read_state_file(path)
+        assert run_cli(["classify", str(path)], capsys) == (2, "", f"error: {message}\n")
+
     def test_trace_violation_named(self, tmp_path):
         path = tmp_path / "trace.json"
         payload = state_payload(np.eye(4, dtype=complex) * 0.225)
@@ -607,15 +620,17 @@ class TestInvariantsDecomposesOnce:
 
 
 class TestInvariantsValidatesOnce:
-    """``read_state`` validates the state once, whatever its representation,
-    and ``invariants`` does not validate it again.  A matrix or Bloch file
-    (through ``bloch_compose``) takes one gated eigen solve for the
-    validation, then one solve of the state and its partial transpose
-    without the solve's gates, since the evidence's own gates have passed
-    the state.  An X-pattern file takes no validation solve, since
-    ``XForm``'s closed-form rule has checked it, and one gated solve, of its
-    partial transpose alone, as a sweep row does.  Every solve runs through
-    ``qmat._solve``, the gated one included."""
+    """``classify`` and ``invariants`` check a state once, whatever its
+    representation.  ``read_state`` runs the checks that need no solve (a
+    Bloch file's entry rule, an X-pattern file's closed-form rule), and a
+    matrix or Bloch file meets the density-matrix rule and positivity in
+    the gates of the one solve that evaluates it: one ``qmat._solve`` of
+    the state and its partial transpose, with no ``assert_density_matrix``,
+    no ``bloch_compose`` and no gated ``hermitian_eigenvalues``.  An
+    X-pattern file takes no validation solve, since ``XForm``'s rule has
+    checked it, and one gated solve, of its partial transpose alone, as a
+    sweep row does.  Every solve runs through ``qmat._solve``, the gated
+    one included."""
 
     @staticmethod
     def _write(representation, path):
@@ -633,17 +648,16 @@ class TestInvariantsValidatesOnce:
 
         path = tmp_path / "state.json"
         self._write(representation, path)
-        counts = profiled_calls(
-            ["invariants", str(path), "--json"], capsys,
-            [states.assert_density_matrix, qmat.hermitian_eigenvalues, qmat._solve,
-             states.is_symmetric])
-        if representation == "xform":
-            expected = {"assert_density_matrix": 0, "hermitian_eigenvalues": 1, "_solve": 1,
-                        "is_symmetric": 0}
-        else:
-            expected = {"assert_density_matrix": 1, "hermitian_eigenvalues": 1, "_solve": 2,
-                        "is_symmetric": 1}
-        assert counts == expected
+        xform = representation == "xform"
+        for command in ("classify", "invariants"):
+            counts = profiled_calls(
+                [command, str(path), "--json"], capsys,
+                [states.assert_density_matrix, states.bloch_compose, qmat.hermitian_eigenvalues,
+                 qmat._solve, states.is_symmetric])
+            assert counts == {"assert_density_matrix": 0, "bloch_compose": 0,
+                              "hermitian_eigenvalues": 1 if xform else 0, "_solve": 1,
+                              # Only the invariants report reads the triplet mask on its own.
+                              "is_symmetric": 1 if command == "invariants" and not xform else 0}
 
 
 class TestXFormFilesTakeTheSweepRoute:

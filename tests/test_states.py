@@ -279,14 +279,14 @@ class TestAssertDensityMatrix:
 
     def test_overflowing_entry_is_refused_before_the_solve(self):
         # Finite, Hermitian and of unit trace; the eigen solve would overflow
-        # on it, and its own bound refuses it.  The evidence's entry rule
-        # refuses it first: its Pauli trace <I (x) sigma_z> overflows to inf.
+        # on it, and its own bound refuses it.  The evidence meets that bound
+        # before its entry rule, which would refuse the Pauli trace
+        # <I (x) sigma_z> that overflows to inf, so both raise alike.
         rho = np.diag([1.5e308, -1.5e308, 1.0, 0.0])
-        with pytest.raises(EntryOverflow, match=(
-                r"^entry part 1\.500e\+308 exceeds the eigen solve's bound 8\.988e\+307$")):
-            assert_density_matrix(rho)
-        with pytest.raises(ValueError, match=r"^BlochForm entries must be finite$"):
-            classify(rho)
+        for check in (assert_density_matrix, classify):
+            with pytest.raises(EntryOverflow, match=(
+                    r"^entry part 1\.500e\+308 exceeds the eigen solve's bound 8\.988e\+307$")):
+                check(rho)
 
 
 def perturbed_state(seed: int, symmetric: bool, defect: float) -> np.ndarray:
